@@ -11,7 +11,8 @@ Two energy forms share one discretization:
 
 The nonlocal term is the nodal double sum over ordered pairs i != j of
 ``a_ij * h^2 |x_i - x_j|^{-(1+2s)} * (g_i - g_j)^2`` with ``g`` the k-th
-finite difference of the profile.  ``tail_correction`` adds the closed-form
+finite difference of the profile, applied by FFT in O(N log N) time and O(N)
+memory (``_PairForm``).  ``tail_correction`` adds the closed-form
 interaction of a clamped profile with the constant +-1 exterior beyond the
 grid.  All gradients are exact derivatives of the implemented sums.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .grid import GridProfile, UniformGrid, difference_matrix, kth_difference
 
@@ -179,15 +179,6 @@ class KernelSpec:
             out = self.c0 + self.c1 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
         return out if out.ndim else float(out)
 
-    def pair_matrix(self, x: np.ndarray, scale: float = 1.0) -> np.ndarray | float:
-        """a(x_i/scale, x_j/scale) for all node pairs; scalar for constants."""
-        if self.kind == "constant":
-            return self.c0
-        t = np.cos(2 * np.pi * x / scale)
-        if self.kind == "cos_sum":
-            return self.c0 + self.c1 * (t[:, None] + t[None, :])
-        return self.c0 + self.c1 * np.outer(t, t)
-
     def row_mean(self, x, scale: float = 1.0):
         """One-period mean of y -> a(x/scale, y/scale) at fixed x.
 
@@ -241,8 +232,7 @@ class QuadratureWeights:
     """Kernel-free pair weights h^2 |x_i - x_j|^{-(1+2s)} on a uniform grid.
 
     On a uniform grid the weight depends only on |i - j|, so only the first
-    row is stored; ``dense()`` expands it to the symmetric pair matrix with a
-    zero diagonal.
+    row is stored (with a zero diagonal entry).
     """
 
     grid: UniformGrid
@@ -253,9 +243,6 @@ class QuadratureWeights:
         if i == j:
             raise ValueError("pair weights are defined for i != j only")
         return float(self.offset_weights[abs(i - j)])
-
-    def dense(self) -> np.ndarray:
-        return toeplitz(self.offset_weights)
 
 
 def build_weights(grid: UniformGrid, s: float) -> QuadratureWeights:
@@ -293,34 +280,59 @@ def _trapezoid(grid: UniformGrid) -> np.ndarray:
 
 
 class _PairForm:
-    """Quadratic form  g -> sum_{i != j} A_ij (g_i - g_j)^2  with A symmetric.
+    """Quadratic form  g -> sum_{i != j} A_ij (g_i - g_j)^2  with
+    A_ij = W_|i-j| a(x_i / scale, x_j / scale), applied without forming A.
 
-    Evaluated as 2 (g' L g') with L = diag(row) - A and g' the mean-centered
-    vector: the form is translation invariant, and centering makes constant
-    profiles evaluate to exactly zero.  Row sums come from the same matvec
-    path as A @ g, so the gradient vanishes exactly on pure +-1 phases.
+    W g is the head of a circular convolution with W's circulant symbol, of
+    length L = 2^a, 3 2^a or 5 2^a >= 2N - 2 (lag N - 1 occurs only once).
+    With t = cos(2 pi x / scale), constant: A g = c0 W g;  cos_sum: c0 W g +
+    c1 (t o W g + W (t o g));  cos_prod: c0 W g + c1 t o W (t o g);  one
+    batched FFT covers [g, t o g].  The value is 2 g' . (diag(row) - A) g'
+    with g' the mean-centered vector, so constants evaluate to exactly zero.
+    Row sums come from the same path as A @ g, so the gradient vanishes
+    exactly on pure +-1 phases.
     """
 
-    def __init__(self, weights_dense: np.ndarray, kernel: np.ndarray | float):
-        A = weights_dense  # freshly expanded toeplitz, safe to scale in place
-        A *= kernel
-        self.A = A
-        self.row = A @ np.ones(A.shape[0])
+    def __init__(self, offset_weights: np.ndarray, kspec: KernelSpec | None,
+                 x: np.ndarray, scale: float):
+        n = offset_weights.size
+        self._n, self._len = n, min(p << ((2 * n - 3) // p).bit_length() for p in (1, 3, 5))
+        col = np.zeros(self._len)
+        col[:n] = offset_weights
+        col[self._len - n + 1:] = offset_weights[:0:-1]
+        self._symbol = np.fft.rfft(col).real  # symmetric column: real symbol
+        self._kspec = kspec or KernelSpec.constant(1.0)
+        if self._kspec.kind != "constant":
+            self._t = np.cos(2 * np.pi * x / scale)
+        self.row = self.apply(np.ones(n))
+
+    def _w_product(self, g: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.rfft(g, self._len) * self._symbol
+        return np.fft.irfft(spectrum, self._len)[..., :self._n]
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """A @ g."""
+        c0, c1 = self._kspec.c0, self._kspec.c1
+        if self._kspec.kind == "constant":
+            return c0 * self._w_product(g)
+        t = self._t
+        wg, wtg = self._w_product(np.stack([g, t * g]))
+        if self._kspec.kind == "cos_sum":
+            return c0 * wg + c1 * (t * wg + wtg)
+        return c0 * wg + c1 * (t * wtg)
 
     def value(self, g: np.ndarray) -> float:
         gc = g - g.mean()
-        val = 2.0 * float(self.row @ (gc * gc) - gc @ (self.A @ gc))
-        return max(val, 0.0)
+        # cos_sum needs one transform, not two: W symmetric, g . W(t g) = (t g) . W g
+        if self._kspec.kind == "cos_sum":
+            wg = self._w_product(gc)
+            quad = self._kspec.c0 * (gc @ wg) + 2.0 * self._kspec.c1 * ((self._t * gc) @ wg)
+        else:
+            quad = gc @ self.apply(gc)
+        return max(2.0 * float(self.row @ (gc * gc) - quad), 0.0)
 
     def grad(self, g: np.ndarray) -> np.ndarray:
-        return 4.0 * (self.row * g - self.A @ g)
-
-
-def _pair_form(p: GridProfile, kspec: KernelSpec | None, weights: QuadratureWeights,
-               scale: float) -> _PairForm:
-    if kspec is None:
-        return _PairForm(weights.dense(), 1.0)
-    return _PairForm(weights.dense(), kspec.pair_matrix(p.grid.nodes(), scale))
+        return 4.0 * (self.row * g - self.apply(g))
 
 
 def eval_gagliardo(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
@@ -334,7 +346,7 @@ def eval_gagliardo(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
     _check_size(p, k)
     scale = 1.0 if delta is None else float(delta)
     g = kth_difference(p, k).values
-    return _pair_form(p, kspec, weights, scale).value(g)
+    return _PairForm(weights.offset_weights, kspec, p.grid.nodes(), scale).value(g)
 
 
 def eval_F(p: GridProfile, params: EnergyParams, w: DoubleWell, kspec: KernelSpec,
@@ -355,7 +367,7 @@ def grad_F(p: GridProfile, params: EnergyParams, w: DoubleWell, kspec: KernelSpe
     _check_size(p, params.k)
     trap = _trapezoid(p.grid)
     g = kth_difference(p, params.k).values
-    form = _pair_form(p, kspec, weights, params.delta)
+    form = _PairForm(weights.offset_weights, kspec, p.grid.nodes(), params.delta)
     pref = params.eps ** (2.0 * (params.k + params.s) - 1.0)
     grad = trap * w.deriv(p.values) / params.eps
     grad = grad + pref * (difference_matrix(p.grid, params.k).T @ form.grad(g))
@@ -381,7 +393,7 @@ def grad_Phi_T(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
     _check_size(p, k)
     trap = _trapezoid(p.grid)
     g = kth_difference(p, k).values
-    form = _pair_form(p, kspec, weights, kernel_scale)
+    form = _PairForm(weights.offset_weights, kspec, p.grid.nodes(), kernel_scale)
     grad = trap * w.deriv(p.values) + difference_matrix(p.grid, k).T @ form.grad(g)
     return GridProfile(p.grid, grad)
 
@@ -472,9 +484,10 @@ def grad_tail_correction(p: GridProfile, k: int, s: float, kspec: KernelSpec | N
 class DiscreteEnergy:
     """Reusable energy/gradient evaluator for repeated calls on one grid.
 
-    Precomputes the kernel-weighted pair matrix, the difference operator, the
+    Precomputes the matrix-free pair operator, the difference operator, the
     trapezoid weights, and (optionally) the tail-correction coefficients, so a
-    minimization loop costs one dense matvec per energy or gradient call.
+    minimization loop costs one batched FFT product, O(N log N), per energy
+    or gradient call.
 
     ``well_coef`` and ``nonlocal_coef`` select the functional: (1/eps,
     eps^{2(k+s)-1}) gives the eps/delta form, (1, 1) the rescaled form.
@@ -498,10 +511,8 @@ class DiscreteEnergy:
         self._trap = _trapezoid(grid) * self.well_coef
         self._diff = difference_matrix(grid, k)
         self._diffT = self._diff.T.tocsr()
-        weights = build_weights(grid, s)
         x = grid.nodes()
-        kernel = 1.0 if kspec is None else kspec.pair_matrix(x, kernel_scale)
-        self._form = _PairForm(weights.dense(), kernel)
+        self._form = _PairForm(build_weights(grid, s).offset_weights, kspec, x, kernel_scale)
 
         # The closed-form tail counts each interior-exterior pair once, while
         # the pair sum above counts ordered pairs; tail_factor = 2 restores the

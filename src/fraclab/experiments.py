@@ -21,6 +21,7 @@ from .energy import (
     DoubleWell,
     EnergyParams,
     KernelSpec,
+    _PairForm,
     build_weights,
     eval_Phi_T,
     tail_correction,
@@ -270,18 +271,6 @@ def flatten_tail(p: GridProfile, c_dprime: float, c_prime: float, N: int,
     return GridProfile(p.grid, best_vals), ratio
 
 
-def _masked_nonlocal(A: np.ndarray, g: np.ndarray, blocks) -> float:
-    """Ordered-pair sum over pairs in distinct blocks: total minus in-block parts."""
-    row = A.sum(axis=1)
-    total = 2.0 * float(row @ (g * g) - g @ (A @ g))
-    for m0, m1 in blocks:
-        Ab = A[m0:m1, m0:m1]
-        gb = g[m0:m1]
-        rb = Ab.sum(axis=1)
-        total -= 2.0 * float(rb @ (gb * gb) - gb @ (Ab @ gb))
-    return total
-
-
 def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
                      s: float, n_cells: int, T_profile: float,
                      kernel: KernelSpec | None = None, mode: str = "supercritical",
@@ -306,16 +295,19 @@ def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
     blocks = [(int(np.searchsorted(idx, j, side="left")),
                int(np.searchsorted(idx, j, side="right"))) for j in range(len(locs))]
 
-    W_dense = build_weights(grid, s).dense()
+    w = build_weights(grid, s).offset_weights
     values = []
     for eps in eps_list:
         delta = delta_of_eps(eps)
         rec = build_recovery(target, profiles, eps, delta, mode, grid, T_profile,
                              lam=lam, diag_shift=diag_shift)
-        A = W_dense if kernel is None else W_dense * kernel.pair_matrix(x, delta)
         g = kth_difference(rec, k).values
-        pref = eps ** (2.0 * (k + s) - 1.0)
-        values.append(pref * _masked_nonlocal(A, g, blocks))
+        # ordered pairs in distinct blocks: the total minus each block's own
+        # sum, whose weights are W's leading Toeplitz block
+        cross = _PairForm(w, kernel, x, delta).value(g)
+        for m0, m1 in blocks:
+            cross -= _PairForm(w[:m1 - m0], kernel, x[m0:m1], delta).value(g[m0:m1])
+        values.append(eps ** (2.0 * (k + s) - 1.0) * cross)
     slope = fit_loglog_slope(eps_list, values) if len(values) >= 2 else math.nan
     return values, slope
 

@@ -23,6 +23,7 @@ from .energy import (
     DoubleWell,
     EnergyParams,
     KernelSpec,
+    _PairForm,
     build_weights,
     eval_F,
     eval_Phi_T,
@@ -285,7 +286,6 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     rule = raw["rule"]
     mode = {"critical": "lambda", "supercritical": "supercritical",
             "subcritical": "subcritical"}[rule]
-    m_hat = _homogeneous_reference(cfg)
     n_up, n_down = len(target.ascending), len(target.descending)
     if mode == "lambda":
         lam = float(raw.get("lam", 1.0))
@@ -298,6 +298,7 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
         predicted = predicted_limit(cfg.kernel, "lambda", cfg.k, cfg.s, n_up, n_down,
                                     m_hat_up=m_up, m_hat_down=m_down)
     else:
+        m_hat = _homogeneous_reference(cfg)
         predicted = predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, n_up, n_down, m_hat=m_hat)
 
     points = regime_sweep(
@@ -426,6 +427,16 @@ def _selftest_checks(inject_gradient_bug: bool):
     inside = (lo <= m_up <= hi) and m_up > 0
     checks.append(("positivity and sandwich", inside,
                    f"{lo:.6f} <= {m_up:.6f} <= {hi:.6f}"))
+
+    # matrix-free pair operator against the explicit O(N^2) sum, row by row
+    grid = make_grid(-1.0, 1.0, 96)
+    x, w, g = grid.nodes(), build_weights(grid, 0.75).offset_weights, np.sin(3.0 * grid.nodes())
+    for kspec in (KernelSpec.constant(2.0), kern, KernelSpec.cos_prod(2.0, 0.7)):
+        fast = _PairForm(w, kspec, x, 0.3).apply(g)
+        ref = np.array([w[abs(i - np.arange(x.size))] * kspec.eval(xi / 0.3, x / 0.3) @ g
+                        for i, xi in enumerate(x)])
+        rel = float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
+        checks.append((f"matrix-free {kspec.kind}", rel <= 1e-13, f"rel err {rel:.3e}"))
     return checks
 
 

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fraclab
 from fraclab import (
     DiscreteEnergy,
     DoubleWell,
@@ -21,6 +28,7 @@ from fraclab import (
     resample_scaled,
     tail_correction,
 )
+from fraclab.energy import _PairForm
 
 # Dense-grid reference for F on u = tanh((x-0.5)/0.1), k=0, s=0.75, eps=0.1,
 # delta=0.25, CosSum(2.5, 1), chi=0.3: W term by adaptive quadrature, nonlocal
@@ -368,3 +376,53 @@ def test_gradient_fd_across_exponent_table(k, s):
                            kernel_scale=0.5)
     p = GridProfile(g, np.tanh(3 * g.nodes()) + 0.15 * rng.standard_normal(g.n_nodes))
     assert check_gradient(model.energy, model.gradient, p) <= 1e-6
+
+
+OPERATOR_KERNELS = [KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
+                    KernelSpec.cos_prod(2.0, 0.7)]
+
+
+# 3, 5, 7 = 2k + 3 for k = 0, 1, 2; 1025 has 2N - 2 = 2048, a power of two
+@pytest.mark.parametrize("n_nodes", [3, 5, 7, 769, 1025])
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+def test_pair_operator_matches_explicit_dense_product(n_nodes, kspec):
+    grid = make_grid(-1.0, 2.0, n_nodes - 1)
+    x = grid.nodes()
+    w = build_weights(grid, 0.75).offset_weights
+    scale = 0.37
+    idx = np.arange(n_nodes)
+    dense = w[np.abs(idx[:, None] - idx[None, :])] * kspec.eval(
+        x[:, None] / scale, x[None, :] / scale)
+    g = np.random.default_rng(n_nodes).standard_normal(n_nodes)
+    form = _PairForm(w, kspec, x, scale)
+    for vec, expect in ((g, dense @ g), (np.ones(n_nodes), dense.sum(axis=1))):
+        got = form.apply(vec)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    np.testing.assert_array_equal(form.row, form.apply(np.ones(n_nodes)))
+    pairs = float(np.sum(dense * (g[:, None] - g[None, :]) ** 2))
+    assert form.value(g) == pytest.approx(pairs, rel=1e-13)
+
+
+_THREAD_SCRIPT = """
+import json
+from fraclab import DoubleWell, KernelSpec, MinimizeOptions, TransitionProblem, transition_energy
+tp = TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=1.0, omega=1,
+                       T=4.0, T_out=12.0, n_cells=384, well=DoubleWell(0.0), k=0, s=0.75)
+res = transition_energy(tp, MinimizeOptions(grad_tol=1e-6))
+print(json.dumps([res.converged, res.energy]))
+"""
+
+
+def test_transition_solve_independent_of_blas_threads():
+    src = str(Path(fraclab.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        out.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    (conv1, e1), (conv2, e2) = out
+    assert conv1 == conv2
+    assert e2 == pytest.approx(e1, rel=1e-12)

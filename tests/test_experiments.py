@@ -184,6 +184,38 @@ def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profiles):
     assert values[1] <= total + 1e-12
 
 
+@pytest.mark.parametrize("k,s", [(0, 0.75), (1, 0.5)])
+@pytest.mark.parametrize("kernel", [None, KernelSpec.cos_sum(2.5, 1.0),
+                                    KernelSpec.cos_prod(2.0, 0.7)],
+                         ids=["none", "cos_sum", "cos_prod"])
+def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
+    # the probe subtracts in-block sums from the total; the reference sums the
+    # positive cross-block pair terms directly, with no cancellation.  The
+    # subtraction costs up to ~3e-12 relative at k = 0, whether the operator
+    # is dense or matrix-free.
+    pg = make_grid(-3.0, 3.0, 120)
+    xp = pg.nodes()
+    profiles = {+1: GridProfile(pg, np.tanh(2 * xp)), -1: GridProfile(pg, -np.tanh(2 * xp))}
+    target = make_bv_target([(0.3, +1), (0.7, -1)], left_value=-1)
+    eps_list = [0.04, 0.02]
+    values, _ = cross_term_probe(target, profiles, eps_list, k=k, s=s, n_cells=512,
+                                 T_profile=2.0, kernel=kernel, mode="lambda")
+
+    from fraclab import build_weights, kth_difference
+
+    grid = make_grid(0.0, 1.0, 512)
+    x = grid.nodes()
+    idx = np.arange(x.size)
+    w = build_weights(grid, s).offset_weights[np.abs(idx[:, None] - idx[None, :])]
+    across = (x[:, None] < 0.5) != (x[None, :] < 0.5)
+    for eps, value in zip(eps_list, values):
+        rec = build_recovery(target, profiles, eps, eps, "lambda", grid, 2.0)
+        g = kth_difference(rec, k).values
+        a = 1.0 if kernel is None else kernel.eval(x[:, None] / eps, x[None, :] / eps)
+        pairs = np.sum((w * a * (g[:, None] - g[None, :]) ** 2)[across])
+        assert value == pytest.approx(eps ** (2 * (k + s) - 1) * pairs, rel=5e-12)
+
+
 def test_tail_decay_probe_diffs_positive_and_validates():
     g = make_grid(-64.0, 64.0, 2048)
     x = g.nodes()

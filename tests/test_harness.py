@@ -154,6 +154,24 @@ def test_run_sweep_experiment_schema(tmp_path):
         assert vals[3] >= 0.0
 
 
+def test_critical_sweep_skips_homogeneous_reference(tmp_path, monkeypatch):
+    import fraclab.harness as harness
+
+    def unused(cfg):
+        raise AssertionError("the critical rule predicts from lambda-mode solves only")
+
+    monkeypatch.setattr(harness, "_homogeneous_reference", unused)
+    cfg_raw = {
+        "command": "sweep", "kernel": {"variant": "constant", "c": 1.0},
+        "k": 0, "s": 0.75, "jumps": [[0.5, 1]], "rule": "critical",
+        "eps_list": [0.03125], "n_cells": 256, "T_profile": 1.0,
+        "window_factor": 4.0, "reference_n_cells": 128, "grad_tol": 1e-4,
+    }
+    run_experiment(load_config(write_config(tmp_path, "s.json", cfg_raw)),
+                   tmp_path / "sweep.csv")
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
+
+
 def test_cli_profile_roundtrip(tmp_path):
     runner = CliRunner()
     cfg = write_config(tmp_path, "p.json", PROFILE_CFG)

@@ -155,3 +155,100 @@ def test_check_gradient_detects_scaled_gradient():
     p = GridProfile(g, np.linspace(-1, 1, g.n_nodes))
     err = check_gradient(energy, bad, p)
     assert err == pytest.approx(1.0, abs=0.05)
+
+
+def test_minimize_converges_below_the_energy_rounding_floor():
+    # E = 1e6 + sum w_i (u_i - 1)^2: near the minimum every energy difference
+    # is below the rounding of 1e6, so only the slope test can accept steps
+    g = make_grid(0.0, 1.0, 64)
+    w = np.logspace(0.0, 4.0, g.n_nodes)
+
+    def energy(u):
+        return 1e6 + float(w @ (u - 1.0) ** 2)
+
+    def grad(u):
+        return 2.0 * w * (u - 1.0)
+
+    res = minimize(energy, grad, GridProfile(g, np.zeros(g.n_nodes)),
+                   ClampSpec.free(g.n_nodes), MinimizeOptions(grad_tol=1e-8))
+    assert res.converged
+    assert res.stop_reason == "grad_tol"
+    assert res.final_grad_norm <= 1e-8
+    np.testing.assert_allclose(res.profile.values, 1.0, atol=1e-11)
+
+
+def test_minimize_never_accepts_a_null_step():
+    # the gradient is far below the resolution of u = 1, so every trial
+    # u - t g equals u bit for bit; none may be accepted
+    g = make_grid(0.0, 1.0, 8)
+    trials = []
+
+    def energy(u):
+        trials.append(u.copy())
+        return 1.0
+
+    def grad(u):
+        return np.full(u.size, 1e-30)
+
+    init = GridProfile(g, np.ones(g.n_nodes))
+    res = minimize(energy, grad, init, ClampSpec.free(g.n_nodes),
+                   MinimizeOptions(grad_tol=1e-40, max_iters=200))
+    assert res.iterations == 0
+    assert not res.converged
+    assert res.stop_reason == "line_search_underflow"
+    assert all(np.array_equal(t, init.values) for t in trials)
+    assert len(trials) == res.energy_evals == 2  # initial and final evaluation
+
+
+def test_minimize_reports_stop_reason_and_counts():
+    g = make_grid(0.0, 1.0, 16)
+    energy, grad = quadratic_target(1.0)
+    calls = {"energy": 0, "grad": 0}
+
+    def counted_energy(u):
+        calls["energy"] += 1
+        return energy(u)
+
+    def counted_grad(u):
+        calls["grad"] += 1
+        return grad(u)
+
+    init = GridProfile(g, np.zeros(g.n_nodes))
+    res = minimize(counted_energy, counted_grad, init, ClampSpec.free(g.n_nodes),
+                   MinimizeOptions(grad_tol=1e-9, initial_step=4.0))
+    assert res.stop_reason == "grad_tol"
+    assert (res.energy_evals, res.grad_evals) == (calls["energy"], calls["grad"])
+    # every backtrack costs one energy evaluation on top of one per accepted step
+    assert res.energy_evals >= res.iterations + res.backtracks + 2
+    assert res.backtracks >= res.iterations > 0
+
+    capped = minimize(energy, grad, init, ClampSpec.free(g.n_nodes),
+                      MinimizeOptions(grad_tol=1e-9, max_iters=1, initial_step=0.1))
+    assert capped.stop_reason == "max_iters"
+    assert not capped.converged
+    assert capped.iterations == 1
+
+
+def test_minimize_backtracks_from_non_finite_trial_energies():
+    g = make_grid(0.0, 1.0, 4)
+
+    def energy(u):
+        return -np.inf if np.max(u) > 2.0 else float(np.sum((u - 1.5) ** 2))
+
+    def grad(u):
+        return 2.0 * (u - 1.5)
+
+    res = minimize(energy, grad, GridProfile(g, np.zeros(5)), ClampSpec.free(5),
+                   MinimizeOptions(initial_step=10.0))
+    assert res.converged and np.isfinite(res.energy)
+    assert res.backtracks > 0
+    np.testing.assert_allclose(res.profile.values, 1.5, atol=1e-6)
+
+
+def test_minimize_with_negative_max_iters_returns_the_initial_profile():
+    g = make_grid(0.0, 1.0, 8)
+    energy, grad = quadratic_target(1.0)
+    init = GridProfile(g, np.zeros(g.n_nodes))
+    res = minimize(energy, grad, init, ClampSpec.free(g.n_nodes), MinimizeOptions(max_iters=-1))
+    assert (res.iterations, res.stop_reason, res.converged) == (0, "max_iters", False)
+    np.testing.assert_array_equal(res.profile.values, init.values)
