@@ -17,13 +17,10 @@ from .energy import (
     cross_tail_constant,
     eval_F,
     eval_Phi_T,
-    eval_double_well,
     eval_gagliardo,
-    eval_kernel,
     grad_F,
     grad_Phi_T,
     grad_tail_correction,
-    kernel_stats,
     tail_correction,
 )
 from .experiments import (

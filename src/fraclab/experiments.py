@@ -27,7 +27,7 @@ from .energy import (
     tail_correction,
 )
 from .grid import BVTarget, GridProfile, UniformGrid, kth_difference, make_grid, sample_bv_target
-from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize
+from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 
 __all__ = [
     "SweepPoint",
@@ -91,7 +91,9 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
 
     Profiles are clamped to the target outside windows of half-width
     ``min(tau/2, window_factor * eps * T_profile)`` around each jump, where
-    tau is half the minimal jump/edge separation.  ``predicted`` is the
+    tau is half the minimal jump/edge separation.  Each solve is
+    preconditioned with the energy's spectral preconditioner, and one that
+    stops short of ``grad_tol`` emits a RuntimeWarning.  ``predicted`` is the
     mode's sharp-interface limit, recorded on every point.  Where delta
     falls below 2h (the supercritical rule at n_cells = 2000 does so from
     eps = 2^-5 on), the nodes sample the kernel's oscillation below its
@@ -145,6 +147,7 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             well_coef=1.0 / eps,
             nonlocal_coef=eps ** (2.0 * (k + s) - 1.0),
         )
+        precondition = model.preconditioner(in_window)
         res = None
         for centers in centers_list:
             init = target_vals.copy()
@@ -156,7 +159,8 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
                 q = _smoothstep((x[sel] - ctr + w_ramp) / (2.0 * w_ramp))
                 init[sel] = s_j * (2.0 * q - 1.0)
             cand = minimize(model.energy, model.gradient, GridProfile(grid, init),
-                            clamp, opts)
+                            clamp, opts, precondition=precondition)
+            _warn_unconverged(cand, f"{rule} sweep solve at eps={eps:g}")
             if res is None or cand.energy < res.energy:
                 res = cand
         points.append(SweepPoint(

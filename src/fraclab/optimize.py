@@ -1,16 +1,19 @@
 """Constrained minimization of discrete energies over nodal profiles.
 
-Projected gradient descent with a backtracking line search: the gradient is
-zeroed on clamped nodes, so clamped values pass through untouched.  The
+Preconditioned projected gradient descent with a backtracking line search:
+the gradient is zeroed on clamped nodes and the search direction is
+d = P^-1 g for a caller-supplied preconditioner (the identity by default)
+that is zero there too, so clamped values pass through untouched.  The
 initial trial step of each line search after the first is a
-Barzilai-Borwein scaling of the previous move, which accelerates the
-ill-conditioned nonlocal problems.  A trial is accepted on Armijo's
-sufficient decrease while energy differences are resolvable, and on its
-slope once the energy is flat to rounding (see ``minimize``).
+Barzilai-Borwein scaling of the previous move in the P metric.  A trial
+u - t d is accepted on Armijo's sufficient decrease E - c t g.d while energy
+differences are resolvable, and on its slope once the energy is flat to
+rounding (see ``minimize``).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,19 +99,28 @@ _FLAT_RTOL = 1e-10
 
 
 def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
-             opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
+             opts: MinimizeOptions = MinimizeOptions(),
+             precondition=None) -> MinimizeResult:
     """Minimize ``energy_fn`` over the free nodes of ``initial``.
 
     ``energy_fn(values) -> float`` and ``grad_fn(values) -> ndarray`` act on
-    nodal value arrays.  Stops on ``grad_tol`` (free-node gradient infinity
-    norm), after ``max_iters`` accepted steps, or when no step is acceptable.
-    A trial u - t g passes Armijo's test E(trial) <= E - c t |g|^2, except
-    where |E(trial) - E| <= 1e-10 |E| and energy differences are rounding
-    noise: there it passes on its slope, -g(trial).g <= (1 - 2c) |g|^2,
-    Armijo's condition for a quadratic model along -g (Hager and Zhang's
-    approximate Wolfe test, SIAM J. Optim. 16, 2005).  Accepted energies
-    thus never rise by more than 1e-10 |E|.  A trial equal to u bit for bit
-    is never accepted.
+    nodal value arrays.  ``precondition(g) -> ndarray`` applies P^-1 to a
+    projected gradient; P^-1 must be symmetric positive definite on the free
+    nodes and zero on the clamped ones (``DiscreteEnergy.preconditioner``).
+    None means the identity, which is plain projected gradient descent.
+
+    Stops on ``grad_tol`` (infinity norm of the free-node gradient, not of
+    the direction), after ``max_iters`` accepted steps, or when no step is
+    acceptable.  With d = P^-1 g, a trial u - t d passes Armijo's test
+    E(trial) <= E - c t g.d, except where |E(trial) - E| <= 1e-10 |E| and
+    energy differences are rounding noise: there it passes on its slope,
+    -g(trial).d <= (1 - 2c) g.d, Armijo's condition for a quadratic model
+    along -d (Hager and Zhang's approximate Wolfe test, SIAM J. Optim. 16,
+    2005).  Accepted energies thus never rise by more than 1e-10 |E|.  A
+    trial equal to u bit for bit is never accepted.  The first trial step
+    after an accepted step t is the Barzilai-Borwein step in the P metric,
+    -t (du.g_prev) / (du.dg), since P du = -t g_prev; with the identity it
+    is du.du / du.dg.
     """
     clamp.check(initial.values)
     free = ~clamp.fixed_mask
@@ -129,7 +141,9 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
     energy = float(energy_fn(u))
     if not np.isfinite(energy):
         raise NumericalFailure("energy not finite at the initial profile", initial, None)
+    apply_p = (lambda vec: vec) if precondition is None else precondition
     g = projected_grad(u)
+    d = apply_p(g)
     step = opts.initial_step
     prev_u = prev_g = None
     stop_reason = "max_iters"
@@ -144,18 +158,17 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
 
         if prev_u is not None:
             du = u - prev_u
-            dg = g - prev_g
-            curv = float(du @ dg)
+            curv = float(du @ (g - prev_g))
             if curv > 0.0:
-                step = float(du @ du) / curv
+                step = -step * float(du @ prev_g) / curv
             step = min(max(step, 1e-14), 1e12)
 
-        gg = float(g @ g)
+        gd = float(g @ d)
         flat = _FLAT_RTOL * abs(energy)
         t = step
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            trial = u - t * g
+            trial = u - t * d
             if np.array_equal(trial, u):
                 break
             e_trial = float(energy_fn(trial))
@@ -163,9 +176,9 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
             g_trial = None
             if abs(e_trial - energy) <= flat:
                 g_trial = projected_grad(trial)
-                accepted = -float(g_trial @ g) <= (1.0 - 2.0 * opts.armijo_c) * gg
+                accepted = -float(g_trial @ d) <= (1.0 - 2.0 * opts.armijo_c) * gd
             else:
-                accepted = np.isfinite(e_trial) and e_trial <= energy - opts.armijo_c * t * gg
+                accepted = np.isfinite(e_trial) and e_trial <= energy - opts.armijo_c * t * gd
             if accepted:
                 break
             backtracks += 1
@@ -178,6 +191,7 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
         u, energy = trial, e_trial
         step = t
         g = projected_grad(u) if g_trial is None else g_trial
+        d = apply_p(g)
 
     profile = GridProfile(initial.grid, u)
     final_energy = float(energy_fn(u))
@@ -194,6 +208,16 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
         grad_evals=n_grad,
         backtracks=backtracks,
     )
+
+
+def _warn_unconverged(result: MinimizeResult, what: str) -> None:
+    """Emit a RuntimeWarning when ``result`` stopped short of ``grad_tol``."""
+    if not result.converged:
+        warnings.warn(
+            f"{what} stopped on {result.stop_reason} with gradient norm"
+            f" {result.final_grad_norm:.3g} after {result.iterations} iterations",
+            RuntimeWarning, stacklevel=3,
+        )
 
 
 def check_gradient(energy_fn, grad_fn, point: GridProfile) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import DiscreteEnergy, DoubleWell, KernelSpec
 from .grid import GridProfile, make_grid
-from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize
+from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 
 __all__ = [
     "TransitionProblem",
@@ -110,13 +110,19 @@ def transition_energy(tp: TransitionProblem,
     """Estimate the transition energy m^omega for the problem's kernel mode.
 
     Minimizes the rescaled energy plus tail correction over profiles clamped
-    to omega * sgn(x) for |x| >= T.  The returned energy is an upper estimate
-    of the infimum.
+    to omega * sgn(x) for |x| >= T, by descent preconditioned with the
+    energy's spectral preconditioner.  The returned energy is an upper
+    estimate of the infimum; a solve that stops short of ``grad_tol`` emits
+    a RuntimeWarning naming its stop reason and final gradient norm.
     """
     model = _assemble(tp)
     clamp, ramp = _clamp_and_init(tp, model.grid)
     start = ramp if initial is None else initial
-    return minimize(model.energy, model.gradient, start, clamp, opts)
+    res = minimize(model.energy, model.gradient, start, clamp, opts,
+                   precondition=model.preconditioner(~clamp.fixed_mask))
+    _warn_unconverged(res, f"transition solve ({tp.mode}, omega={tp.omega}, k={tp.k},"
+                          f" N={model.grid.n_nodes})")
+    return res
 
 
 @dataclass(frozen=True)

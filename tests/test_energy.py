@@ -9,26 +9,27 @@ import pytest
 
 import fraclab
 from fraclab import (
+    ClampSpec,
     DiscreteEnergy,
     DoubleWell,
     EnergyParams,
     GridProfile,
     KernelSpec,
+    MinimizeOptions,
     build_weights,
     cross_tail_constant,
-    eval_double_well,
+    difference_matrix,
     eval_F,
     eval_gagliardo,
-    eval_kernel,
     eval_Phi_T,
     grad_F,
     grad_Phi_T,
-    kernel_stats,
     make_grid,
+    minimize,
     resample_scaled,
     tail_correction,
 )
-from fraclab.energy import _PairForm
+from fraclab.energy import _PairForm, _dst1
 
 # Dense-grid reference for F on u = tanh((x-0.5)/0.1), k=0, s=0.75, eps=0.1,
 # delta=0.25, CosSum(2.5, 1), chi=0.3: W term by adaptive quadrature, nonlocal
@@ -38,11 +39,11 @@ F_TANH_REFERENCE = 31.470057189929
 
 def test_double_well_zeros_and_values():
     w0 = DoubleWell(0.0)
-    assert eval_double_well(w0, 1.0) == 0.0
-    assert eval_double_well(w0, -1.0) == 0.0
-    assert eval_double_well(w0, 0.0) == 1.0
+    assert w0.value(1.0) == 0.0
+    assert w0.value(-1.0) == 0.0
+    assert w0.value(0.0) == 1.0
     w5 = DoubleWell(0.5)
-    assert eval_double_well(w5, -1.0) == 0.0
+    assert w5.value(-1.0) == 0.0
     assert w5.alpha_w == 0.5
     assert w5.beta_w == 13.5
 
@@ -67,10 +68,10 @@ def test_double_well_rejects_bad_chi():
 
 
 def test_kernel_examples():
-    assert eval_kernel(KernelSpec.constant(2.0), 0.37, -1.2) == 2.0
+    assert KernelSpec.constant(2.0).eval(0.37, -1.2) == 2.0
     cs = KernelSpec.cos_sum(2.5, 1.0)
-    assert eval_kernel(cs, 0.0, 0.0) == pytest.approx(4.5)
-    assert eval_kernel(cs, 0.5, 0.5) == pytest.approx(0.5)
+    assert cs.eval(0.0, 0.0) == pytest.approx(4.5)
+    assert cs.eval(0.5, 0.5) == pytest.approx(0.5)
 
 
 def test_kernel_symmetry_and_periodicity():
@@ -85,13 +86,17 @@ def test_kernel_symmetry_and_periodicity():
         assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
 
 
+def _stats(kspec):
+    return (kspec.a_bar, kspec.a_inf, kspec.alpha_a, kspec.beta_a)
+
+
 def test_kernel_stats_closed_forms():
-    assert kernel_stats(KernelSpec.constant(3.0)) == (3.0, 3.0, 3.0, 3.0)
-    a_bar, a_inf, alpha, beta = kernel_stats(KernelSpec.cos_sum(2.5, 1.0))
+    assert _stats(KernelSpec.constant(3.0)) == (3.0, 3.0, 3.0, 3.0)
+    a_bar, a_inf, alpha, beta = _stats(KernelSpec.cos_sum(2.5, 1.0))
     assert (a_bar, a_inf, alpha, beta) == (2.5, 0.5, 0.5, 4.5)
-    a_bar, a_inf, alpha, beta = kernel_stats(KernelSpec.cos_prod(1.0, 0.5))
+    a_bar, a_inf, alpha, beta = _stats(KernelSpec.cos_prod(1.0, 0.5))
     assert (a_bar, a_inf) == (1.0, 1.0)
-    a_bar, a_inf, *_ = kernel_stats(KernelSpec.cos_prod(1.0, -0.5))
+    a_bar, a_inf, *_ = _stats(KernelSpec.cos_prod(1.0, -0.5))
     assert a_inf == 0.5
 
 
@@ -426,3 +431,111 @@ def test_transition_solve_independent_of_blas_threads():
     (conv1, e1), (conv2, e2) = out
     assert conv1 == conv2
     assert e2 == pytest.approx(e1, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 383])
+def test_dst1_matches_explicit_sine_matrix(m):
+    x = np.random.default_rng(m).standard_normal(m)
+    i = np.arange(1, m + 1)
+    expect = np.sin(np.outer(i, i) * np.pi / (m + 1)) @ x
+    np.testing.assert_allclose(_dst1(x), expect, rtol=0, atol=1e-13 * np.abs(expect).max())
+
+
+def _blocks(free):
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], free.astype(int), [0]))))
+    return list(zip(edges[::2], edges[1::2]))
+
+
+def _transition_case(k):
+    """One free block: a clamped transition problem with its exterior tail."""
+    s = 0.75 if k == 0 else 0.5
+    kspec = KernelSpec.cos_sum(2.5, 1.0)
+    grid = make_grid(-6.0, 6.0, 96)
+    model = DiscreteEnergy(grid, k, s, DoubleWell(0.0), kspec=kspec, kernel_scale=1.3,
+                           tail_signs=(-1, 1), T_out=6.0)
+    return model, kspec, 1.3, np.abs(grid.nodes()) < 2.0
+
+
+def _sweep_case(k):
+    """Two free blocks of different sizes: a two-jump eps/delta sweep mask."""
+    s, eps, delta = (0.75 if k == 0 else 0.5), 2.0 ** -4, 2.0 ** -6
+    kspec = KernelSpec.cos_prod(2.0, 0.7)
+    grid = make_grid(0.0, 1.0, 160)
+    model = DiscreteEnergy(grid, k, s, DoubleWell(0.0), kspec=kspec, kernel_scale=delta,
+                           well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
+    x = grid.nodes()
+    return model, kspec, delta, (np.abs(x - 0.3) < 0.1) | (np.abs(x - 0.7) < 0.15)
+
+
+def _dense_inverse_preconditioner(model, kspec, scale, free):
+    """P^-1 from its definition: per block, S diag(lam) S 2/(m+1) with the
+    symbol summed term by term, plus for k = 2 the rank-one terms of the
+    second differences at the two clamped neighbours, inverted densely."""
+    grid, k = model.grid, model.k
+    n, h, x = grid.n_nodes, grid.h, grid.nodes()
+    w = build_weights(grid, model.s).offset_weights
+    diff = difference_matrix(grid, k).toarray()
+    out = np.zeros((n, n))
+    for a, b in _blocks(free):
+        m = b - a
+        i = np.arange(1, m + 1)
+        theta = i * np.pi / (m + 1)
+        sym = w[1:] @ (1.0 - np.cos(np.outer(np.arange(1, n), theta)))
+        sym *= {0: 1.0, 1: np.sin(theta) ** 2 / h ** 2,
+                2: (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4}[k]
+        lam = model.nonlocal_coef * 8.0 * kspec.a_bar * sym + 8.0 * h * model.well_coef
+        sine = np.sin(np.outer(i, i) * np.pi / (m + 1))
+        p = sine @ np.diag(lam) @ sine * 2.0 / (m + 1)
+        if k == 2:
+            for q in (a - 1, b):
+                others = np.arange(n) != q
+                row = w[np.abs(np.arange(n) - q)][others] @ kspec.eval(x[q] / scale, x[others] / scale)
+                p += 4.0 * model.nonlocal_coef * row * np.outer(diff[q, a:b], diff[q, a:b])
+        out[a:b, a:b] = np.linalg.inv(p)
+    return out
+
+
+def _as_matrix(apply, n):
+    return np.column_stack([apply(e) for e in np.eye(n)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("case", [_transition_case, _sweep_case])
+def test_preconditioner_matches_dense_sine_form(case, k):
+    model, kspec, scale, free = case(k)
+    assert len(_blocks(free)) == (1 if case is _transition_case else 2)
+    got = _as_matrix(model.preconditioner(free), model.grid.n_nodes)
+    expect = _dense_inverse_preconditioner(model, kspec, scale, free)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-11 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("case", [_transition_case, _sweep_case])
+def test_preconditioner_symmetric_positive_definite_on_free_nodes(case, k):
+    model, _, _, free = case(k)
+    pinv = _as_matrix(model.preconditioner(free), model.grid.n_nodes)[np.ix_(free, free)]
+    np.testing.assert_allclose(pinv, pinv.T, rtol=0, atol=1e-13 * np.abs(pinv).max())
+    assert np.linalg.eigvalsh(0.5 * (pinv + pinv.T)).min() > 0.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("case", [_transition_case, _sweep_case])
+def test_preconditioner_zero_on_clamped_nodes_and_at_zero(case, k):
+    model, _, _, free = case(k)
+    n = model.grid.n_nodes
+    apply = model.preconditioner(free)
+    d = apply(np.random.default_rng(k).standard_normal(n))
+    assert np.all(d[~free] == 0.0) and np.any(d[free] != 0.0)
+    assert np.all(apply(np.zeros(n)) == 0.0)
+
+
+@pytest.mark.parametrize("k", [0, 1])  # k = 2: the one-sided stencils leave ~1e-15 at a constant
+def test_preconditioned_pure_phase_stops_at_iteration_zero(k):
+    model, _, _, free = _sweep_case(k)
+    n = model.grid.n_nodes
+    for phase in (1.0, -1.0):
+        start = GridProfile(model.grid, np.full(n, phase))
+        res = minimize(model.energy, model.gradient, start, ClampSpec(~free, start.values),
+                       MinimizeOptions(grad_tol=0.0), precondition=model.preconditioner(free))
+        assert (res.iterations, res.stop_reason, res.final_grad_norm) == (0, "grad_tol", 0.0)
+        np.testing.assert_array_equal(res.profile.values, start.values)

@@ -251,6 +251,16 @@ def test_regime_sweep_basic_properties():
             p.result.profile.values[outside], np.where(x[outside] >= 0.5, 1.0, -1.0))
 
 
+def test_unconverged_sweep_solve_warns():
+    target = make_bv_target([(0.5, +1)])
+    with pytest.warns(RuntimeWarning, match=r"critical sweep solve at eps=0.03125 stopped on"
+                                            r" max_iters with gradient norm"):
+        pts = regime_sweep(KernelSpec.cos_sum(2.5, 1.0), target, "critical", [2.0 ** -5],
+                           k=0, s=0.75, well=WELL, n_cells=512, T_profile=1.0,
+                           window_factor=4.0, opts=MinimizeOptions(grad_tol=1e-7, max_iters=3))
+    assert pts[0].result.stop_reason == "max_iters"
+
+
 def test_regime_sweep_rejects_wide_eps():
     kern = KernelSpec.constant(1.0)
     target = make_bv_target([(0.5, +1)])

@@ -252,3 +252,49 @@ def test_minimize_with_negative_max_iters_returns_the_initial_profile():
     res = minimize(energy, grad, init, ClampSpec.free(g.n_nodes), MinimizeOptions(max_iters=-1))
     assert (res.iterations, res.stop_reason, res.converged) == (0, "max_iters", False)
     np.testing.assert_array_equal(res.profile.values, init.values)
+
+
+def test_minimize_with_inverse_hessian_preconditioner_takes_one_step():
+    g = make_grid(0.0, 1.0, 32)
+    weights = np.logspace(0, 6, g.n_nodes)
+    mask = np.zeros(g.n_nodes, dtype=bool)
+    mask[[0, g.n_nodes - 1]] = True
+    fixed = np.where(mask, 3.0, 0.0)
+
+    def energy(u):
+        return float(0.5 * weights @ (u - 1.0) ** 2)
+
+    def grad(u):
+        return weights * (u - 1.0)
+
+    def inverse_hessian(vec):
+        return np.where(mask, 0.0, vec / weights)
+
+    init = GridProfile(g, np.where(mask, fixed, 0.0))
+    opts = MinimizeOptions(grad_tol=1e-9)
+    res = minimize(energy, grad, init, ClampSpec(mask, fixed), opts, precondition=inverse_hessian)
+    assert (res.iterations, res.stop_reason, res.backtracks) == (1, "grad_tol", 0)
+    np.testing.assert_array_equal(res.profile.values[mask], 3.0)
+    np.testing.assert_allclose(res.profile.values[~mask], 1.0, rtol=0, atol=1e-12)
+    plain = minimize(energy, grad, init, ClampSpec(mask, fixed), opts)
+    assert plain.converged and plain.iterations > 10
+
+
+def test_minimize_identity_preconditioner_is_the_default_loop():
+    g = make_grid(0.0, 1.0, 32)
+    target = np.random.default_rng(4).standard_normal(g.n_nodes)
+
+    def energy(u):
+        return float(np.sum((u - target) ** 4) + np.sum(u * u))
+
+    def grad(u):
+        return 4.0 * (u - target) ** 3 + 2.0 * u
+
+    init = GridProfile(g, np.zeros(g.n_nodes))
+    opts = MinimizeOptions(grad_tol=1e-8, max_iters=5000)
+    default = minimize(energy, grad, init, ClampSpec.free(g.n_nodes), opts)
+    identity = minimize(energy, grad, init, ClampSpec.free(g.n_nodes), opts,
+                        precondition=lambda vec: vec)
+    assert default.converged
+    assert (identity.iterations, identity.backtracks) == (default.iterations, default.backtracks)
+    np.testing.assert_array_equal(identity.profile.values, default.profile.values)

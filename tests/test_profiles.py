@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from fraclab import (
     KernelSpec,
     MinimizeOptions,
     TransitionProblem,
+    minimize,
     lambda_continuity_probe,
     predicted_limit,
     scaling_exponent,
     transition_energy,
     transition_energy_curve,
 )
+from fraclab.profiles import _assemble, _clamp_and_init
 
 OPTS = MinimizeOptions(grad_tol=1e-5)
 
@@ -158,3 +162,49 @@ def test_omega_swap_negates_and_reflects_minimizer():
     down = transition_energy(replace(tp, omega=-1), OPTS).profile.values
     np.testing.assert_allclose(down, -up, atol=5e-4)
     np.testing.assert_allclose(up, -up[::-1], atol=5e-4)
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.constant(1.0), KernelSpec.cos_sum(2.5, 1.0),
+                                    KernelSpec.cos_prod(2.0, 0.7)], ids=lambda k: k.kind)
+@pytest.mark.parametrize("k", [0, 1])
+def test_preconditioned_minimum_matches_plain_minimize(k, kernel):
+    tp = small_problem(kernel=kernel, mode="lambda", k=k, s=0.75 if k == 0 else 0.5)
+    opts = MinimizeOptions(grad_tol=1e-7)
+    pre = transition_energy(tp, opts)
+    model = _assemble(tp)
+    clamp, ramp = _clamp_and_init(tp, model.grid)
+    plain = minimize(model.energy, model.gradient, ramp, clamp, opts)
+    assert pre.converged and plain.converged
+    assert pre.iterations < plain.iterations
+    assert pre.energy == pytest.approx(plain.energy, rel=1e-9)
+
+
+def _workload_problem(k, lam=1.0):
+    """The k >= 1 cos_sum profile at N = 769, as the profile benchmark runs it."""
+    return TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=lam,
+                             omega=1, T=4.0, T_out=12.0, n_cells=768, well=DoubleWell(0.0),
+                             k=k, s=0.5)
+
+
+def test_k2_profile_converges_at_769_nodes():
+    res = transition_energy(_workload_problem(2), MinimizeOptions(grad_tol=1e-6))
+    assert res.stop_reason == "grad_tol"
+
+
+def test_k1_profile_iterations_bounded_under_lam_rounding():
+    # a 1e-12 change of lam moved the unpreconditioned solve between 7,550
+    # and 10,748 iterations
+    for j in range(8):
+        res = transition_energy(_workload_problem(1, lam=1.0 + j * 1e-12),
+                                MinimizeOptions(grad_tol=1e-6))
+        assert res.converged and res.iterations <= 100, (j, res.iterations)
+
+
+def test_unconverged_transition_solve_warns():
+    tp = small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda")
+    with pytest.warns(RuntimeWarning, match=r"stopped on max_iters with gradient norm \S+ after 3"):
+        res = transition_energy(tp, MinimizeOptions(grad_tol=1e-7, max_iters=3))
+    assert not res.converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert transition_energy(tp, MinimizeOptions(grad_tol=1e-7)).converged
