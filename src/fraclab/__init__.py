@@ -12,16 +12,7 @@ from .energy import (
     DoubleWell,
     EnergyParams,
     KernelSpec,
-    QuadratureWeights,
-    build_weights,
-    cross_tail_constant,
     eval_F,
-    eval_Phi_T,
-    eval_gagliardo,
-    grad_F,
-    grad_Phi_T,
-    grad_tail_correction,
-    tail_correction,
 )
 from .experiments import (
     SweepPoint,

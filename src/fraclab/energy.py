@@ -1,44 +1,35 @@
 """Double-well potentials, oscillating interaction kernels, singular-kernel
-quadrature weights, and the discrete phase-transition energies.
+quadrature weights, and the discrete phase-transition energy.
 
-Two energy forms share one discretization:
+``DiscreteEnergy`` is the one evaluator of the functional
 
-* ``eval_F``      -- the eps/delta functional on a bounded interval:
-                     (1/eps) * trapezoid(W(u)) + eps^{2(k+s)-1} * nonlocal sum,
-                     kernel evaluated at (x/delta, y/delta).
-* ``eval_Phi_T``  -- the rescaled form with unit coefficients and an unscaled
-                     (or lambda-scaled) kernel.
+    well_coef * trapezoid(W(u)) + nonlocal_coef * nonlocal sum (+ tail),
 
-The nonlocal term is the nodal double sum over ordered pairs i != j of
-``a_ij * h^2 |x_i - x_j|^{-(1+2s)} * (g_i - g_j)^2`` with ``g`` the k-th
-finite difference of the profile, applied by FFT in O(N log N) time and O(N)
-memory (``_PairForm``).  ``tail_correction`` adds the closed-form
-interaction of a clamped profile with the constant +-1 exterior beyond the
-grid.  All gradients are exact derivatives of the implemented sums.
+with (well_coef, nonlocal_coef) = (1/eps, eps^{2(k+s)-1}) and the kernel at
+(x/delta, y/delta) for the eps/delta functional (``eval_F`` evaluates it
+once), and (1, 1) for the rescaled one.  The nonlocal term is the nodal
+double sum over ordered pairs i != j of ``a_ij * h^2 |x_i - x_j|^{-(1+2s)}
+* (g_i - g_j)^2`` with ``g`` the k-th finite difference of the profile,
+applied by FFT in O(N log N) time and O(N) memory (``_PairForm``).  The
+optional tail adds the closed-form interaction of a clamped profile with the
+constant +-1 exterior beyond a symmetric grid, counting each
+interior-exterior pair in both orders like the pair sum.  All gradients are
+exact derivatives of the implemented sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridProfile, UniformGrid, difference_matrix, kth_difference
+from .grid import GridProfile, UniformGrid, _stencil_matrix
 
 __all__ = [
     "DoubleWell",
     "KernelSpec",
     "EnergyParams",
-    "QuadratureWeights",
-    "build_weights",
-    "eval_gagliardo",
     "eval_F",
-    "grad_F",
-    "eval_Phi_T",
-    "grad_Phi_T",
-    "tail_correction",
-    "grad_tail_correction",
-    "cross_tail_constant",
     "DiscreteEnergy",
 ]
 
@@ -211,26 +202,12 @@ class EnergyParams:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class QuadratureWeights:
-    """Kernel-free pair weights h^2 |x_i - x_j|^{-(1+2s)} on a uniform grid.
+def _pair_weights(grid: UniformGrid, s: float) -> np.ndarray:
+    """Kernel-free pair weights h^2 |x_i - x_j|^{-(1+2s)} by offset |i - j|.
 
-    On a uniform grid the weight depends only on |i - j|, so only the first
-    row is stored (with a zero diagonal entry).
+    On a uniform grid the weight depends only on the offset, so one read-only
+    row is returned; entry 0, the excluded diagonal, is zero.
     """
-
-    grid: UniformGrid
-    s: float
-    offset_weights: np.ndarray = field(repr=False)
-
-    def pair_weight(self, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError("pair weights are defined for i != j only")
-        return float(self.offset_weights[abs(i - j)])
-
-
-def build_weights(grid: UniformGrid, s: float) -> QuadratureWeights:
-    """Precompute the geometric pair weights for exponent s in (0, 1)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     h = grid.h
@@ -239,21 +216,7 @@ def build_weights(grid: UniformGrid, s: float) -> QuadratureWeights:
     w = h * h * (d * h) ** (-(1.0 + 2.0 * s))
     w[0] = 0.0
     w.flags.writeable = False
-    return QuadratureWeights(grid, float(s), w)
-
-
-def _check_weights(p: GridProfile, s: float, weights: QuadratureWeights):
-    if weights.grid != p.grid:
-        raise ValueError("quadrature weights were built on a different grid")
-    if weights.s != s:
-        raise ValueError(f"quadrature weights were built for s={weights.s}, requested s={s}")
-
-
-def _check_size(p: GridProfile, k: int):
-    if p.grid.n_nodes < 2 * k + 3:
-        raise ValueError(
-            f"profile has {p.grid.n_nodes} nodes; k={k} energies need at least {2 * k + 3}"
-        )
+    return w
 
 
 def _trapezoid(grid: UniformGrid) -> np.ndarray:
@@ -319,152 +282,6 @@ class _PairForm:
         return 4.0 * (self.row * g - self.apply(g))
 
 
-def eval_gagliardo(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
-                   weights: QuadratureWeights, delta: float | None = None) -> float:
-    """Kernel-weighted discrete Gagliardo sum over ordered node pairs.
-
-    ``delta`` rescales the kernel arguments to (x/delta, y/delta); omitted
-    means unscaled coordinates.  ``kspec`` None means a == 1.
-    """
-    _check_weights(p, s, weights)
-    _check_size(p, k)
-    scale = 1.0 if delta is None else float(delta)
-    g = kth_difference(p, k).values
-    return _PairForm(weights.offset_weights, kspec, p.grid.nodes(), scale).value(g)
-
-
-def eval_F(p: GridProfile, params: EnergyParams, w: DoubleWell, kspec: KernelSpec,
-           weights: QuadratureWeights) -> float:
-    """The eps/delta functional on the profile's interval."""
-    _check_weights(p, params.s, weights)
-    _check_size(p, params.k)
-    trap = _trapezoid(p.grid)
-    dw = float(trap @ w.value(p.values)) / params.eps
-    pref = params.eps ** (2.0 * (params.k + params.s) - 1.0)
-    return dw + pref * eval_gagliardo(p, params.k, params.s, kspec, weights, params.delta)
-
-
-def grad_F(p: GridProfile, params: EnergyParams, w: DoubleWell, kspec: KernelSpec,
-           weights: QuadratureWeights) -> GridProfile:
-    """Exact gradient of ``eval_F`` with respect to the nodal values."""
-    _check_weights(p, params.s, weights)
-    _check_size(p, params.k)
-    trap = _trapezoid(p.grid)
-    g = kth_difference(p, params.k).values
-    form = _PairForm(weights.offset_weights, kspec, p.grid.nodes(), params.delta)
-    pref = params.eps ** (2.0 * (params.k + params.s) - 1.0)
-    grad = trap * w.deriv(p.values) / params.eps
-    grad = grad + pref * (difference_matrix(p.grid, params.k).T @ form.grad(g))
-    return GridProfile(p.grid, grad)
-
-
-def eval_Phi_T(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
-               weights: QuadratureWeights, w: DoubleWell, *,
-               kernel_scale: float = 1.0) -> float:
-    """The rescaled functional: unit coefficients, kernel at (x, y)/kernel_scale."""
-    _check_weights(p, s, weights)
-    _check_size(p, k)
-    trap = _trapezoid(p.grid)
-    dw = float(trap @ w.value(p.values))
-    return dw + eval_gagliardo(p, k, s, kspec, weights, kernel_scale)
-
-
-def grad_Phi_T(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
-               weights: QuadratureWeights, w: DoubleWell, *,
-               kernel_scale: float = 1.0) -> GridProfile:
-    """Exact gradient of ``eval_Phi_T`` with respect to the nodal values."""
-    _check_weights(p, s, weights)
-    _check_size(p, k)
-    trap = _trapezoid(p.grid)
-    g = kth_difference(p, k).values
-    form = _PairForm(weights.offset_weights, kspec, p.grid.nodes(), kernel_scale)
-    grad = trap * w.deriv(p.values) + difference_matrix(p.grid, k).T @ form.grad(g)
-    return GridProfile(p.grid, grad)
-
-
-def cross_tail_constant(kspec: KernelSpec | None, s: float, T_out: float) -> float:
-    """Closed-form interaction of the two opposite-sign exterior tails:
-    4 * a_bar * (2 T_out)^{1-2s} / (2s (2s - 1)).  Requires s > 1/2."""
-    if s <= 0.5:
-        raise ValueError(f"the cross-tail integral needs s > 1/2, got s={s}")
-    a_bar = 1.0 if kspec is None else kspec.a_bar
-    return 4.0 * a_bar * (2.0 * T_out) ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
-
-
-def _tail_pieces(p: GridProfile, s: float, kspec: KernelSpec | None, T_out: float,
-                 kernel_scale: float):
-    """Per-node one-sided tail coefficients (end nodes excluded: the clamp
-    forces a zero numerator there and the geometric factor diverges)."""
-    x = p.grid.nodes()
-    if abs(x[0] + T_out) > 1e-9 * max(1.0, T_out) or abs(x[-1] - T_out) > 1e-9 * max(1.0, T_out):
-        raise ValueError(
-            f"tail correction expects a grid spanning (-T_out, T_out) = (+-{T_out}),"
-            f" got ({x[0]}, {x[-1]})"
-        )
-    xi = x[1:-1]
-    rho = 1.0 if kspec is None else kspec.row_mean(xi, kernel_scale)
-    h = p.grid.h
-    c_right = h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
-    c_left = h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
-    return xi, c_right, c_left
-
-
-def _check_tail_clamp(p: GridProfile, tail_signs):
-    sl, sr = tail_signs
-    if sl not in (-1, 1) or sr not in (-1, 1):
-        raise ValueError(f"tail signs must be +-1, got {tail_signs}")
-    if abs(p.values[0] - sl) > 1e-8 or abs(p.values[-1] - sr) > 1e-8:
-        raise ValueError(
-            "profile is not clamped to the tail signs at the grid ends:"
-            f" ends ({p.values[0]}, {p.values[-1]}) vs signs ({sl}, {sr})"
-        )
-
-
-def tail_correction(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
-                    tail_signs, T_out: float, *, kernel_scale: float = 1.0) -> float:
-    """Closed-form energy of the interactions with the +-1 exterior beyond the grid.
-
-    For k >= 1 the exterior has zero k-th derivative, and each interior node
-    contributes |g_i|^2 h rho(x_i) [(T_out-x_i)^{-2s} + (T_out+x_i)^{-2s}]/(2s).
-    For k = 0 (needs s > 1/2) the analogous per-side sums use |u_i - tail|^2,
-    plus the constant cross-tail term when the tail signs differ.
-    """
-    if k == 0 and s <= 0.5:
-        raise ValueError(f"tail correction with k=0 needs s > 1/2, got s={s}")
-    _check_tail_clamp(p, tail_signs)
-    xi, c_right, c_left = _tail_pieces(p, s, kspec, T_out, kernel_scale)
-    if k >= 1:
-        g = kth_difference(p, k).values[1:-1]
-        return float((g * g) @ (c_right + c_left))
-    sl, sr = tail_signs
-    u = p.values[1:-1]
-    total = float((u - sr) ** 2 @ c_right + (u - sl) ** 2 @ c_left)
-    if sl != sr:
-        total += cross_tail_constant(kspec, s, T_out)
-    return total
-
-
-def grad_tail_correction(p: GridProfile, k: int, s: float, kspec: KernelSpec | None,
-                         tail_signs, T_out: float, *,
-                         kernel_scale: float = 1.0) -> GridProfile:
-    """Exact gradient of ``tail_correction`` with respect to the nodal values."""
-    if k == 0 and s <= 0.5:
-        raise ValueError(f"tail correction with k=0 needs s > 1/2, got s={s}")
-    _check_tail_clamp(p, tail_signs)
-    xi, c_right, c_left = _tail_pieces(p, s, kspec, T_out, kernel_scale)
-    grad = np.zeros(p.grid.n_nodes)
-    if k >= 1:
-        g = kth_difference(p, k).values
-        inner = np.zeros_like(g)
-        inner[1:-1] = 2.0 * (c_right + c_left) * g[1:-1]
-        grad = difference_matrix(p.grid, k).T @ inner
-    else:
-        sl, sr = tail_signs
-        u = p.values[1:-1]
-        grad[1:-1] = 2.0 * c_right * (u - sr) + 2.0 * c_left * (u - sl)
-    return GridProfile(p.grid, grad)
-
-
 def _dst1(x: np.ndarray) -> np.ndarray:
     """Unnormalized DST-I, y_l = sum_n x_n sin(pi (n+1) (l+1) / (m+1)), as the
     imaginary part of an rfft of the odd extension [0, x, 0, -reversed(x)].
@@ -476,25 +293,43 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(ext)[1:m + 1].imag
 
 
-class DiscreteEnergy:
-    """Reusable energy/gradient evaluator for repeated calls on one grid.
+def _cross_tail_constant(kspec: KernelSpec | None, s: float, T_out: float) -> float:
+    """Closed-form interaction of the two opposite-sign exterior tails over
+    ordered pairs: 8 * a_bar * (2 T_out)^{1-2s} / (2s (2s - 1)).  Requires
+    s > 1/2."""
+    if s <= 0.5:
+        raise ValueError(f"the cross-tail integral needs s > 1/2, got s={s}")
+    a_bar = 1.0 if kspec is None else kspec.a_bar
+    return 8.0 * a_bar * (2.0 * T_out) ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
 
-    Precomputes the matrix-free pair operator, the difference operator, the
-    trapezoid weights, and (optionally) the tail-correction coefficients, so a
+
+class DiscreteEnergy:
+    """Energy/gradient evaluator for repeated calls on one grid.
+
+    Precomputes the matrix-free pair operator, the difference stencils, the
+    trapezoid weights, and (optionally) the tail coefficients, so a
     minimization loop costs one batched FFT product, O(N log N), per energy
     or gradient call.  ``preconditioner`` returns the inverse of the
     energy's constant-coefficient Hessian at a pure phase, applied by fast
     sine transforms on the free nodes, for preconditioned descent.
 
     ``well_coef`` and ``nonlocal_coef`` select the functional: (1/eps,
-    eps^{2(k+s)-1}) gives the eps/delta form, (1, 1) the rescaled form.
+    eps^{2(k+s)-1}) gives the eps/delta form, (1, 1) the rescaled form, and
+    ``well_coef=0`` the nonlocal term alone.  ``tail_signs`` = (left, right)
+    adds the interactions with the +-1 exterior beyond a grid spanning
+    (-T_out, T_out); each interior node contributes, over ordered pairs,
+    2 h rho(x_i) [(T_out - x_i)^{-2s} + (T_out + x_i)^{-2s}] / (2s) times
+    |g_i|^2 for k >= 1, or times the per-side |u_i - sign|^2 for k = 0 (which
+    needs s > 1/2), plus the cross-tail constant when the signs differ.
+    Difference stencils act in exactly representable units and h^-k is
+    applied after the sparse product, so pure phases +-1 have exactly zero
+    energy and gradient for every k and grid.
     """
 
     def __init__(self, grid: UniformGrid, k: int, s: float, well: DoubleWell,
                  kspec: KernelSpec | None = None, kernel_scale: float = 1.0,
                  well_coef: float = 1.0, nonlocal_coef: float = 1.0,
-                 tail_signs=None, T_out: float | None = None,
-                 tail_factor: float = 2.0):
+                 tail_signs=None):
         if grid.n_nodes < 2 * k + 3:
             raise ValueError(
                 f"grid has {grid.n_nodes} nodes; k={k} energies need at least {2 * k + 3}"
@@ -506,59 +341,64 @@ class DiscreteEnergy:
         self.well_coef = float(well_coef)
         self.nonlocal_coef = float(nonlocal_coef)
         self._trap = _trapezoid(grid) * self.well_coef
-        self._diff = difference_matrix(grid, k)
-        self._diffT = self._diff.T.tocsr()
+        if self.k:
+            self._stencil = _stencil_matrix(grid.n_nodes, self.k)
+            self._stencilT = self._stencil.T.tocsr()
+            self._h_k = grid.h ** -self.k
         x = grid.nodes()
-        self._weights = build_weights(grid, s).offset_weights
+        self._weights = _pair_weights(grid, s)
         self._a_bar = 1.0 if kspec is None else kspec.a_bar
         self._form = _PairForm(self._weights, kspec, x, kernel_scale)
 
-        # The closed-form tail counts each interior-exterior pair once, while
-        # the pair sum above counts ordered pairs; tail_factor = 2 restores the
-        # same counting so the objective approximates the full-line energy
-        # consistently (finite-length minima then decrease with the clamp
-        # length, as they must).
         self._tail_signs = tail_signs
         if tail_signs is not None:
-            if T_out is None:
-                raise ValueError("tail_signs given without T_out")
+            T_out = grid.x_hi
+            if grid.x_lo != -T_out:
+                raise ValueError(
+                    f"the exterior tail needs a grid symmetric about 0, got ({grid.x_lo}, {T_out})"
+                )
+            if not set(tail_signs) <= {-1, 1}:
+                raise ValueError(f"tail signs must be +-1, got {tail_signs}")
             if k == 0 and s <= 0.5:
                 raise ValueError(f"tail correction with k=0 needs s > 1/2, got s={s}")
             xi = x[1:-1]
             rho = 1.0 if kspec is None else kspec.row_mean(xi, kernel_scale)
             h = grid.h
-            self._c_right = tail_factor * h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
-            self._c_left = tail_factor * h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
+            self._c_right = 2.0 * h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
+            self._c_left = 2.0 * h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
+            self._c_sum = self._c_right + self._c_left
             sl, sr = tail_signs
             self._cross = (
-                tail_factor * cross_tail_constant(kspec, s, T_out)
-                if (k == 0 and sl != sr) else 0.0
+                _cross_tail_constant(kspec, s, T_out) if (k == 0 and sl != sr) else 0.0
             )
+
+    def _difference(self, values: np.ndarray) -> np.ndarray:
+        return (self._stencil @ values) * self._h_k if self.k else values
+
+    def _tail_energy(self, values: np.ndarray, g: np.ndarray) -> float:
+        """The exterior tail term, before ``nonlocal_coef``; g = k-th difference."""
+        if self.k >= 1:
+            gi = g[1:-1]
+            return float((gi * gi) @ self._c_sum)
+        sl, sr = self._tail_signs
+        u = values[1:-1]
+        return float((u - sr) ** 2 @ self._c_right + (u - sl) ** 2 @ self._c_left) + self._cross
 
     def energy(self, values: np.ndarray) -> float:
         total = float(self._trap @ self.well.value(values))
-        g = self._diff @ values if self.k else values
+        g = self._difference(values)
         total += self.nonlocal_coef * self._form.value(g)
         if self._tail_signs is not None:
-            if self.k >= 1:
-                gi = g[1:-1]
-                total += self.nonlocal_coef * float((gi * gi) @ (self._c_right + self._c_left))
-            else:
-                sl, sr = self._tail_signs
-                u = values[1:-1]
-                total += self.nonlocal_coef * (
-                    float((u - sr) ** 2 @ self._c_right + (u - sl) ** 2 @ self._c_left)
-                    + self._cross
-                )
+            total += self.nonlocal_coef * self._tail_energy(values, g)
         return total
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        g = self._diff @ values if self.k else values
+        g = self._difference(values)
         inner = self._form.grad(g)
         if self._tail_signs is not None and self.k >= 1:
-            inner[1:-1] += 2.0 * (self._c_right + self._c_left) * g[1:-1]
+            inner[1:-1] += 2.0 * self._c_sum * g[1:-1]
         grad = self._trap * self.well.deriv(values)
-        grad += self.nonlocal_coef * (self._diffT @ inner if self.k else inner)
+        grad += self.nonlocal_coef * ((self._stencilT @ inner) * self._h_k if self.k else inner)
         if self._tail_signs is not None and self.k == 0:
             sl, sr = self._tail_signs
             u = values[1:-1]
@@ -615,10 +455,10 @@ class DiscreteEnergy:
 
         if self.k != 2:
             return sine_solve
-        rows = np.setdiff1d(self._diff[:, a:b].nonzero()[0], np.arange(a, b))
+        rows = np.setdiff1d(self._stencil[:, a:b].nonzero()[0], np.arange(a, b))
         if not rows.size:
             return sine_solve
-        U = self._diff[rows, a:b].toarray().T
+        U = self._stencil[rows, a:b].toarray().T * self._h_k
         z = np.column_stack([sine_solve(col) for col in U.T])
         coef = 4.0 * self.nonlocal_coef * self._form.row[rows]
         core = np.linalg.inv(np.diag(1.0 / coef) + U.T @ z)
@@ -643,3 +483,15 @@ class DiscreteEnergy:
             sym *= (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4
         lam = self.nonlocal_coef * 8.0 * self._a_bar * sym + 8.0 * h * self.well_coef
         return 2.0 / ((m + 1) * lam)
+
+
+def eval_F(p: GridProfile, params: EnergyParams, well: DoubleWell,
+           kspec: KernelSpec | None) -> float:
+    """One-shot value of the eps/delta functional on the profile's interval
+    (no exterior tail); repeated calls on one grid should reuse a
+    ``DiscreteEnergy``."""
+    k, s, eps = params.k, params.s, params.eps
+    return DiscreteEnergy(
+        p.grid, k, s, well, kspec=kspec, kernel_scale=params.delta,
+        well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0),
+    ).energy(p.values)

@@ -22,9 +22,7 @@ from .energy import (
     EnergyParams,
     KernelSpec,
     _PairForm,
-    build_weights,
-    eval_Phi_T,
-    tail_correction,
+    _pair_weights,
 )
 from .grid import BVTarget, GridProfile, UniformGrid, kth_difference, make_grid, sample_bv_target
 from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
@@ -299,7 +297,7 @@ def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
     blocks = [(int(np.searchsorted(idx, j, side="left")),
                int(np.searchsorted(idx, j, side="right"))) for j in range(len(locs))]
 
-    w = build_weights(grid, s).offset_weights
+    w = _pair_weights(grid, s)
     values = []
     for eps in eps_list:
         delta = delta_of_eps(eps)
@@ -323,41 +321,41 @@ def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
     """Truncation-tail differences Phi(v) - Phi_T(v) against T.
 
     ``p`` must be clamped to the tail signs outside (-c_prime, c_prime) on a
-    symmetric master grid; the full-line energy stands on the master grid
-    plus its closed-form tail.  Every T must exceed max(c_prime, 3 c_dprime)
-    and land on the node lattice.  Returns the differences and the log-log
-    slope against (T - c_prime).
+    symmetric master grid; the full-line energy is the master grid's with its
+    closed-form exterior tail, counted over ordered pairs like the pair sum.
+    Every T must exceed max(c_prime, 3 c_dprime) and land on the node
+    lattice.  Returns the differences and the log-log slope against
+    (T - c_prime).
     """
-    x = p.grid.nodes()
-    T_big = x[-1]
-    if abs(p.grid.x_lo + p.grid.x_hi) > 1e-12 * T_big or p.grid.n_cells % 2:
+    grid = p.grid
+    if grid.x_lo != -grid.x_hi or grid.n_cells % 2:
         raise ValueError("tail decay probe needs a symmetric master grid with even n_cells")
+    if (p.values[0], p.values[-1]) != tuple(tail_signs):
+        raise ValueError(
+            f"profile ends ({p.values[0]}, {p.values[-1]}) differ from the tail signs {tail_signs}"
+        )
     floor_T = max(c_prime, 3.0 * c_dprime)
     T_list = [float(T) for T in T_list]
     if min(T_list) <= floor_T:
         raise ValueError(
             f"every T must exceed max(c', 3c'') = {floor_T}, got {min(T_list)}"
         )
-    if max(T_list) >= T_big:
-        raise ValueError(f"T values must stay below the master half-length {T_big}")
+    if max(T_list) >= grid.x_hi:
+        raise ValueError(f"T values must stay below the master half-length {grid.x_hi}")
 
-    weights = build_weights(p.grid, s)
-    phi_full = eval_Phi_T(p, k, s, kspec, weights, well, kernel_scale=kernel_scale)
-    phi_full += tail_correction(p, k, s, kspec, tail_signs, T_big,
-                                kernel_scale=kernel_scale)
+    def phi(sub_grid, values, signs=None):
+        return DiscreteEnergy(sub_grid, k, s, well, kspec=kspec, kernel_scale=kernel_scale,
+                              tail_signs=signs).energy(values)
 
-    h = p.grid.h
+    phi_full = phi(grid, p.values, tail_signs)
+    h = grid.h
+    ctr = grid.n_cells // 2
     diffs = []
     for T in T_list:
         steps = T / h
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"T={T} does not land on the node lattice (h={h})")
         m = int(round(steps))
-        ctr = p.grid.n_cells // 2
-        sub_grid = make_grid(-T, T, 2 * m)
-        sub = GridProfile(sub_grid, p.values[ctr - m:ctr + m + 1])
-        sub_w = build_weights(sub_grid, s)
-        phi_T = eval_Phi_T(sub, k, s, kspec, sub_w, well, kernel_scale=kernel_scale)
-        diffs.append(phi_full - phi_T)
+        diffs.append(phi_full - phi(make_grid(-T, T, 2 * m), p.values[ctr - m:ctr + m + 1]))
     slope = fit_loglog_slope([T - c_prime for T in T_list], diffs)
     return diffs, slope

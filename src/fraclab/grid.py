@@ -87,42 +87,32 @@ class GridProfile:
             raise ValueError("profile values must be finite")
         object.__setattr__(self, "values", _freeze(vals))
 
-    def with_values(self, values: np.ndarray) -> "GridProfile":
-        return GridProfile(self.grid, values)
-
 
 # Second-order one-sided stencils anchored at the leftmost node of their
-# support; right-edge stencils are the mirror image.
+# support; right-edge stencils are the mirror image.  The entries are in units
+# of h^-k and exactly representable, so each row sums to exactly zero and maps
+# a pure phase +-1 to exactly zero; h^-k is applied after the product.
+_CENTRAL_STENCILS = {
+    1: np.array([-0.5, 0.0, 0.5]),
+    2: np.array([1.0, -2.0, 1.0]),
+}
 _EDGE_STENCILS = {
     1: np.array([-1.5, 2.0, -0.5]),
     2: np.array([2.0, -5.0, 4.0, -1.0]),
 }
 
 
-def difference_matrix(grid: UniformGrid, k: int) -> sparse.csr_matrix:
-    """Sparse matrix applying the k-th finite-difference operator to nodal values.
-
-    Second-order central stencils at interior nodes, second-order one-sided
-    stencils at the k boundary nodes on each side.  Exact on polynomials up to
-    degree k (hence annihilates degree < k).
-    """
+def _stencil_matrix(n: int, k: int) -> sparse.csr_matrix:
+    """h^k times the k-th difference matrix on n nodes (see ``difference_matrix``)."""
     if k not in SUPPORTED_ORDERS:
         raise ValueError(f"derivative order k must be one of {SUPPORTED_ORDERS}, got {k}")
-    n = grid.n_nodes
     if n < 2 * k + 1:
         raise ValueError(f"k={k} needs at least {2 * k + 1} nodes, grid has {n}")
     if k == 0:
         return sparse.identity(n, format="csr")
 
-    h = grid.h
     rows, cols, vals = [], [], []
-    if k == 1:
-        central = np.array([-0.5, 0.0, 0.5]) / h
-        edge = _EDGE_STENCILS[1] / h
-    else:
-        central = np.array([1.0, -2.0, 1.0]) / (h * h)
-        edge = _EDGE_STENCILS[2] / (h * h)
-
+    central, edge = _CENTRAL_STENCILS[k], _EDGE_STENCILS[k]
     for i in range(k):
         # left edge: one-sided rightward anchored at node i
         rows.extend([i] * edge.size)
@@ -142,12 +132,24 @@ def difference_matrix(grid: UniformGrid, k: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def difference_matrix(grid: UniformGrid, k: int) -> sparse.csr_matrix:
+    """Sparse matrix applying the k-th finite-difference operator to nodal values.
+
+    Second-order central stencils at interior nodes, second-order one-sided
+    stencils at the k boundary nodes on each side.  Exact on polynomials up to
+    degree k (hence annihilates degree < k).  The entries carry the factor
+    h^-k; ``kth_difference`` applies it after the product instead, which
+    maps a pure phase +-1 to exactly zero on every grid.
+    """
+    return _stencil_matrix(grid.n_nodes, k) * grid.h ** -k
+
+
 def kth_difference(p: GridProfile, k: int) -> GridProfile:
     """k-th derivative of a nodal profile; k = 0 returns the profile unchanged."""
     if k == 0:
         return p
-    mat = difference_matrix(p.grid, k)
-    return GridProfile(p.grid, mat @ p.values)
+    mat = _stencil_matrix(p.grid.n_nodes, k)
+    return GridProfile(p.grid, (mat @ p.values) * p.grid.h ** -k)
 
 
 def resample_scaled(p: GridProfile, lam: float) -> GridProfile:

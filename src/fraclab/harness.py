@@ -24,14 +24,19 @@ from .energy import (
     EnergyParams,
     KernelSpec,
     _PairForm,
-    build_weights,
+    _pair_weights,
     eval_F,
-    eval_Phi_T,
 )
 from .experiments import build_recovery, delta_rule, regime_sweep
 from .grid import BVTarget, GridProfile, make_bv_target, make_grid, resample_scaled
 from .optimize import MinimizeOptions, NumericalFailure, check_gradient
-from .profiles import TransitionProblem, predicted_limit, transition_energy, transition_energy_curve
+from .profiles import (
+    TransitionProblem,
+    _at_length,
+    predicted_limit,
+    transition_energy,
+    transition_energy_curve,
+)
 
 __all__ = [
     "ConfigError",
@@ -256,11 +261,9 @@ def _run_curve(cfg: ExperimentConfig, workers: int):
     tp = _transition_problem(cfg.raw, cfg.kernel, cfg.well)
     T_list = [float(T) for T in cfg.raw["T_list"]]
     opts = cfg.opt_options()
-    ratio = tp.T_out / tp.T
 
     def job(T):
-        tp_T = replace(tp, T=T, T_out=ratio * T,
-                       n_cells=max(int(round(tp.n_cells * T / tp.T)), 8))
+        tp_T = _at_length(tp, T)
         return tp_T, transition_energy(tp_T, opts)
 
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
@@ -344,9 +347,7 @@ def _run_recovery(cfg: ExperimentConfig, workers: int):
     grid = make_grid(0.0, 1.0, int(raw.get("n_cells", 2048)))
     rec = build_recovery(target, profiles, eps, delta, mode, grid, T_profile,
                          lam=lam, diag_shift=cfg.kernel.diag_argmin())
-    weights = build_weights(grid, cfg.s)
-    params = EnergyParams(cfg.k, cfg.s, eps, delta)
-    energy = eval_F(rec, params, cfg.well, cfg.kernel, weights)
+    energy = eval_F(rec, EnergyParams(cfg.k, cfg.s, eps, delta), cfg.well, cfg.kernel)
     rows = [[mode, eps, delta, n_up + n_down, energy, predicted,
              (energy - predicted) / predicted]]
     return rows, CSV_SCHEMAS["recovery"]
@@ -394,11 +395,10 @@ def _selftest_checks(inject_gradient_bug: bool):
     lam = c ** (1.0 / (2.0 * (k + s)))
     grid = make_grid(-6.0, 6.0, 256)
     v = GridProfile(grid, np.tanh(grid.nodes()))
-    w = build_weights(grid, s)
-    lhs = eval_Phi_T(v, k, s, KernelSpec.constant(c), w, well)
+    lhs = DiscreteEnergy(grid, k, s, well, kspec=KernelSpec.constant(c)).energy(v.values)
     small = resample_scaled(v, lam)
-    rhs = c ** (1.0 / (2.0 * (k + s))) * eval_Phi_T(
-        small, k, s, None, build_weights(small.grid, s), well)
+    rhs = c ** (1.0 / (2.0 * (k + s))) * DiscreteEnergy(
+        small.grid, k, s, well).energy(small.values)
     rel = abs(lhs - rhs) / lhs
     checks.append(("scaling identity", rel <= 1e-12, f"rel err {rel:.3e}"))
 
@@ -430,7 +430,7 @@ def _selftest_checks(inject_gradient_bug: bool):
 
     # matrix-free pair operator against the explicit O(N^2) sum, row by row
     grid = make_grid(-1.0, 1.0, 96)
-    x, w, g = grid.nodes(), build_weights(grid, 0.75).offset_weights, np.sin(3.0 * grid.nodes())
+    x, w, g = grid.nodes(), _pair_weights(grid, 0.75), np.sin(3.0 * grid.nodes())
     for kspec in (KernelSpec.constant(2.0), kern, KernelSpec.cos_prod(2.0, 0.7)):
         fast = _PairForm(w, kspec, x, 0.3).apply(g)
         ref = np.array([w[abs(i - np.arange(x.size))] * kspec.eval(xi / 0.3, x / 0.3) @ g

@@ -14,7 +14,7 @@ rounding (see ``minimize``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class MinimizeOptions:
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     initial_step: float = 1.0
-
-    def with_(self, **kw) -> "MinimizeOptions":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def _assemble(tp: TransitionProblem) -> DiscreteEnergy:
     kspec, scale = tp.effective_kernel()
     return DiscreteEnergy(
         grid, tp.k, tp.s, tp.well, kspec=kspec, kernel_scale=scale,
-        tail_signs=(-tp.omega, tp.omega), T_out=tp.T_out,
+        tail_signs=(-tp.omega, tp.omega),
     )
 
 
@@ -125,6 +125,13 @@ def transition_energy(tp: TransitionProblem,
     return res
 
 
+def _at_length(tp: TransitionProblem, T: float) -> TransitionProblem:
+    """The template at clamp half-length T, keeping its T_out/T ratio and
+    grid spacing (n_cells scales with T)."""
+    return replace(tp, T=T, T_out=tp.T_out / tp.T * T,
+                   n_cells=max(int(round(tp.n_cells * T / tp.T)), 8))
+
+
 @dataclass(frozen=True)
 class TransitionCurvePoint:
     T: float
@@ -144,12 +151,9 @@ def transition_energy_curve(tp: TransitionProblem, T_list,
     T_list = [float(T) for T in T_list]
     if any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError(f"T_list must be strictly ascending, got {T_list}")
-    ratio = tp.T_out / tp.T
     points = []
     for T in T_list:
-        tp_T = replace(tp, T=T, T_out=ratio * T,
-                       n_cells=max(int(round(tp.n_cells * T / tp.T)), 8))
-        res = transition_energy(tp_T, opts)
+        res = transition_energy(_at_length(tp, T), opts)
         points.append(TransitionCurvePoint(T, res.energy, res))
     converged = (
         len(points) >= 2

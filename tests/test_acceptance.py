@@ -23,12 +23,9 @@ from fraclab import (
     MinimizeOptions,
     TransitionProblem,
     build_recovery,
-    build_weights,
     check_gradient,
     cross_term_probe,
     eval_F,
-    eval_Phi_T,
-    eval_gagliardo,
     lambda_continuity_probe,
     make_bv_target,
     make_grid,
@@ -69,10 +66,10 @@ def test_criterion_01_scaling_identity():
     g = make_grid(-6.0, 6.0, 512)
     rng = np.random.default_rng(1)
     v = GridProfile(g, np.tanh(g.nodes()) + 0.05 * rng.standard_normal(g.n_nodes))
-    lhs = eval_Phi_T(v, k, s, KernelSpec.constant(c), build_weights(g, s), WELL0)
+    lhs = DiscreteEnergy(g, k, s, WELL0, kspec=KernelSpec.constant(c)).energy(v.values)
     small = resample_scaled(v, lam)
-    rhs = c ** scaling_exponent(k, s) * eval_Phi_T(
-        small, k, s, None, build_weights(small.grid, s), WELL0)
+    rhs = c ** scaling_exponent(k, s) * DiscreteEnergy(
+        small.grid, k, s, WELL0).energy(small.values)
     rel = abs(lhs - rhs) / abs(lhs)
     elapsed = time.monotonic() - t0
     assert report(1, rel <= 1e-12 and elapsed < 1.0,
@@ -369,8 +366,7 @@ def recovery_setup():
                           omega=1, T=T, T_out=3 * T, n_cells=1024,
                           well=WELL0, k=k, s=s), opts).energy
     grid = make_grid(0.0, 1.0, 2000)
-    weights = build_weights(grid, s)
-    return opts, k, s, T, m1, grid, weights
+    return opts, k, s, T, m1, grid
 
 
 @pytest.mark.parametrize("mode", ["lambda", "supercritical", "subcritical"])
@@ -383,7 +379,7 @@ def test_criterion_09_recovery_limsup(recovery_setup, mode):
     transition layer, so its demo uses the mild kernel CosSum(2.5, 0.15)
     (separation from the mean still ~10 percent of the prediction).
     """
-    opts, k, s, T, m1, grid, weights = recovery_setup
+    opts, k, s, T, m1, grid = recovery_setup
     eps = 2.0 ** -6
     kern = COSSUM if mode != "subcritical" else KernelSpec.cos_sum(2.5, 0.15)
 
@@ -408,7 +404,7 @@ def test_criterion_09_recovery_limsup(recovery_setup, mode):
         delta = deltas[mode][nj]
         rec = build_recovery(target, profiles, eps, delta, mode, grid, T,
                              lam=1.0, diag_shift=kern.diag_argmin())
-        energy = eval_F(rec, EnergyParams(k, s, eps, delta), WELL0, kern, weights)
+        energy = eval_F(rec, EnergyParams(k, s, eps, delta), WELL0, kern)
         if mode == "lambda":
             pred = predicted_limit(kern, "lambda", k, s, len(target.ascending),
                                    len(target.descending),
@@ -493,7 +489,7 @@ def test_criterion_12_quadrature_consistency():
     for n in ns:
         g = make_grid(-4.0, 4.0, n)
         p = GridProfile(g, np.tanh(4.0 * g.nodes()))
-        vals.append(eval_gagliardo(p, 0, s, None, build_weights(g, s)))
+        vals.append(DiscreteEnergy(g, 0, s, WELL0, well_coef=0.0).energy(p.values))
     r = 2.0 ** (2.0 - 2.0 * s)
     corrected = [b + (b - a) / (r - 1.0) for a, b in zip(vals, vals[1:])]
     errs = [abs(c - GAGLIARDO_TANH_REFERENCE) for c in corrected]

@@ -16,25 +16,34 @@ from fraclab import (
     GridProfile,
     KernelSpec,
     MinimizeOptions,
-    build_weights,
-    cross_tail_constant,
     difference_matrix,
     eval_F,
-    eval_gagliardo,
-    eval_Phi_T,
-    grad_F,
-    grad_Phi_T,
     make_grid,
     minimize,
     resample_scaled,
-    tail_correction,
 )
-from fraclab.energy import _PairForm, _dst1
+from fraclab.energy import _PairForm, _cross_tail_constant, _dst1, _pair_weights
 
 # Dense-grid reference for F on u = tanh((x-0.5)/0.1), k=0, s=0.75, eps=0.1,
 # delta=0.25, CosSum(2.5, 1), chi=0.3: W term by adaptive quadrature, nonlocal
 # by direct double sums under h-halving with leading-order (2-2s) Richardson.
 F_TANH_REFERENCE = 31.470057189929
+
+
+def _phi(p, k, s, kspec, well, **kw):
+    """The rescaled energy (unit coefficients) of a profile."""
+    return DiscreteEnergy(p.grid, k, s, well, kspec=kspec, **kw).energy(p.values)
+
+
+def _gagliardo(p, k, s, kspec=None, scale=1.0):
+    """The kernel-weighted nonlocal sum alone: the rescaled energy with no well."""
+    return _phi(p, k, s, kspec, DoubleWell(0.0), kernel_scale=scale, well_coef=0.0)
+
+
+def _tail(p, k, s, tail_signs, kspec=None):
+    """The exterior tail term alone, over ordered pairs."""
+    model = DiscreteEnergy(p.grid, k, s, DoubleWell(0.0), kspec=kspec, tail_signs=tail_signs)
+    return model._tail_energy(p.values, model._difference(p.values))
 
 
 def test_double_well_zeros_and_values():
@@ -130,70 +139,59 @@ def test_energy_params_excluded_cases():
 
 
 def test_build_weights_values_and_symmetry():
+    # one row by offset |i - j|, symmetric by construction
     g = make_grid(0.0, 1.0, 2)
-    w = build_weights(g, 0.75)
-    assert w.pair_weight(0, 2) == pytest.approx(0.25)
-    assert w.pair_weight(0, 1) == pytest.approx(0.25 * 0.5 ** -2.5)
-    assert w.pair_weight(0, 1) == pytest.approx(1.4142135623730951)
-    assert w.pair_weight(1, 0) == w.pair_weight(0, 1)
+    w = _pair_weights(g, 0.75)
+    assert w[2] == pytest.approx(0.25)
+    assert w[1] == pytest.approx(0.25 * 0.5 ** -2.5)
+    assert w[1] == pytest.approx(1.4142135623730951)
+    assert w[0] == 0.0 and not w.flags.writeable
     with pytest.raises(ValueError):
-        w.pair_weight(1, 1)
-    with pytest.raises(ValueError):
-        build_weights(g, 1.0)
+        _pair_weights(g, 1.0)
 
 
 def test_eval_gagliardo_frozen_example():
     g = make_grid(0.0, 1.0, 2)
-    w = build_weights(g, 0.75)
     p = GridProfile(g, np.array([0.0, 0.0, 1.0]))
-    val = eval_gagliardo(p, 0, 0.75, None, w)
+    val = _gagliardo(p, 0, 0.75)
     assert val == pytest.approx(3.3284271247461903, rel=1e-12)
 
 
 def test_eval_gagliardo_zero_for_constant_and_quadratic_scaling():
     g = make_grid(-1.0, 1.0, 32)
-    w = build_weights(g, 0.6)
     const = GridProfile(g, np.full(g.n_nodes, -1.0))
-    assert eval_gagliardo(const, 0, 0.6, KernelSpec.cos_sum(2.5, 1.0), w, 0.1) == 0.0
+    assert _gagliardo(const, 0, 0.6, KernelSpec.cos_sum(2.5, 1.0), 0.1) == 0.0
     rng = np.random.default_rng(5)
     p = GridProfile(g, rng.standard_normal(g.n_nodes))
-    v1 = eval_gagliardo(p, 0, 0.6, None, w)
-    v2 = eval_gagliardo(GridProfile(g, 3.0 * p.values), 0, 0.6, None, w)
+    v1 = _gagliardo(p, 0, 0.6)
+    v2 = _gagliardo(GridProfile(g, 3.0 * p.values), 0, 0.6)
     assert v2 == pytest.approx(9.0 * v1, rel=1e-12)
 
 
 def test_eval_gagliardo_zero_iff_kth_difference_constant():
     g = make_grid(-1.0, 1.0, 24)
-    w = build_weights(g, 0.5)
     lin = GridProfile(g, 2.0 * g.nodes() - 0.3)
-    assert eval_gagliardo(lin, 1, 0.5, None, w) == pytest.approx(0.0, abs=1e-20)
+    assert _gagliardo(lin, 1, 0.5) == pytest.approx(0.0, abs=1e-20)
     bent = GridProfile(g, np.abs(g.nodes()))
-    assert eval_gagliardo(bent, 1, 0.5, None, w) > 1e-3
+    assert _gagliardo(bent, 1, 0.5) > 1e-3
 
 
 def test_eval_gagliardo_validates_weights_and_size():
-    g = make_grid(0.0, 1.0, 8)
-    other = make_grid(0.0, 2.0, 8)
-    w = build_weights(other, 0.75)
-    p = GridProfile(g, np.zeros(9))
-    with pytest.raises(ValueError):
-        eval_gagliardo(p, 0, 0.75, None, w)
+    # the weights now come from the grid itself, so only the size is checked
     small = make_grid(0.0, 1.0, 3)
-    ws = build_weights(small, 0.75)
     with pytest.raises(ValueError):
-        eval_gagliardo(GridProfile(small, np.zeros(4)), 1, 0.75, None, ws)
+        _gagliardo(GridProfile(small, np.zeros(4)), 1, 0.75)
 
 
 def test_eval_F_pure_phase_and_constant_zero():
     g = make_grid(0.0, 1.0, 64)
-    w = build_weights(g, 0.75)
     params = EnergyParams(0, 0.75, 0.1, 0.25)
     well = DoubleWell(0.0)
     kern = KernelSpec.constant(1.0)
     ones = GridProfile(g, np.ones(g.n_nodes))
-    assert eval_F(ones, params, well, kern, w) == 0.0
+    assert eval_F(ones, params, well, kern) == 0.0
     zeros = GridProfile(g, np.zeros(g.n_nodes))
-    assert eval_F(zeros, params, well, kern, w) == pytest.approx(10.0, rel=1e-12)
+    assert eval_F(zeros, params, well, kern) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_eval_F_tanh_against_dense_reference():
@@ -207,7 +205,7 @@ def test_eval_F_tanh_against_dense_reference():
     for n in (512, 1024):
         g = make_grid(0.0, 1.0, n)
         u = GridProfile(g, np.tanh((g.nodes() - 0.5) / 0.1))
-        vals.append(eval_F(u, params, well, kern, build_weights(g, s)))
+        vals.append(eval_F(u, params, well, kern))
     r = 2.0 ** (2.0 - 2.0 * s)
     corrected = vals[1] + (vals[1] - vals[0]) / (r - 1.0)
     assert corrected == pytest.approx(F_TANH_REFERENCE, rel=0.01)
@@ -216,19 +214,18 @@ def test_eval_F_tanh_against_dense_reference():
 def test_phi_examples_and_kernel_linearity():
     g = make_grid(-1.0, 1.0, 64)
     s = 0.75
-    w = build_weights(g, s)
     well = DoubleWell(0.0)
     ones = GridProfile(g, np.ones(g.n_nodes))
-    assert eval_Phi_T(ones, 0, s, None, w, well) == 0.0
+    assert _phi(ones, 0, s, None, well) == 0.0
     zeros = GridProfile(g, np.zeros(g.n_nodes))
-    assert eval_Phi_T(zeros, 0, s, None, w, well) == pytest.approx(2.0, rel=1e-12)
+    assert _phi(zeros, 0, s, None, well) == pytest.approx(2.0, rel=1e-12)
 
     rng = np.random.default_rng(9)
     p = GridProfile(g, rng.standard_normal(g.n_nodes))
     c = 3.5
-    whole = eval_Phi_T(p, 0, s, KernelSpec.constant(c), w, well)
-    nl_unit = eval_gagliardo(p, 0, s, None, w)
-    dw = eval_Phi_T(p, 0, s, None, w, well) - nl_unit
+    whole = _phi(p, 0, s, KernelSpec.constant(c), well)
+    nl_unit = _gagliardo(p, 0, s)
+    dw = _phi(p, 0, s, None, well) - nl_unit
     assert whole == pytest.approx(dw + c * nl_unit, rel=1e-12)
 
 
@@ -236,14 +233,13 @@ def test_bound_sandwich_between_homogeneous_energies():
     rng = np.random.default_rng(13)
     g = make_grid(0.0, 1.0, 48)
     s, k = 0.75, 0
-    w = build_weights(g, s)
     well = DoubleWell(0.25)
     kern = KernelSpec.cos_sum(2.5, 1.0)
     params = EnergyParams(k, s, 0.2, 0.3)
     for _ in range(5):
         p = GridProfile(g, rng.uniform(-1.5, 1.5, g.n_nodes))
-        fa = eval_F(p, params, well, kern, w)
-        g1 = eval_F(p, params, well, KernelSpec.constant(1.0), w)
+        fa = eval_F(p, params, well, kern)
+        g1 = eval_F(p, params, well, KernelSpec.constant(1.0))
         assert min(kern.alpha_a, 1.0) * g1 - 1e-10 <= fa <= max(kern.beta_a, 1.0) * g1 + 1e-10
 
 
@@ -257,40 +253,41 @@ def test_discrete_scaling_identity_exact():
         g = make_grid(-6.0, 6.0, 128)
         v = GridProfile(g, np.tanh(g.nodes()) + 0.05 * rng.standard_normal(g.n_nodes))
         well = DoubleWell(0.3)
-        lhs = eval_Phi_T(v, k, s, KernelSpec.constant(c), build_weights(g, s), well)
+        lhs = _phi(v, k, s, KernelSpec.constant(c), well)
         small = resample_scaled(v, lam)
-        rhs = c ** (1.0 / (2.0 * (k + s))) * eval_Phi_T(
-            small, k, s, None, build_weights(small.grid, s), well)
+        rhs = c ** (1.0 / (2.0 * (k + s))) * _phi(small, k, s, None, well)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_cross_tail_constant_frozen_example():
-    val = cross_tail_constant(None, 0.75, 4.0)
-    assert val == pytest.approx(1.8856180831641267, rel=1e-12)
-    assert val == pytest.approx(4.0 * 8.0 ** -0.5 / (1.5 * 0.5), rel=1e-12)
+    # ordered pairs: twice the once-counted 1.8856180831641267
+    val = _cross_tail_constant(None, 0.75, 4.0)
+    assert val == pytest.approx(3.7712361663282534, rel=1e-12)
+    assert val == pytest.approx(8.0 * 8.0 ** -0.5 / (1.5 * 0.5), rel=1e-12)
     with pytest.raises(ValueError):
-        cross_tail_constant(None, 0.5, 4.0)
+        _cross_tail_constant(None, 0.5, 4.0)
 
 
 def test_tail_correction_matched_sign_constant_is_zero():
     g = make_grid(-4.0, 4.0, 64)
     p = GridProfile(g, np.ones(g.n_nodes))
-    assert tail_correction(p, 0, 0.75, None, (1, 1), 4.0) == 0.0
-    assert tail_correction(p, 1, 0.75, None, (1, 1), 4.0) == 0.0
+    assert _tail(p, 0, 0.75, (1, 1)) == 0.0
+    assert _tail(p, 1, 0.75, (1, 1)) == 0.0
 
 
 def test_tail_correction_step_profile_cross_term():
     g = make_grid(-4.0, 4.0, 128)
     x = g.nodes()
     p = GridProfile(g, np.where(x >= 0, 1.0, -1.0))
-    val = tail_correction(p, 0, 0.75, None, (-1, 1), 4.0)
-    sides = val - cross_tail_constant(None, 0.75, 4.0)
+    val = _tail(p, 0, 0.75, (-1, 1))
+    sides = val - _cross_tail_constant(None, 0.75, 4.0)
     # one-sided sums: |u - (+-1)|^2 = 4 on the opposing half (u(0) = +1,
-    # the right limit, so the node at zero opposes only the left tail)
+    # the right limit, so the node at zero opposes only the left tail),
+    # each pair counted in both orders
     xi = x[1:-1]
     h = g.h
-    expect = 4.0 * np.sum(h * (4.0 - xi[xi < 0]) ** -1.5) / 1.5 \
-        + 4.0 * np.sum(h * (4.0 + xi[xi >= 0]) ** -1.5) / 1.5
+    expect = 2.0 * (4.0 * np.sum(h * (4.0 - xi[xi < 0]) ** -1.5) / 1.5
+                    + 4.0 * np.sum(h * (4.0 + xi[xi >= 0]) ** -1.5) / 1.5)
     assert sides == pytest.approx(expect, rel=1e-12)
 
 
@@ -298,7 +295,7 @@ def test_tail_correction_k0_requires_s_above_half():
     g = make_grid(-4.0, 4.0, 32)
     p = GridProfile(g, np.ones(g.n_nodes))
     with pytest.raises(ValueError):
-        tail_correction(p, 0, 0.5, None, (1, 1), 4.0)
+        _tail(p, 0, 0.5, (1, 1))
 
 
 def test_tail_correction_doubling_T_decays_by_2s():
@@ -311,7 +308,7 @@ def test_tail_correction_doubling_T_decays_by_2s():
         x = g.nodes()
         u = np.where(np.abs(x) < 2.0, 1.0 - 0.5 * np.cos(np.pi * x / 4.0) ** 2, 1.0)
         p = GridProfile(g, u)
-        vals[T_out] = tail_correction(p, 1, s, None, (1, 1), T_out)
+        vals[T_out] = _tail(p, 1, s, (1, 1))
     assert vals[4.0] / vals[8.0] >= 2.0 ** (2.0 * s)
 
 
@@ -323,30 +320,37 @@ def test_grad_F_and_grad_Phi_match_finite_differences():
     well = DoubleWell(0.3)
     kern = KernelSpec.cos_sum(2.5, 1.0)
     for k, s in ((0, 0.75), (1, 0.5), (2, 0.3)):
-        w = build_weights(g, s)
-        params = EnergyParams(k, s, 0.2, 0.3)
+        eps, delta = 0.2, 0.3
         p = GridProfile(g, np.tanh(4 * (g.nodes() - 0.5)) + 0.1 * rng.standard_normal(g.n_nodes))
-        err_f = check_gradient(
-            lambda v: eval_F(GridProfile(g, v), params, well, kern, w),
-            lambda v: grad_F(GridProfile(g, v), params, well, kern, w).values,
-            p,
-        )
+        F = DiscreteEnergy(g, k, s, well, kspec=kern, kernel_scale=delta, well_coef=1.0 / eps,
+                           nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
+        assert F.energy(p.values) == eval_F(p, EnergyParams(k, s, eps, delta), well, kern)
+        err_f = check_gradient(F.energy, F.gradient, p)
         assert err_f <= 1e-6
-        err_phi = check_gradient(
-            lambda v: eval_Phi_T(GridProfile(g, v), k, s, kern, w, well),
-            lambda v: grad_Phi_T(GridProfile(g, v), k, s, kern, w, well).values,
-            p,
-        )
+        phi = DiscreteEnergy(g, k, s, well, kspec=kern)
+        err_phi = check_gradient(phi.energy, phi.gradient, p)
         assert err_phi <= 1e-6
 
 
-def test_gradient_zero_at_clamped_pure_phase():
-    g = make_grid(-4.0, 4.0, 64)
+# (-4, 4, 64) has a power-of-two h; on the other grids stencils scaled by h^-k
+# left up to 2e-5 of gradient on a pure phase (k = 2 on (-6, 6, 1000))
+PURE_PHASE_GRIDS = [(-4.0, 4.0, 64), (-12.0, 12.0, 1000), (0.0, 1.0, 40),
+                    (-6.0, 6.0, 1000), (-3.7, 3.7, 768)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("lo,hi,n_cells", PURE_PHASE_GRIDS,
+                         ids=[f"{lo:g},{hi:g},{n}" for lo, hi, n in PURE_PHASE_GRIDS])
+def test_gradient_zero_at_clamped_pure_phase(lo, hi, n_cells, k):
+    g = make_grid(lo, hi, n_cells)
     well = DoubleWell(0.4)
-    w = build_weights(g, 0.75)
-    ones = GridProfile(g, np.ones(g.n_nodes))
-    grad = grad_Phi_T(ones, 0, 0.75, KernelSpec.cos_sum(2.5, 1.0), w, well)
-    np.testing.assert_allclose(grad.values, 0.0, atol=1e-14)
+    for phase in (1.0, -1.0):
+        tail = (phase, phase) if lo == -hi else None
+        model = DiscreteEnergy(g, k, 0.75, well, kspec=KernelSpec.cos_sum(2.5, 1.0),
+                               kernel_scale=0.3, tail_signs=tail)
+        pure = np.full(g.n_nodes, phase)
+        assert model.energy(pure) == 0.0
+        assert np.all(model.gradient(pure) == 0.0)
 
 
 def test_discrete_energy_matches_op_functions_with_tail():
@@ -358,13 +362,17 @@ def test_discrete_energy_matches_op_functions_with_tail():
     x = g.nodes()
     u = np.tanh(2 * x)
     u[0], u[-1] = -1.0, 1.0
-    p = GridProfile(g, u)
-    w = build_weights(g, s)
-    model = DiscreteEnergy(g, k, s, well, kspec=kern, kernel_scale=1.0,
-                           tail_signs=(-1, 1), T_out=4.0)
-    expect = eval_Phi_T(p, k, s, kern, w, well) \
-        + 2.0 * tail_correction(p, k, s, kern, (-1, 1), 4.0)
-    assert model.energy(p.values) == pytest.approx(expect, rel=1e-12)
+    model = DiscreteEnergy(g, k, s, well, kspec=kern, kernel_scale=1.0, tail_signs=(-1, 1))
+    # the closed-form tail over ordered pairs, written out
+    xi, h, rho = x[1:-1], g.h, kern.row_mean(x[1:-1])
+    c_right = 2.0 * h * rho * (4.0 - xi) ** -1.5 / 1.5
+    c_left = 2.0 * h * rho * (4.0 + xi) ** -1.5 / 1.5
+    tail = (u[1:-1] - 1.0) ** 2 @ c_right + (u[1:-1] + 1.0) ** 2 @ c_left \
+        + _cross_tail_constant(kern, s, 4.0)
+    expect = _phi(GridProfile(g, u), k, s, kern, well) + tail
+    assert model.energy(u) == pytest.approx(expect, rel=1e-12)
+    with pytest.raises(ValueError, match="symmetric"):
+        DiscreteEnergy(make_grid(-4.0, 5.0, 80), k, s, well, tail_signs=(-1, 1))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -393,7 +401,7 @@ OPERATOR_KERNELS = [KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
 def test_pair_operator_matches_explicit_dense_product(n_nodes, kspec):
     grid = make_grid(-1.0, 2.0, n_nodes - 1)
     x = grid.nodes()
-    w = build_weights(grid, 0.75).offset_weights
+    w = _pair_weights(grid, 0.75)
     scale = 0.37
     idx = np.arange(n_nodes)
     dense = w[np.abs(idx[:, None] - idx[None, :])] * kspec.eval(
@@ -452,7 +460,7 @@ def _transition_case(k):
     kspec = KernelSpec.cos_sum(2.5, 1.0)
     grid = make_grid(-6.0, 6.0, 96)
     model = DiscreteEnergy(grid, k, s, DoubleWell(0.0), kspec=kspec, kernel_scale=1.3,
-                           tail_signs=(-1, 1), T_out=6.0)
+                           tail_signs=(-1, 1))
     return model, kspec, 1.3, np.abs(grid.nodes()) < 2.0
 
 
@@ -473,7 +481,7 @@ def _dense_inverse_preconditioner(model, kspec, scale, free):
     second differences at the two clamped neighbours, inverted densely."""
     grid, k = model.grid, model.k
     n, h, x = grid.n_nodes, grid.h, grid.nodes()
-    w = build_weights(grid, model.s).offset_weights
+    w = _pair_weights(grid, model.s)
     diff = difference_matrix(grid, k).toarray()
     out = np.zeros((n, n))
     for a, b in _blocks(free):
@@ -529,7 +537,7 @@ def test_preconditioner_zero_on_clamped_nodes_and_at_zero(case, k):
     assert np.all(apply(np.zeros(n)) == 0.0)
 
 
-@pytest.mark.parametrize("k", [0, 1])  # k = 2: the one-sided stencils leave ~1e-15 at a constant
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_preconditioned_pure_phase_stops_at_iteration_zero(k):
     model, _, _, free = _sweep_case(k)
     n = model.grid.n_nodes

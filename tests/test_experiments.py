@@ -174,13 +174,12 @@ def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profiles):
         n_cells=512, T_profile=2.0)
     assert all(v > 0 for v in values)
     # cross term is a restriction of the full nonlocal sum
-    from fraclab import build_weights, eval_gagliardo
+    from fraclab import DiscreteEnergy
 
     grid = make_grid(0.0, 1.0, 512)
-    weights = build_weights(grid, 0.75)
     rec = build_recovery(target, homogeneous_profiles, 0.02, 0.02 ** 2,
                          "supercritical", grid, 2.0)
-    total = 0.02 ** 0.5 * eval_gagliardo(rec, 0, 0.75, None, weights)
+    total = 0.02 ** 0.5 * DiscreteEnergy(grid, 0, 0.75, WELL, well_coef=0.0).energy(rec.values)
     assert values[1] <= total + 1e-12
 
 
@@ -201,12 +200,13 @@ def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
     values, _ = cross_term_probe(target, profiles, eps_list, k=k, s=s, n_cells=512,
                                  T_profile=2.0, kernel=kernel, mode="lambda")
 
-    from fraclab import build_weights, kth_difference
+    from fraclab import kth_difference
+    from fraclab.energy import _pair_weights
 
     grid = make_grid(0.0, 1.0, 512)
     x = grid.nodes()
     idx = np.arange(x.size)
-    w = build_weights(grid, s).offset_weights[np.abs(idx[:, None] - idx[None, :])]
+    w = _pair_weights(grid, s)[np.abs(idx[:, None] - idx[None, :])]
     across = (x[:, None] < 0.5) != (x[None, :] < 0.5)
     for eps, value in zip(eps_list, values):
         rec = build_recovery(target, profiles, eps, eps, "lambda", grid, 2.0)
@@ -231,6 +231,9 @@ def test_tail_decay_probe_diffs_positive_and_validates():
     with pytest.raises(ValueError):
         tail_decay_probe(p, [2.0, 8.0], k=0, s=0.75, well=WELL,
                          c_prime=c_prime, c_dprime=c_dprime, tail_signs=(-1, 1))
+    with pytest.raises(ValueError, match="tail signs"):
+        tail_decay_probe(p, [8.0, 16.0], k=0, s=0.75, well=WELL,
+                         c_prime=c_prime, c_dprime=c_dprime, tail_signs=(1, 1))
 
 
 def test_regime_sweep_basic_properties():

@@ -46,6 +46,17 @@ def test_kth_difference_constant_and_linear():
     np.testing.assert_allclose(kth_difference(linear, 1).values, 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("lo,hi,n_cells", [(-12.0, 12.0, 1000), (0.0, 1.0, 40), (-3.7, 3.7, 768)],
+                         ids=["-12,12,1000", "0,1,40", "-3.7,3.7,768"])
+def test_kth_difference_annihilates_pure_phases_exactly(lo, hi, n_cells, k):
+    # the stencils act in exactly representable units and h^-k comes after
+    g = make_grid(lo, hi, n_cells)
+    for phase in (1.0, -1.0):
+        pure = GridProfile(g, np.full(g.n_nodes, phase))
+        assert np.all(kth_difference(pure, k).values == 0.0)
+
+
 def test_kth_difference_quadratic_exact_for_k2():
     g = make_grid(-1.0, 2.0, 12)
     quad = GridProfile(g, g.nodes() ** 2)
