@@ -29,7 +29,6 @@ from .grid import (
     BVTarget,
     GridProfile,
     UniformGrid,
-    difference_matrix,
     kth_difference,
     make_bv_target,
     make_grid,

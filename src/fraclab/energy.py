@@ -22,8 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy >= 2 would load it lazily, inside the first energy call
 
-from .grid import GridProfile, UniformGrid, _stencil_matrix
+from .grid import (
+    _REACH,
+    SUPPORTED_ORDERS,
+    GridProfile,
+    UniformGrid,
+    _stencil_adjoint,
+    _stencil_apply,
+)
 
 __all__ = [
     "DoubleWell",
@@ -306,10 +314,9 @@ def _cross_tail_constant(kspec: KernelSpec | None, s: float, T_out: float) -> fl
 class DiscreteEnergy:
     """Energy/gradient evaluator for repeated calls on one grid.
 
-    Precomputes the matrix-free pair operator, the difference stencils, the
-    trapezoid weights, and (optionally) the tail coefficients, so a
-    minimization loop costs one batched FFT product, O(N log N), per energy
-    or gradient call.  ``preconditioner`` returns the inverse of the
+    Precomputes the matrix-free pair operator, the trapezoid weights, and
+    (optionally) the tail coefficients, so a minimization loop costs one
+    batched FFT product, O(N log N), per energy or gradient call.  ``preconditioner`` returns the inverse of the
     energy's constant-coefficient Hessian at a pure phase, applied by fast
     sine transforms on the free nodes, for preconditioned descent.
 
@@ -322,14 +329,16 @@ class DiscreteEnergy:
     |g_i|^2 for k >= 1, or times the per-side |u_i - sign|^2 for k = 0 (which
     needs s > 1/2), plus the cross-tail constant when the signs differ.
     Difference stencils act in exactly representable units and h^-k is
-    applied after the sparse product, so pure phases +-1 have exactly zero
-    energy and gradient for every k and grid.
+    applied after the stencil, so pure phases +-1 have exactly zero energy
+    and gradient for every k and grid.
     """
 
     def __init__(self, grid: UniformGrid, k: int, s: float, well: DoubleWell,
                  kspec: KernelSpec | None = None, kernel_scale: float = 1.0,
                  well_coef: float = 1.0, nonlocal_coef: float = 1.0,
                  tail_signs=None):
+        if k not in SUPPORTED_ORDERS:
+            raise ValueError(f"k must be one of {SUPPORTED_ORDERS}, got {k}")
         if grid.n_nodes < 2 * k + 3:
             raise ValueError(
                 f"grid has {grid.n_nodes} nodes; k={k} energies need at least {2 * k + 3}"
@@ -341,10 +350,7 @@ class DiscreteEnergy:
         self.well_coef = float(well_coef)
         self.nonlocal_coef = float(nonlocal_coef)
         self._trap = _trapezoid(grid) * self.well_coef
-        if self.k:
-            self._stencil = _stencil_matrix(grid.n_nodes, self.k)
-            self._stencilT = self._stencil.T.tocsr()
-            self._h_k = grid.h ** -self.k
+        self._h_k = grid.h ** -self.k
         x = grid.nodes()
         self._weights = _pair_weights(grid, s)
         self._a_bar = 1.0 if kspec is None else kspec.a_bar
@@ -373,7 +379,11 @@ class DiscreteEnergy:
             )
 
     def _difference(self, values: np.ndarray) -> np.ndarray:
-        return (self._stencil @ values) * self._h_k if self.k else values
+        if not self.k:
+            return values
+        g = _stencil_apply(values, self.k)
+        g *= self._h_k
+        return g
 
     def _tail_energy(self, values: np.ndarray, g: np.ndarray) -> float:
         """The exterior tail term, before ``nonlocal_coef``; g = k-th difference."""
@@ -397,8 +407,11 @@ class DiscreteEnergy:
         inner = self._form.grad(g)
         if self._tail_signs is not None and self.k >= 1:
             inner[1:-1] += 2.0 * self._c_sum * g[1:-1]
+        if self.k:
+            inner = _stencil_adjoint(inner, self.k)
+            inner *= self._h_k
         grad = self._trap * self.well.deriv(values)
-        grad += self.nonlocal_coef * ((self._stencilT @ inner) * self._h_k if self.k else inner)
+        grad += self.nonlocal_coef * inner
         if self._tail_signs is not None and self.k == 0:
             sl, sr = self._tail_signs
             u = values[1:-1]
@@ -455,10 +468,18 @@ class DiscreteEnergy:
 
         if self.k != 2:
             return sine_solve
-        rows = np.setdiff1d(self._stencil[:, a:b].nonzero()[0], np.arange(a, b))
+        # a row outside the block reaches fewer than _REACH[2] columns into
+        # it: read those rows off the stencil applied to the end columns
+        n, m = self.grid.n_nodes, _REACH[2]
+        cols = np.unique(np.r_[a:min(a + m, b), max(b - m, a):b])
+        hits = np.array([_stencil_apply(np.eye(1, n, j)[0], 2) for j in cols])
+        outside = np.ones(n, dtype=bool)
+        outside[a:b] = False
+        rows = np.flatnonzero(outside & hits.any(axis=0))
         if not rows.size:
             return sine_solve
-        U = self._stencil[rows, a:b].toarray().T * self._h_k
+        U = np.zeros((b - a, rows.size))
+        U[cols - a] = hits[:, rows] * self._h_k
         z = np.column_stack([sine_solve(col) for col in U.T])
         coef = 4.0 * self.nonlocal_coef * self._form.row[rows]
         core = np.linalg.inv(np.diag(1.0 / coef) + U.T @ z)

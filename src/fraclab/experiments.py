@@ -324,8 +324,8 @@ def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
     symmetric master grid; the full-line energy is the master grid's with its
     closed-form exterior tail, counted over ordered pairs like the pair sum.
     Every T must exceed max(c_prime, 3 c_dprime) and land on the node
-    lattice.  Returns the differences and the log-log slope against
-    (T - c_prime).
+    lattice.  Returns the differences and their log-log slope against T,
+    which tends to -2s for k >= 1 and -(2s - 1) for k = 0.
     """
     grid = p.grid
     if grid.x_lo != -grid.x_hi or grid.n_cells % 2:
@@ -357,5 +357,5 @@ def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
             raise ValueError(f"T={T} does not land on the node lattice (h={h})")
         m = int(round(steps))
         diffs.append(phi_full - phi(make_grid(-T, T, 2 * m), p.values[ctr - m:ctr + m + 1]))
-    slope = fit_loglog_slope([T - c_prime for T in T_list], diffs)
+    slope = fit_loglog_slope(T_list, diffs)
     return diffs, slope

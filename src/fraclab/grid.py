@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 __all__ = [
     "UniformGrid",
@@ -17,7 +16,6 @@ __all__ = [
     "BVTarget",
     "make_grid",
     "kth_difference",
-    "difference_matrix",
     "resample_scaled",
     "make_bv_target",
     "sample_bv_target",
@@ -89,9 +87,10 @@ class GridProfile:
 
 
 # Second-order one-sided stencils anchored at the leftmost node of their
-# support; right-edge stencils are the mirror image.  The entries are in units
-# of h^-k and exactly representable, so each row sums to exactly zero and maps
-# a pure phase +-1 to exactly zero; h^-k is applied after the product.
+# support; right-edge stencils are the mirror image, times (-1)^k.  The
+# entries are in units of h^-k and exactly representable, so each row sums to
+# exactly zero and maps a pure phase +-1 to exactly zero; h^-k is applied
+# after the stencil.
 _CENTRAL_STENCILS = {
     1: np.array([-0.5, 0.0, 0.5]),
     2: np.array([1.0, -2.0, 1.0]),
@@ -102,54 +101,116 @@ _EDGE_STENCILS = {
 }
 
 
-def _stencil_matrix(n: int, k: int) -> sparse.csr_matrix:
-    """h^k times the k-th difference matrix on n nodes (see ``difference_matrix``)."""
-    if k not in SUPPORTED_ORDERS:
-        raise ValueError(f"derivative order k must be one of {SUPPORTED_ORDERS}, got {k}")
-    if n < 2 * k + 1:
-        raise ValueError(f"k={k} needs at least {2 * k + 1} nodes, grid has {n}")
-    if k == 0:
-        return sparse.identity(n, format="csr")
-
-    rows, cols, vals = [], [], []
-    central, edge = _CENTRAL_STENCILS[k], _EDGE_STENCILS[k]
-    for i in range(k):
-        # left edge: one-sided rightward anchored at node i
-        rows.extend([i] * edge.size)
-        cols.extend(range(i, i + edge.size))
-        vals.extend(edge)
-        # right edge: mirrored
-        j = n - 1 - i
-        rows.extend([j] * edge.size)
-        cols.extend(range(j, j - edge.size, -1))
-        sign = -1.0 if k % 2 == 1 else 1.0
-        vals.extend(sign * edge)
-    for i in range(k, n - k):
-        rows.extend([i] * central.size)
-        cols.extend(range(i - 1, i + 2))
-        vals.extend(central)
-
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _float_coefs(k: int, sign: float) -> tuple:
+    return (tuple((sign * _CENTRAL_STENCILS[k]).tolist()),
+            tuple((sign * _EDGE_STENCILS[k]).tolist()))
 
 
-def difference_matrix(grid: UniformGrid, k: int) -> sparse.csr_matrix:
-    """Sparse matrix applying the k-th finite-difference operator to nodal values.
+# The (central, one-sided) entries as Python floats, read from the left edge
+# inwards and, times (-1)^k, from the right edge inwards; and the reach
+# m = k + len(edge) - 1 of the one-sided rows: they read the m nodes nearest
+# their edge, so D_k^T departs from the central formula on those m columns.
+_LEFT_COEFS = {k: _float_coefs(k, 1.0) for k in (1, 2)}
+_RIGHT_COEFS = {k: _float_coefs(k, (-1.0) ** k) for k in (1, 2)}
+_REACH = {k: k + e.size - 1 for k, e in _EDGE_STENCILS.items()}
 
-    Second-order central stencils at interior nodes, second-order one-sided
-    stencils at the k boundary nodes on each side.  Exact on polynomials up to
-    degree k (hence annihilates degree < k).  The entries carry the factor
-    h^-k; ``kth_difference`` applies it after the product instead, which
-    maps a pure phase +-1 to exactly zero on every grid.
+
+def _edge_rows(vals: list, k: int, coefs: tuple) -> tuple:
+    """The k one-sided rows of h^k D_k nearest an edge, from the _REACH[k]
+    nodal values nearest it, edge node first."""
+    if k == 1:
+        e0, e1, e2 = coefs[1]
+        v0, v1, v2 = vals
+        return (e0 * v0 + e1 * v1 + e2 * v2,)
+    e0, e1, e2, e3 = coefs[1]
+    v0, v1, v2, v3, v4 = vals
+    return (e0 * v0 + e1 * v1 + e2 * v2 + e3 * v3,
+            e0 * v1 + e1 * v2 + e2 * v3 + e3 * v4)
+
+
+def _edge_columns(vals: list, k: int, coefs: tuple) -> tuple:
+    """The _REACH[k] columns of h^k D_k^T y nearest an edge, from the
+    _REACH[k] + 1 entries of y nearest it, edge node first.  Column j sums
+    e[j - i] y_i over the one-sided rows i < k and c[j - i + 1] y_i over the
+    central rows i >= k."""
+    c0, c1, c2 = coefs[0]
+    if k == 1:
+        e0, e1, e2 = coefs[1]
+        y0, y1, y2, y3 = vals
+        return (e0 * y0 + c0 * y1,
+                e1 * y0 + c1 * y1 + c0 * y2,
+                e2 * y0 + c2 * y1 + c1 * y2 + c0 * y3)
+    e0, e1, e2, e3 = coefs[1]
+    y0, y1, y2, y3, y4, y5 = vals
+    return (e0 * y0,
+            e1 * y0 + e0 * y1 + c0 * y2,
+            e2 * y0 + e1 * y1 + c1 * y2 + c0 * y3,
+            e3 * y0 + e2 * y1 + c2 * y2 + c1 * y3 + c0 * y4,
+            e3 * y1 + c2 * y3 + c1 * y4 + c0 * y5)
+
+
+def _stencil_apply(values: np.ndarray, k: int) -> np.ndarray:
+    """h^k D_k values for k = 1, 2 on n >= 2k + 1 nodes, without a matrix.
+
+    The central rows k..n-k-1 are one sliced expression, (v_{i+1} -
+    v_{i-1}) / 2 or (v_{i+1} - v_i) - (v_i - v_{i-1}); the k one-sided rows
+    per side are summed from the few values they touch.
     """
-    return _stencil_matrix(grid.n_nodes, k) * grid.h ** -k
+    n, m = values.size, _REACH[k]
+    out = np.empty(n)
+    inner = out[k:n - k]
+    if k == 1:
+        np.subtract(values[2:], values[:-2], out=inner)
+        inner *= 0.5
+    else:
+        d = values[1:] - values[:-1]
+        np.subtract(d[2:-1], d[1:-2], out=inner)
+    out[:k] = _edge_rows(values[:m].tolist(), k, _LEFT_COEFS[k])
+    out[n - k:] = _edge_rows(values[n - m:].tolist()[::-1], k, _RIGHT_COEFS[k])[::-1]
+    return out
+
+
+def _stencil_adjoint(values: np.ndarray, k: int) -> np.ndarray:
+    """h^k D_k^T values, the adjoint of ``_stencil_apply``.
+
+    Away from the edges column j of D_k is the central stencil reversed, one
+    sliced expression; the _REACH[k] columns per side that the one-sided rows
+    reach are summed from the few values they touch.  On grids too small for
+    the two edges' reach to stay apart (n < 2 _REACH[k]) the columns are
+    assembled from ``_stencil_apply`` instead.
+    """
+    n, m = values.size, _REACH[k]
+    if n < 2 * m:
+        return np.array([_stencil_apply(e, k) for e in np.eye(n)]) @ values
+    out = np.empty(n)
+    inner = out[1:n - 1]
+    if k == 1:
+        np.subtract(values[:-2], values[2:], out=inner)
+        inner *= 0.5
+    else:
+        d = values[1:] - values[:-1]
+        np.subtract(d[1:], d[:-1], out=inner)
+    out[:m] = _edge_columns(values[:m + 1].tolist(), k, _LEFT_COEFS[k])
+    out[n - m:] = _edge_columns(values[:n - m - 2:-1].tolist(), k, _RIGHT_COEFS[k])[::-1]
+    return out
 
 
 def kth_difference(p: GridProfile, k: int) -> GridProfile:
-    """k-th derivative of a nodal profile; k = 0 returns the profile unchanged."""
+    """k-th derivative of a nodal profile; k = 0 returns the profile unchanged.
+
+    Second-order central differences at interior nodes and second-order
+    one-sided differences at the k boundary nodes on each side: exact on
+    polynomials up to degree k (hence annihilates degree < k).  h^-k is
+    applied after the stencil, so a pure phase +-1 maps to exactly zero on
+    every grid.
+    """
+    if k not in SUPPORTED_ORDERS:
+        raise ValueError(f"derivative order k must be one of {SUPPORTED_ORDERS}, got {k}")
     if k == 0:
         return p
-    mat = _stencil_matrix(p.grid.n_nodes, k)
-    return GridProfile(p.grid, (mat @ p.values) * p.grid.h ** -k)
+    if p.grid.n_nodes < 2 * k + 1:
+        raise ValueError(f"k={k} needs at least {2 * k + 1} nodes, grid has {p.grid.n_nodes}")
+    return GridProfile(p.grid, _stencil_apply(p.values, k) * p.grid.h ** -k)
 
 
 def resample_scaled(p: GridProfile, lam: float) -> GridProfile:

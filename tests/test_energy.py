@@ -16,8 +16,8 @@ from fraclab import (
     GridProfile,
     KernelSpec,
     MinimizeOptions,
-    difference_matrix,
     eval_F,
+    kth_difference,
     make_grid,
     minimize,
     resample_scaled,
@@ -482,7 +482,7 @@ def _dense_inverse_preconditioner(model, kspec, scale, free):
     grid, k = model.grid, model.k
     n, h, x = grid.n_nodes, grid.h, grid.nodes()
     w = _pair_weights(grid, model.s)
-    diff = difference_matrix(grid, k).toarray()
+    diff = np.column_stack([kth_difference(GridProfile(grid, e), k).values for e in np.eye(n)])
     out = np.zeros((n, n))
     for a, b in _blocks(free):
         m = b - a

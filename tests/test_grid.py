@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fraclab
 from fraclab import (
     GridProfile,
     kth_difference,
@@ -9,6 +15,7 @@ from fraclab import (
     resample_scaled,
     sample_bv_target,
 )
+from fraclab.grid import _stencil_adjoint, _stencil_apply
 
 
 def test_make_grid_basic():
@@ -85,6 +92,64 @@ def test_kth_difference_linearity():
         right = a * kth_difference(GridProfile(g, u), k).values \
             + b * kth_difference(GridProfile(g, v), k).values
         np.testing.assert_allclose(left, right, rtol=1e-11, atol=1e-11)
+
+
+# h^k D_k written out row by row from the stencil tables: central rows
+# (-1/2, 0, 1/2) and (1, -2, 1); one-sided rows (-3/2, 2, -1/2) and
+# (2, -5, 4, -1) from the left edge, mirrored times (-1)^k at the right.
+_HAND_ROWS = {
+    (1, 3): [[-1.5, 2.0, -0.5],
+             [-0.5, 0.0, 0.5],
+             [0.5, -2.0, 1.5]],
+    (1, 7): [[-1.5, 2.0, -0.5, 0.0, 0.0, 0.0, 0.0],
+             [-0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+             [0.0, -0.5, 0.0, 0.5, 0.0, 0.0, 0.0],
+             [0.0, 0.0, -0.5, 0.0, 0.5, 0.0, 0.0],
+             [0.0, 0.0, 0.0, -0.5, 0.0, 0.5, 0.0],
+             [0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.5],
+             [0.0, 0.0, 0.0, 0.0, 0.5, -2.0, 1.5]],
+    (2, 5): [[2.0, -5.0, 4.0, -1.0, 0.0],
+             [0.0, 2.0, -5.0, 4.0, -1.0],
+             [0.0, 1.0, -2.0, 1.0, 0.0],
+             [-1.0, 4.0, -5.0, 2.0, 0.0],
+             [0.0, -1.0, 4.0, -5.0, 2.0]],
+    (2, 7): [[2.0, -5.0, 4.0, -1.0, 0.0, 0.0, 0.0],
+             [0.0, 2.0, -5.0, 4.0, -1.0, 0.0, 0.0],
+             [0.0, 1.0, -2.0, 1.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 1.0, -2.0, 1.0, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0, -2.0, 1.0, 0.0],
+             [0.0, 0.0, -1.0, 4.0, -5.0, 2.0, 0.0],
+             [0.0, 0.0, 0.0, -1.0, 4.0, -5.0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(_HAND_ROWS), ids=lambda v: str(v))
+def test_stencil_columns_match_hand_written_rows(k, n):
+    # the minimal sizes n = 2k + 1, where the two edges' rows overlap, and n = 7
+    expect = np.array(_HAND_ROWS[k, n])
+    unit = np.eye(n)
+    np.testing.assert_array_equal(np.column_stack([_stencil_apply(e, k) for e in unit]), expect)
+    np.testing.assert_array_equal(np.column_stack([_stencil_adjoint(e, k) for e in unit]), expect.T)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [5, 6, 7, 10, 11, 769])
+def test_stencil_adjoint_identity(k, n):
+    # n = 10, 11 put both of k = 2's code paths (n < 10 and n >= 10) under test
+    rng = np.random.default_rng(100 * n + k)
+    u, y = rng.standard_normal(n), rng.standard_normal(n)
+    du = _stencil_apply(u, k)
+    left, right = du @ y, u @ _stencil_adjoint(y, k)
+    assert abs(left - right) <= 1e-13 * (np.abs(du) @ np.abs(y))
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(fraclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys, fraclab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_resample_scaled_roundtrip_and_examples():
