@@ -76,8 +76,24 @@ class SweepPoint:
     delta: float
     min_energy: float
     predicted: float
-    profile_ref: str
     result: MinimizeResult
+
+
+def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float):
+    """(eps_list as floats, tau); raises ValueError unless eps_list is non-empty and
+    strictly descending and the target's jumps lie 4 * max(eps) * T_profile apart."""
+    eps_list = [float(e) for e in eps_list]
+    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"eps_list must be non-empty and strictly descending, got {eps_list}")
+    if not target.jump_locations:
+        raise ValueError("regime sweep needs a target with at least one jump")
+    tau = jump_half_separation(target)
+    if 2.0 * tau < 4.0 * max(eps_list) * T_profile:
+        raise ValueError(
+            f"jumps must be separated by at least 4 * max(eps) * T_profile ="
+            f" {4.0 * max(eps_list) * T_profile}; minimal separation is {2.0 * tau}"
+        )
+    return eps_list, tau
 
 
 def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
@@ -99,17 +115,7 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     """
     if rule not in _REGIME_RULES:
         raise ValueError(f"rule must be one of {_REGIME_RULES}, got {rule!r}")
-    eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError(f"eps_list must be strictly descending, got {eps_list}")
-    if not target.jump_locations:
-        raise ValueError("regime sweep needs a target with at least one jump")
-    tau = jump_half_separation(target)
-    if 2.0 * tau < 4.0 * max(eps_list) * T_profile:
-        raise ValueError(
-            f"jumps must be separated by at least 4 * max(eps) * T_profile ="
-            f" {4.0 * max(eps_list) * T_profile}; minimal separation is {2.0 * tau}"
-        )
+    eps_list, tau = _check_sweep_geometry(target, eps_list, T_profile)
 
     grid = make_grid(0.0, 1.0, n_cells)
     x = grid.nodes()
@@ -162,8 +168,7 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             if res is None or cand.energy < res.energy:
                 res = cand
         points.append(SweepPoint(
-            eps=eps, delta=delta, min_energy=res.energy, predicted=predicted,
-            profile_ref=f"{rule}-eps={eps:g}", result=res,
+            eps=eps, delta=delta, min_energy=res.energy, predicted=predicted, result=res,
         ))
     return points
 
@@ -172,6 +177,27 @@ def _jump_shift(t_j: float, delta: float, mode: str, diag_shift: float) -> float
     if mode == "subcritical":
         return delta * (math.floor(t_j / delta - diag_shift) + diag_shift)
     return delta * math.floor(t_j / delta)
+
+
+def _check_recovery_geometry(target: BVTarget, eps: float, delta: float, T_profile: float):
+    """Raises ValueError unless eps * T_profile + delta stays below tau, so
+    the pasted profiles' transition layers keep apart (targets with jumps)."""
+    tau = jump_half_separation(target)
+    tau_eps = eps * T_profile + delta
+    if target.jump_locations and tau_eps >= tau:
+        pts = [0.0, *target.jump_locations, 1.0]
+        i = int(np.argmin(np.diff(pts)))
+        raise ValueError(
+            f"eps*T + delta = {tau_eps} must stay below tau = {tau}: jump pair"
+            f" ({pts[i]}, {pts[i + 1]}) is too close"
+        )
+
+
+def _jump_intervals(target: BVTarget, x: np.ndarray) -> np.ndarray:
+    """Index j of the interval I_j holding each node, (0, 1) split at jump midpoints."""
+    locs = target.jump_locations
+    bounds = [0.0] + [0.5 * (a + b) for a, b in zip(locs, locs[1:])] + [1.0]
+    return np.clip(np.searchsorted(np.array(bounds), x, side="right") - 1, 0, len(locs) - 1)
 
 
 def build_recovery(target: BVTarget, profiles: dict, eps: float, delta: float,
@@ -188,29 +214,15 @@ def build_recovery(target: BVTarget, profiles: dict, eps: float, delta: float,
     """
     if mode not in ("lambda", "supercritical", "subcritical"):
         raise ValueError(f"mode must be lambda/supercritical/subcritical, got {mode!r}")
-    x = grid.nodes()
+    _check_recovery_geometry(target, eps, delta, T_profile)
     if not target.jump_locations:
         return sample_bv_target(target, grid)
 
-    tau = jump_half_separation(target)
-    tau_eps = eps * T_profile + delta
-    if tau_eps >= tau:
-        pts = [0.0, *target.jump_locations, 1.0]
-        gaps = [(b - a, i) for i, (a, b) in enumerate(zip(pts, pts[1:]))]
-        gap, i = min(gaps)
-        raise ValueError(
-            f"eps*T + delta = {tau_eps} must stay below tau = {tau}: jump pair"
-            f" ({pts[i]}, {pts[i + 1]}) is too close"
-        )
-
     scale = lam / delta if mode == "lambda" else 1.0 / eps
-    locs = list(target.jump_locations)
-    # symmetric subintervals I_j around each jump, split at midpoints
-    bounds = [0.0] + [0.5 * (a + b) for a, b in zip(locs, locs[1:])] + [1.0]
-    idx = np.clip(np.searchsorted(np.array(bounds), x, side="right") - 1, 0, len(locs) - 1)
-
+    x = grid.nodes()
+    idx = _jump_intervals(target, x)
     values = np.empty_like(x)
-    for j, (t_j, s_j) in enumerate(zip(locs, target.jump_signs)):
+    for j, (t_j, s_j) in enumerate(zip(target.jump_locations, target.jump_signs)):
         v = profiles[s_j]
         sel = idx == j
         xi = (x[sel] - _jump_shift(t_j, delta, mode, diag_shift)) * scale
@@ -289,13 +301,12 @@ def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
         delta_of_eps = lambda e: lam * e
     grid = make_grid(0.0, 1.0, n_cells)
     x = grid.nodes()
-    locs = list(target.jump_locations)
-    if len(locs) < 2:
+    n_jumps = len(target.jump_locations)
+    if n_jumps < 2:
         return [0.0] * len(eps_list), math.nan
-    bounds = [0.0] + [0.5 * (a + b) for a, b in zip(locs, locs[1:])] + [1.0]
-    idx = np.clip(np.searchsorted(np.array(bounds), x, side="right") - 1, 0, len(locs) - 1)
+    idx = _jump_intervals(target, x)
     blocks = [(int(np.searchsorted(idx, j, side="left")),
-               int(np.searchsorted(idx, j, side="right"))) for j in range(len(locs))]
+               int(np.searchsorted(idx, j, side="right"))) for j in range(n_jumps)]
 
     w = _pair_weights(grid, s)
     values = []

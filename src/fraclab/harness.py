@@ -1,9 +1,11 @@
 """Experiment orchestration: JSON configs in, CSV results out.
 
-Configs are validated up front against the same preconditions as the
-underlying operations, aggregating every violation into one error.  Results
-are written atomically (temp file + rename).  Failures map to exit codes:
-2 config, 3 numerical, 4 I/O.
+A config's omitted keys take their command's defaults from one table and
+unknown keys are rejected; the preconditions of the operations the run calls
+are checked up front, every violation collected into one error.  Each runner
+returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
+Results are written atomically (temp file + rename).  Failures map to exit
+codes: 2 config, 3 numerical, 4 I/O.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,12 +28,13 @@ from .energy import (
     _pair_weights,
     eval_F,
 )
-from .experiments import build_recovery, delta_rule, regime_sweep
+from .experiments import (_check_recovery_geometry, _check_sweep_geometry, build_recovery,
+                          delta_rule, regime_sweep)
 from .grid import BVTarget, GridProfile, make_bv_target, make_grid, resample_scaled
 from .optimize import MinimizeOptions, NumericalFailure, check_gradient
 from .profiles import (
     TransitionProblem,
-    _at_length,
+    _curve_problems,
     predicted_limit,
     transition_energy,
     transition_energy_curve,
@@ -56,8 +58,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_COMMANDS = ("profile", "curve", "sweep", "recovery")
-
 CSV_SCHEMAS = {
     "profile": ["mode", "omega", "T", "T_out", "n_cells", "m_hat", "iterations",
                 "final_grad_norm", "converged"],
@@ -65,6 +65,22 @@ CSV_SCHEMAS = {
     "sweep": ["eps", "delta", "ratio", "min_energy", "predicted", "rel_gap"],
     "recovery": ["mode", "eps", "delta", "n_jumps", "energy", "predicted", "rel_gap"],
 }
+
+# Every key a config may set: "command", "kernel", the defaults of its
+# command (merged into the config once) and the keys that have no default.
+_COMMON = dict(chi=0.0, k=0, s=0.75, grad_tol=1e-6, max_iters=MinimizeOptions.max_iters)
+_PROBLEM = dict(_COMMON, mode="homogeneous", lam=1.0, omega=1, T=4.0, t_out_factor=3.0,
+                n_cells=768)
+_TARGET = dict(_COMMON, lam=1.0, T_profile=4.0, n_cells=2048, reference_n_cells=768)
+_DEFAULTS = {"profile": _PROBLEM, "curve": _PROBLEM,
+             "sweep": dict(_TARGET, window_factor=2.0), "recovery": _TARGET}
+_NO_DEFAULT = {"profile": (), "curve": ("T_list",),
+               "sweep": ("jumps", "left_value", "rule", "eps_list"),
+               "recovery": ("jumps", "left_value", "mode", "eps", "delta")}
+
+# a sweep's regime rule -> the kernel mode of its prediction (and of a recovery)
+_RULE_MODE = {"critical": "lambda", "supercritical": "supercritical", "subcritical": "subcritical"}
+_MODE_RULE = {mode: rule for rule, mode in _RULE_MODE.items()}
 
 
 class ConfigError(ValueError):
@@ -82,124 +98,126 @@ class ExperimentConfig:
     well: DoubleWell
     k: int
     s: float
-    raw: dict = field(repr=False)
+    raw: dict = field(repr=False)  # the config with every default filled in
 
     def opt_options(self) -> MinimizeOptions:
-        o = MinimizeOptions()
-        raw = self.raw
-        return MinimizeOptions(
-            grad_tol=float(raw.get("grad_tol", 1e-6)),
-            max_iters=int(raw.get("max_iters", o.max_iters)),
-            armijo_c=float(raw.get("armijo_c", o.armijo_c)),
-            backtrack_factor=float(raw.get("backtrack_factor", o.backtrack_factor)),
-            initial_step=float(raw.get("initial_step", o.initial_step)),
-        )
+        return MinimizeOptions(grad_tol=float(self.raw["grad_tol"]),
+                               max_iters=int(self.raw["max_iters"]))
 
 
-def _build_kernel(entry: dict, violations: list) -> KernelSpec | None:
-    variant = entry.get("variant")
+def _build_kernel(entry) -> KernelSpec:
+    variants = ("constant", "cos_sum", "cos_prod")
+    if not isinstance(entry, dict) or entry.get("variant") not in variants:
+        raise ValueError(f"must be an object whose variant is one of {variants}")
+    if entry["variant"] == "constant":
+        return KernelSpec.constant(entry["c"])
+    return getattr(KernelSpec, entry["variant"])(entry["c0"], entry["c1"])
+
+
+def _check(violations: list, label: str, fn):
+    """fn(), or None with a violation recorded if fn rejects its input."""
     try:
-        if variant == "constant":
-            return KernelSpec.constant(entry["c"])
-        if variant == "cos_sum":
-            return KernelSpec.cos_sum(entry["c0"], entry["c1"])
-        if variant == "cos_prod":
-            return KernelSpec.cos_prod(entry["c0"], entry["c1"])
-        violations.append(
-            f"kernel.variant must be constant/cos_sum/cos_prod, got {variant!r}"
-        )
+        return fn()
     except KeyError as exc:
-        violations.append(f"kernel is missing field {exc}")
-    except ValueError as exc:
-        violations.append(f"kernel: {exc}")
-    return None
+        violations.append(f"{label}: missing field {exc}")
+    except (ValueError, TypeError) as exc:
+        violations.append(f"{label}: {exc}")
 
 
 def _validate(raw: dict) -> ExperimentConfig:
     violations: list[str] = []
     command = raw.get("command")
-    if command not in _COMMANDS:
-        violations.append(f"command must be one of {_COMMANDS}, got {command!r}")
-
-    kernel = None
-    if not isinstance(raw.get("kernel"), dict):
-        violations.append("kernel must be an object with a 'variant' field")
+    if command in tuple(_DEFAULTS):
+        known = {"command", "kernel", *_DEFAULTS[command], *_NO_DEFAULT[command]}
+        violations += [f"unknown key {key!r} for {command}" for key in raw if key not in known]
+        raw = {**_DEFAULTS[command], **raw}
     else:
-        kernel = _build_kernel(raw["kernel"], violations)
+        violations.append(f"command must be one of {tuple(_DEFAULTS)}, got {command!r}")
+        raw = {**_COMMON, **raw}
 
-    well = None
-    try:
-        well = DoubleWell(float(raw.get("chi", 0.0)))
-    except ValueError as exc:
-        violations.append(str(exc))
+    kernel = _check(violations, "kernel", lambda: _build_kernel(raw["kernel"]))
+    well = _check(violations, "well", lambda: DoubleWell(float(raw["chi"])))
+    _check(violations, "exponents", lambda: EnergyParams(raw["k"], raw["s"], 1.0, 1.0))
 
-    k = raw.get("k", 0)
-    s = raw.get("s", 0.75)
-    try:
-        EnergyParams(k, s, 1.0, 1.0)
-    except ValueError as exc:
-        violations.append(str(exc))
-
-    if command in ("profile", "curve"):
-        try:
-            if kernel is not None and well is not None:
-                _transition_problem(raw, kernel, well)
-        except ValueError as exc:
-            violations.append(str(exc))
-        if command == "curve":
-            T_list = raw.get("T_list")
-            if not isinstance(T_list, list) or len(T_list) < 2:
-                violations.append("curve needs T_list with at least two ascending values")
+    if command == "curve" and not (isinstance(raw.get("T_list"), list) and len(raw["T_list"]) > 1):
+        violations.append("curve needs T_list with at least two ascending values")
     if command in ("sweep", "recovery"):
-        try:
-            _target(raw)
-        except (ValueError, TypeError, KeyError) as exc:
-            violations.append(f"jumps: {exc}")
-        if command == "sweep":
-            rule = raw.get("rule")
-            if rule not in ("critical", "supercritical", "subcritical"):
-                violations.append(
-                    f"sweep rule must be critical/supercritical/subcritical, got {rule!r}"
-                )
-            eps_list = raw.get("eps_list")
-            if not isinstance(eps_list, list) or not eps_list:
-                violations.append("sweep needs a non-empty eps_list")
-        if command == "recovery":
-            mode = raw.get("mode")
-            if mode not in ("lambda", "supercritical", "subcritical"):
-                violations.append(
-                    f"recovery mode must be lambda/supercritical/subcritical, got {mode!r}"
-                )
-            if "eps" not in raw:
-                violations.append("recovery needs eps")
+        target = _check(violations, "jumps", lambda: _target(raw))
+        key, names = ("rule", _RULE_MODE) if command == "sweep" else ("mode", _MODE_RULE)
+        if raw.get(key) not in tuple(names):
+            violations.append(f"{command} {key} must be one of {tuple(names)},"
+                              f" got {raw.get(key)!r}")
+        elif target is not None and command == "recovery":
+            _check(violations, "eps", lambda: _check_recovery_geometry(
+                target, float(raw["eps"]), _delta(raw), float(raw["T_profile"])))
+        if target is not None and command == "sweep":
+            _check(violations, "eps_list", lambda: _check_sweep_geometry(
+                target, raw["eps_list"], float(raw["T_profile"])))
 
+    if not violations:
+        cfg = ExperimentConfig(command=command, kernel=kernel, well=well,
+                               k=int(raw["k"]), s=float(raw["s"]), raw=raw)
+        # the transition problems the run sets up, checked before it solves any
+        _check(violations, "transition problem", {
+            "profile": lambda: _transition_problem(cfg),
+            "curve": lambda: _curve_problems(_transition_problem(cfg), raw["T_list"]),
+            "sweep": lambda: _reference_problem(cfg, _RULE_MODE[raw["rule"]]),
+            "recovery": lambda: _reference_problem(cfg, raw["mode"]),
+        }[command])
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(command=command, kernel=kernel, well=well,
-                            k=int(k), s=float(s), raw=raw)
-
-
-def _transition_problem(raw: dict, kernel: KernelSpec, well: DoubleWell,
-                        T: float | None = None) -> TransitionProblem:
-    T = float(raw.get("T", 4.0)) if T is None else T
-    factor = float(raw.get("t_out_factor", 3.0))
-    return TransitionProblem(
-        kernel=kernel,
-        mode=raw.get("mode", "homogeneous"),
-        lam=float(raw.get("lam", 1.0)),
-        omega=int(raw.get("omega", 1)),
-        T=T,
-        T_out=factor * T,
-        n_cells=int(raw.get("n_cells", 768)),
-        well=well,
-        k=int(raw.get("k", 0)),
-        s=float(raw.get("s", 0.75)),
-    )
+    return cfg
 
 
 def _target(raw: dict) -> BVTarget:
     jumps = [(float(t), int(sg)) for t, sg in raw["jumps"]]
     return make_bv_target(jumps, raw.get("left_value"))
+
+
+def _delta(raw: dict) -> float:
+    """A recovery's delta: as given, or by the regime rule of its mode."""
+    if "delta" in raw:
+        return float(raw["delta"])
+    return delta_rule(_MODE_RULE[raw["mode"]], float(raw["eps"]), float(raw["lam"]))
+
+
+def _transition_problem(cfg: ExperimentConfig, **overrides) -> TransitionProblem:
+    raw = {**cfg.raw, **overrides}
+    T = float(raw["T"])
+    return TransitionProblem(
+        kernel=cfg.kernel, mode=raw["mode"], lam=float(raw["lam"]), omega=int(raw["omega"]),
+        T=T, T_out=float(raw["t_out_factor"]) * T, n_cells=int(raw["n_cells"]),
+        well=cfg.well, k=cfg.k, s=cfg.s,
+    )
+
+
+def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
+    """Behind ``predicted``: omega = +1, T = T_profile, T_out = 3 T, reference_n_cells."""
+    return _transition_problem(cfg, mode=mode, omega=1, T=cfg.raw["T_profile"], t_out_factor=3.0,
+                               n_cells=cfg.raw["reference_n_cells"])
+
+
+def _reference_pair(cfg: ExperimentConfig, mode: str) -> dict:
+    """The reference solves in both jump directions, keyed by omega."""
+    tp, opts = _reference_problem(cfg, mode), cfg.opt_options()
+    return {omega: transition_energy(replace(tp, omega=omega), opts) for omega in (1, -1)}
+
+
+def _homogeneous_reference(cfg: ExperimentConfig) -> float:
+    return transition_energy(_reference_problem(cfg, "homogeneous"), cfg.opt_options()).energy
+
+
+def _predicted(cfg: ExperimentConfig, target: BVTarget, mode: str,
+               pair: dict | None = None) -> float:
+    """Sharp-interface limit for ``target``: from the reference ``pair``
+    (solved if not given) in lambda mode, else from the homogeneous one."""
+    n_up, n_down = len(target.ascending), len(target.descending)
+    if mode != "lambda":
+        return predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, n_up, n_down,
+                               m_hat=_homogeneous_reference(cfg))
+    pair = pair or _reference_pair(cfg, mode)
+    return predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, n_up, n_down,
+                           m_hat_up=pair[1].energy, m_hat_down=pair[-1].energy)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -249,122 +267,65 @@ def emit_csv(rows, schema, path) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _run_profile(cfg: ExperimentConfig, workers: int):
-    tp = _transition_problem(cfg.raw, cfg.kernel, cfg.well)
-    res = transition_energy(tp, cfg.opt_options())
-    row = [tp.mode, tp.omega, tp.T, tp.T_out, tp.n_cells, res.energy,
-           res.iterations, res.final_grad_norm, res.converged]
-    return [row], CSV_SCHEMAS["profile"]
+def _solve_record(tp: TransitionProblem, res) -> dict:
+    return {"mode": tp.mode, "omega": tp.omega, "T": tp.T, "T_out": tp.T_out,
+            "n_cells": tp.n_cells, "m_hat": res.energy, "iterations": res.iterations,
+            "final_grad_norm": res.final_grad_norm, "converged": res.converged}
 
 
-def _run_curve(cfg: ExperimentConfig, workers: int):
-    tp = _transition_problem(cfg.raw, cfg.kernel, cfg.well)
-    T_list = [float(T) for T in cfg.raw["T_list"]]
-    opts = cfg.opt_options()
-
-    def job(T):
-        tp_T = _at_length(tp, T)
-        return tp_T, transition_energy(tp_T, opts)
-
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        results = list(pool.map(job, T_list))
-    rows = [[tp_T.T, tp_T.T_out, tp_T.n_cells, r.energy, r.iterations, r.converged]
-            for tp_T, r in results]
-    return rows, CSV_SCHEMAS["curve"]
+def _run_profile(cfg: ExperimentConfig, workers: int) -> list[dict]:
+    tp = _transition_problem(cfg)
+    return [_solve_record(tp, transition_energy(tp, cfg.opt_options()))]
 
 
-def _homogeneous_reference(cfg: ExperimentConfig) -> float:
-    raw = cfg.raw
-    tp = TransitionProblem(
-        kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
-        T=float(raw.get("T_profile", 4.0)), T_out=3.0 * float(raw.get("T_profile", 4.0)),
-        n_cells=int(raw.get("reference_n_cells", 768)), well=cfg.well, k=cfg.k, s=cfg.s,
-    )
-    return transition_energy(tp, cfg.opt_options()).energy
+def _run_curve(cfg: ExperimentConfig, workers: int) -> list[dict]:
+    tp, T_list = _transition_problem(cfg), cfg.raw["T_list"]
+    points, _ = transition_energy_curve(tp, T_list, cfg.opt_options(), workers=workers)
+    return [_solve_record(tp_T, p.result) for tp_T, p in zip(_curve_problems(tp, T_list), points)]
 
 
-def _run_sweep(cfg: ExperimentConfig, workers: int):
+def _run_sweep(cfg: ExperimentConfig, workers: int) -> list[dict]:
     raw = cfg.raw
     target = _target(raw)
-    rule = raw["rule"]
-    mode = {"critical": "lambda", "supercritical": "supercritical",
-            "subcritical": "subcritical"}[rule]
-    n_up, n_down = len(target.ascending), len(target.descending)
-    if mode == "lambda":
-        lam = float(raw.get("lam", 1.0))
-        tp = _transition_problem({**raw, "mode": "lambda", "n_cells":
-                                  int(raw.get("reference_n_cells", 768))},
-                                 cfg.kernel, cfg.well, T=float(raw.get("T_profile", 4.0)))
-        opts = cfg.opt_options()
-        m_up = transition_energy(tp, opts).energy
-        m_down = transition_energy(replace(tp, omega=-1), opts).energy
-        predicted = predicted_limit(cfg.kernel, "lambda", cfg.k, cfg.s, n_up, n_down,
-                                    m_hat_up=m_up, m_hat_down=m_down)
-    else:
-        m_hat = _homogeneous_reference(cfg)
-        predicted = predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, n_up, n_down, m_hat=m_hat)
-
     points = regime_sweep(
-        cfg.kernel, target, rule, [float(e) for e in raw["eps_list"]],
-        k=cfg.k, s=cfg.s, well=cfg.well, n_cells=int(raw.get("n_cells", 2048)),
-        T_profile=float(raw.get("T_profile", 4.0)),
-        window_factor=float(raw.get("window_factor", 2.0)),
-        lam=float(raw.get("lam", 1.0)), predicted=predicted, opts=cfg.opt_options(),
+        cfg.kernel, target, raw["rule"], raw["eps_list"], k=cfg.k, s=cfg.s, well=cfg.well,
+        n_cells=int(raw["n_cells"]), T_profile=float(raw["T_profile"]),
+        window_factor=float(raw["window_factor"]), lam=float(raw["lam"]),
+        predicted=_predicted(cfg, target, _RULE_MODE[raw["rule"]]), opts=cfg.opt_options(),
     )
-    rows = [[p.eps, p.delta, p.delta / p.eps, p.min_energy, p.predicted,
-             (p.min_energy - p.predicted) / p.predicted] for p in points]
-    return rows, CSV_SCHEMAS["sweep"]
+    return [{"eps": p.eps, "delta": p.delta, "ratio": p.delta / p.eps,
+             "min_energy": p.min_energy, "predicted": p.predicted} for p in points]
 
 
-def _run_recovery(cfg: ExperimentConfig, workers: int):
+def _run_recovery(cfg: ExperimentConfig, workers: int) -> list[dict]:
     raw = cfg.raw
     target = _target(raw)
-    mode = raw["mode"]
-    eps = float(raw["eps"])
-    lam = float(raw.get("lam", 1.0))
-    delta = float(raw.get("delta", delta_rule(
-        {"lambda": "critical", "supercritical": "supercritical",
-         "subcritical": "subcritical"}[mode], eps, lam)))
-    T_profile = float(raw.get("T_profile", 4.0))
-    opts = cfg.opt_options()
-
-    n_ref = int(raw.get("reference_n_cells", 768))
-    tp = TransitionProblem(kernel=cfg.kernel, mode=mode, lam=lam, omega=1,
-                           T=T_profile, T_out=3.0 * T_profile, n_cells=n_ref,
-                           well=cfg.well, k=cfg.k, s=cfg.s)
-    res_up = transition_energy(tp, opts)
-    res_down = transition_energy(replace(tp, omega=-1), opts)
-    profiles = {+1: res_up.profile, -1: res_down.profile}
-
-    n_up, n_down = len(target.ascending), len(target.descending)
-    if mode == "lambda":
-        predicted = predicted_limit(cfg.kernel, "lambda", cfg.k, cfg.s, n_up, n_down,
-                                    m_hat_up=res_up.energy, m_hat_down=res_down.energy)
-    else:
-        m_hat = _homogeneous_reference(cfg)
-        predicted = predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, n_up, n_down, m_hat=m_hat)
-
-    grid = make_grid(0.0, 1.0, int(raw.get("n_cells", 2048)))
-    rec = build_recovery(target, profiles, eps, delta, mode, grid, T_profile,
-                         lam=lam, diag_shift=cfg.kernel.diag_argmin())
+    mode, eps, delta = raw["mode"], float(raw["eps"]), _delta(raw)
+    pair = _reference_pair(cfg, mode)
+    predicted = _predicted(cfg, target, mode, pair)
+    rec = build_recovery(target, {omega: res.profile for omega, res in pair.items()},
+                         eps, delta, mode, make_grid(0.0, 1.0, int(raw["n_cells"])),
+                         float(raw["T_profile"]), lam=float(raw["lam"]),
+                         diag_shift=cfg.kernel.diag_argmin())
     energy = eval_F(rec, EnergyParams(cfg.k, cfg.s, eps, delta), cfg.well, cfg.kernel)
-    rows = [[mode, eps, delta, n_up + n_down, energy, predicted,
-             (energy - predicted) / predicted]]
-    return rows, CSV_SCHEMAS["recovery"]
+    return [{"mode": mode, "eps": eps, "delta": delta, "n_jumps": len(target.jump_locations),
+             "energy": energy, "predicted": predicted}]
 
 
-_RUNNERS = {
-    "profile": _run_profile,
-    "curve": _run_curve,
-    "sweep": _run_sweep,
-    "recovery": _run_recovery,
-}
+_RUNNERS = {"profile": _run_profile, "curve": _run_curve, "sweep": _run_sweep,
+            "recovery": _run_recovery}
 
 
 def run_experiment(cfg: ExperimentConfig, out_path, workers: int = 1) -> None:
-    """Dispatch a validated config and write its CSV atomically."""
-    rows, schema = _RUNNERS[cfg.command](cfg, workers)
-    emit_csv(rows, schema, out_path)
+    """Dispatch a validated config and write its CSV atomically; each runner
+    returns one record (column -> value) per row."""
+    schema = CSV_SCHEMAS[cfg.command]
+    records = _RUNNERS[cfg.command](cfg, workers)
+    for rec in records:
+        if "predicted" in rec:
+            energy = rec["min_energy"] if cfg.command == "sweep" else rec["energy"]
+            rec["rel_gap"] = (energy - rec["predicted"]) / rec["predicted"]
+    emit_csv([[rec[col] for col in schema] for rec in records], schema, out_path)
 
 
 # ---------------------------------------------------------------------------

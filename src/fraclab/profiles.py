@@ -105,8 +105,7 @@ def _clamp_and_init(tp: TransitionProblem, grid) -> tuple[ClampSpec, GridProfile
 
 
 def transition_energy(tp: TransitionProblem,
-                      opts: MinimizeOptions = MinimizeOptions(),
-                      initial: GridProfile | None = None) -> MinimizeResult:
+                      opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Estimate the transition energy m^omega for the problem's kernel mode.
 
     Minimizes the rescaled energy plus tail correction over profiles clamped
@@ -117,8 +116,7 @@ def transition_energy(tp: TransitionProblem,
     """
     model = _assemble(tp)
     clamp, ramp = _clamp_and_init(tp, model.grid)
-    start = ramp if initial is None else initial
-    res = minimize(model.energy, model.gradient, start, clamp, opts,
+    res = minimize(model.energy, model.gradient, ramp, clamp, opts,
                    precondition=model.preconditioner(~clamp.fixed_mask))
     _warn_unconverged(res, f"transition solve ({tp.mode}, omega={tp.omega}, k={tp.k},"
                           f" N={model.grid.n_nodes})")
@@ -139,22 +137,30 @@ class TransitionCurvePoint:
     result: MinimizeResult
 
 
-def transition_energy_curve(tp: TransitionProblem, T_list,
-                            opts: MinimizeOptions = MinimizeOptions()):
-    """m-hat as a function of the clamp half-length T.
-
-    Each T keeps the template's T_out/T ratio and grid spacing (n_cells
-    scales with T).  Returns the curve and a convergence flag set when the
-    last two values differ by less than 1 percent (the finite-length energies
-    decrease to the infinite-length limit).
-    """
+def _curve_problems(tp: TransitionProblem, T_list) -> list[TransitionProblem]:
+    """The template at each T of ``T_list``, which must strictly ascend."""
     T_list = [float(T) for T in T_list]
     if any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError(f"T_list must be strictly ascending, got {T_list}")
-    points = []
-    for T in T_list:
-        res = transition_energy(_at_length(tp, T), opts)
-        points.append(TransitionCurvePoint(T, res.energy, res))
+    return [_at_length(tp, T) for T in T_list]
+
+
+def transition_energy_curve(tp: TransitionProblem, T_list,
+                            opts: MinimizeOptions = MinimizeOptions(), workers: int = 1):
+    """m-hat as a function of the clamp half-length T.
+
+    Each T keeps the template's T_out/T ratio and grid spacing (n_cells
+    scales with T), solved on up to ``workers`` threads.  Returns the curve
+    and a convergence flag set when the last two values differ by less than
+    1 percent (the finite-length energies decrease to the infinite-length
+    limit).
+    """
+    # only a curve needs the pool; importing it loads logging (about 0.3 MiB of RSS)
+    from concurrent.futures import ThreadPoolExecutor
+    problems = _curve_problems(tp, T_list)
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        results = list(pool.map(lambda p: transition_energy(p, opts), problems))
+    points = [TransitionCurvePoint(p.T, res.energy, res) for p, res in zip(problems, results)]
     converged = (
         len(points) >= 2
         and abs(points[-1].m_hat - points[-2].m_hat) < 0.01 * abs(points[-1].m_hat)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -230,6 +232,11 @@ def test_cli_curve_with_workers(tmp_path):
     assert len(lines) == 3
     m2, m4 = (float(l.split(",")[3]) for l in lines[1:])
     assert m4 <= m2 + 1e-6
+    out1 = tmp_path / "curve1.csv"
+    res = runner.invoke(main, ["curve", str(cfg), "--out", str(out1),
+                               "--workers", "1", "--quiet"])
+    assert res.exit_code == 0, res.output
+    assert out1.read_text() == out.read_text()
 
 
 def test_cli_recovery_runs(tmp_path):
@@ -255,3 +262,61 @@ def test_cli_recovery_runs(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "lambda"
     assert float(cells[4]) > 0
+
+
+# the required keys only: every other key takes its default
+SWEEP_MIN = {"command": "sweep", "kernel": {"variant": "constant", "c": 1.0},
+             "jumps": [[0.5, 1]], "rule": "critical", "eps_list": [0.03125]}
+RECOVERY_MIN = {"command": "recovery", "kernel": {"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
+                "jumps": [[0.5, 1]], "mode": "lambda", "eps": 0.03125}
+CURVE_CFG = dict(PROFILE_CFG, command="curve", T_list=[2.0, 4.0], n_cells=96, grad_tol=1e-4)
+
+
+@pytest.mark.parametrize("minimal, written_out", [
+    (SWEEP_MIN, {"chi": 0.0, "k": 0, "s": 0.75, "grad_tol": 1e-6, "max_iters": 50000,
+                 "left_value": -1, "n_cells": 2048, "T_profile": 4.0, "window_factor": 2.0,
+                 "lam": 1.0, "reference_n_cells": 768}),
+    (RECOVERY_MIN, {"chi": 0.0, "k": 0, "s": 0.75, "grad_tol": 1e-6, "max_iters": 50000,
+                    "left_value": -1, "delta": 0.03125, "n_cells": 2048, "T_profile": 4.0,
+                    "lam": 1.0, "reference_n_cells": 768}),
+], ids=["sweep", "recovery"])
+def test_written_out_defaults_give_identical_csv(tmp_path, minimal, written_out):
+    outs = []
+    for name, raw in (("min", minimal), ("full", {**minimal, **written_out})):
+        out = tmp_path / f"{name}.csv"
+        run_experiment(load_config(write_config(tmp_path, f"{name}.json", raw)), out)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("raw", [
+    dict(SWEEP_MIN, eps_list=[0.015625, 0.03125]),  # eps_list ascending
+    dict(SWEEP_MIN, eps_list=[0.25]),  # jumps closer than 4 * max(eps) * T_profile
+    dict(RECOVERY_MIN, eps=0.2),  # eps * T_profile + delta >= tau
+    dict(CURVE_CFG, T_list=[4.0, 2.0]),  # T_list descending
+], ids=["eps-ascending", "jumps-too-close", "recovery-crowded", "T-descending"])
+def test_cli_geometry_errors_exit_config(tmp_path, raw):
+    cfg = write_config(tmp_path, "bad.json", raw)
+    out = tmp_path / "x.csv"
+    res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["reference_ncells", "armijo_c", "omega"])
+def test_load_config_rejects_unknown_keys(tmp_path, key):
+    path = write_config(tmp_path, "s.json", dict(SWEEP_MIN, **{key: 1}))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == [f"unknown key {key!r} for sweep"]
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/schemas.md"])
+def test_doc_example_configs_load(tmp_path, doc):
+    text = (Path(__file__).resolve().parents[1] / doc).read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"{i}.json"
+        path.write_text(block)
+        load_config(path)
