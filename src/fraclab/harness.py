@@ -4,6 +4,10 @@ A config's omitted keys take their command's defaults from one table and
 unknown keys are rejected; the preconditions of the operations the run calls
 are checked up front, every violation collected into one error.  Each runner
 returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
+The reference solves behind ``predicted`` and the pasted recovery profiles
+go through ``_reference_solve``: with an even well the descending solve is
+the negated ascending one, and a process solves each distinct reference
+problem once, however many configs share it.
 Results are written atomically (temp file + rename).  Failures map to exit
 codes: 2 config, 3 numerical, 4 I/O.
 """
@@ -31,7 +35,7 @@ from .energy import (
 from .experiments import (_check_recovery_geometry, _check_sweep_geometry, build_recovery,
                           delta_rule, regime_sweep)
 from .grid import BVTarget, GridProfile, make_bv_target, make_grid, resample_scaled
-from .optimize import MinimizeOptions, NumericalFailure, check_gradient
+from .optimize import MinimizeOptions, MinimizeResult, NumericalFailure, check_gradient
 from .profiles import (
     TransitionProblem,
     _curve_problems,
@@ -77,6 +81,8 @@ _DEFAULTS = {"profile": _PROBLEM, "curve": _PROBLEM,
 _NO_DEFAULT = {"profile": (), "curve": ("T_list",),
                "sweep": ("jumps", "left_value", "rule", "eps_list"),
                "recovery": ("jumps", "left_value", "mode", "eps", "delta")}
+# keys whose value must be an integral number; 768.0 reads as 768
+_INTEGER_KEYS = ("k", "omega", "n_cells", "reference_n_cells", "max_iters", "left_value")
 
 # a sweep's regime rule -> the kernel mode of its prediction (and of a recovery)
 _RULE_MODE = {"critical": "lambda", "supercritical": "supercritical", "subcritical": "subcritical"}
@@ -102,7 +108,7 @@ class ExperimentConfig:
 
     def opt_options(self) -> MinimizeOptions:
         return MinimizeOptions(grad_tol=float(self.raw["grad_tol"]),
-                               max_iters=int(self.raw["max_iters"]))
+                               max_iters=self.raw["max_iters"])
 
 
 def _build_kernel(entry) -> KernelSpec:
@@ -112,6 +118,22 @@ def _build_kernel(entry) -> KernelSpec:
     if entry["variant"] == "constant":
         return KernelSpec.constant(entry["c"])
     return getattr(KernelSpec, entry["variant"])(entry["c0"], entry["c1"])
+
+
+def _integer(value) -> int:
+    """An integral JSON number as an int; a fraction is rejected, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"must be an integer, got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _check(violations: list, label: str, fn):
@@ -134,6 +156,9 @@ def _validate(raw: dict) -> ExperimentConfig:
     else:
         violations.append(f"command must be one of {tuple(_DEFAULTS)}, got {command!r}")
         raw = {**_COMMON, **raw}
+    integers = {key: _check(violations, key, lambda: _integer(raw[key]))
+                for key in _INTEGER_KEYS if raw.get(key) is not None}
+    raw.update((key, value) for key, value in integers.items() if value is not None)
 
     kernel = _check(violations, "kernel", lambda: _build_kernel(raw["kernel"]))
     well = _check(violations, "well", lambda: DoubleWell(float(raw["chi"])))
@@ -149,14 +174,15 @@ def _validate(raw: dict) -> ExperimentConfig:
                               f" got {raw.get(key)!r}")
         elif target is not None and command == "recovery":
             _check(violations, "eps", lambda: _check_recovery_geometry(
-                target, float(raw["eps"]), _delta(raw), float(raw["T_profile"])))
+                target, _positive(raw["eps"], "eps"), _delta(raw), float(raw["T_profile"])))
         if target is not None and command == "sweep":
             _check(violations, "eps_list", lambda: _check_sweep_geometry(
-                target, raw["eps_list"], float(raw["T_profile"])))
+                target, [_positive(eps, "eps") for eps in raw["eps_list"]],
+                float(raw["T_profile"])))
 
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,
-                               k=int(raw["k"]), s=float(raw["s"]), raw=raw)
+                               k=raw["k"], s=float(raw["s"]), raw=raw)
         # the transition problems the run sets up, checked before it solves any
         _check(violations, "transition problem", {
             "profile": lambda: _transition_problem(cfg),
@@ -170,14 +196,14 @@ def _validate(raw: dict) -> ExperimentConfig:
 
 
 def _target(raw: dict) -> BVTarget:
-    jumps = [(float(t), int(sg)) for t, sg in raw["jumps"]]
+    jumps = [(float(t), _integer(sg)) for t, sg in raw["jumps"]]
     return make_bv_target(jumps, raw.get("left_value"))
 
 
 def _delta(raw: dict) -> float:
     """A recovery's delta: as given, or by the regime rule of its mode."""
     if "delta" in raw:
-        return float(raw["delta"])
+        return _positive(raw["delta"], "delta")
     return delta_rule(_MODE_RULE[raw["mode"]], float(raw["eps"]), float(raw["lam"]))
 
 
@@ -185,8 +211,8 @@ def _transition_problem(cfg: ExperimentConfig, **overrides) -> TransitionProblem
     raw = {**cfg.raw, **overrides}
     T = float(raw["T"])
     return TransitionProblem(
-        kernel=cfg.kernel, mode=raw["mode"], lam=float(raw["lam"]), omega=int(raw["omega"]),
-        T=T, T_out=float(raw["t_out_factor"]) * T, n_cells=int(raw["n_cells"]),
+        kernel=cfg.kernel, mode=raw["mode"], lam=float(raw["lam"]), omega=raw["omega"],
+        T=T, T_out=float(raw["t_out_factor"]) * T, n_cells=raw["n_cells"],
         well=cfg.well, k=cfg.k, s=cfg.s,
     )
 
@@ -197,14 +223,41 @@ def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
                                n_cells=cfg.raw["reference_n_cells"])
 
 
+# converged reference solves of this process, keyed by (problem with omega
+# normalised, options), oldest evicted first
+_REFERENCE_MEMO: dict = {}
+_REFERENCE_MEMO_SIZE = 32
+
+
+def _reference_solve(tp: TransitionProblem, opts: MinimizeOptions) -> MinimizeResult:
+    """``transition_energy(tp, opts)``, solved once per process.
+
+    With an even well (chi = 0), W(-z) = W(z) and every step of the solve
+    negates exactly under u -> -u, so the omega = -1 result is the omega = +1
+    one with its profile negated, bit for bit.  Only converged results are
+    kept: an unconverged solve runs, and warns, again on every call.
+    """
+    key_tp = replace(tp, omega=1) if tp.well.chi == 0 else tp
+    res = _REFERENCE_MEMO.get((key_tp, opts))
+    if res is None:
+        res = transition_energy(key_tp, opts)
+        if res.converged:
+            if len(_REFERENCE_MEMO) >= _REFERENCE_MEMO_SIZE:
+                del _REFERENCE_MEMO[next(iter(_REFERENCE_MEMO))]
+            _REFERENCE_MEMO[key_tp, opts] = res
+    if key_tp.omega != tp.omega:
+        res = replace(res, profile=GridProfile(res.profile.grid, -res.profile.values))
+    return res
+
+
 def _reference_pair(cfg: ExperimentConfig, mode: str) -> dict:
     """The reference solves in both jump directions, keyed by omega."""
     tp, opts = _reference_problem(cfg, mode), cfg.opt_options()
-    return {omega: transition_energy(replace(tp, omega=omega), opts) for omega in (1, -1)}
+    return {omega: _reference_solve(replace(tp, omega=omega), opts) for omega in (1, -1)}
 
 
 def _homogeneous_reference(cfg: ExperimentConfig) -> float:
-    return transition_energy(_reference_problem(cfg, "homogeneous"), cfg.opt_options()).energy
+    return _reference_solve(_reference_problem(cfg, "homogeneous"), cfg.opt_options()).energy
 
 
 def _predicted(cfg: ExperimentConfig, target: BVTarget, mode: str,
@@ -289,7 +342,7 @@ def _run_sweep(cfg: ExperimentConfig, workers: int) -> list[dict]:
     target = _target(raw)
     points = regime_sweep(
         cfg.kernel, target, raw["rule"], raw["eps_list"], k=cfg.k, s=cfg.s, well=cfg.well,
-        n_cells=int(raw["n_cells"]), T_profile=float(raw["T_profile"]),
+        n_cells=raw["n_cells"], T_profile=float(raw["T_profile"]),
         window_factor=float(raw["window_factor"]), lam=float(raw["lam"]),
         predicted=_predicted(cfg, target, _RULE_MODE[raw["rule"]]), opts=cfg.opt_options(),
     )
@@ -304,7 +357,7 @@ def _run_recovery(cfg: ExperimentConfig, workers: int) -> list[dict]:
     pair = _reference_pair(cfg, mode)
     predicted = _predicted(cfg, target, mode, pair)
     rec = build_recovery(target, {omega: res.profile for omega, res in pair.items()},
-                         eps, delta, mode, make_grid(0.0, 1.0, int(raw["n_cells"])),
+                         eps, delta, mode, make_grid(0.0, 1.0, raw["n_cells"]),
                          float(raw["T_profile"]), lam=float(raw["lam"]),
                          diag_shift=cfg.kernel.diag_argmin())
     energy = eval_F(rec, EnergyParams(cfg.k, cfg.s, eps, delta), cfg.well, cfg.kernel)

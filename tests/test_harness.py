@@ -1,10 +1,14 @@
 import json
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fraclab.harness as harness
+from fraclab import DoubleWell, KernelSpec, MinimizeOptions, MinimizeResult, TransitionProblem
 from fraclab.cli import main
 from fraclab.harness import (
     EXIT_CONFIG,
@@ -303,6 +307,45 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw", [
+    dict(RECOVERY_MIN, eps=-0.03125),
+    dict(RECOVERY_MIN, eps=float("inf")),
+    dict(RECOVERY_MIN, delta=0.0),
+    dict(SWEEP_MIN, eps_list=[-0.01, -0.02]),
+    dict(PROFILE_CFG, omega=1.5),
+    dict(PROFILE_CFG, n_cells=128.5),
+    dict(PROFILE_CFG, k=True),
+    dict(SWEEP_MIN, reference_n_cells=767.5),
+    dict(SWEEP_MIN, max_iters=100.5),
+    dict(SWEEP_MIN, jumps=[[0.5, 1.5]]),
+    dict(SWEEP_MIN, left_value=-1.5),
+], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
+        "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
+        "jump-sign-fraction", "left_value-fraction"])
+def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
+    def unused(tp, opts):
+        raise AssertionError("a bad config must be rejected before any solve")
+
+    monkeypatch.setattr(harness, "transition_energy", unused)
+    cfg = write_config(tmp_path, "bad.json", raw)
+    out = tmp_path / "x.csv"
+    res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not out.exists()
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    outs = []
+    for name, raw in (("int", dict(PROFILE_CFG, omega=-1)),
+                      ("float", dict(PROFILE_CFG, omega=-1.0, n_cells=128.0, k=0.0,
+                                     max_iters=50000.0))):
+        cfg = load_config(write_config(tmp_path, f"{name}.json", raw))
+        assert all(type(cfg.raw[key]) is int for key in ("omega", "n_cells", "k", "max_iters"))
+        run_experiment(cfg, tmp_path / f"{name}.csv")
+        outs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("key", ["reference_ncells", "armijo_c", "omega"])
 def test_load_config_rejects_unknown_keys(tmp_path, key):
     path = write_config(tmp_path, "s.json", dict(SWEEP_MIN, **{key: 1}))
@@ -320,3 +363,99 @@ def test_doc_example_configs_load(tmp_path, doc):
         path = tmp_path / f"{i}.json"
         path.write_text(block)
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# reference solves: sign symmetry and the per-process memo
+
+REF_OPTS = MinimizeOptions(grad_tol=1e-6)
+# a small recovery whose reference problems solve in a few milliseconds
+RECOVERY_SMALL = dict(RECOVERY_MIN, T_profile=2.0, n_cells=512, reference_n_cells=192,
+                      grad_tol=1e-4)
+
+
+def count_solves(monkeypatch) -> list:
+    """Record the problem of every transition solve the harness starts."""
+    solved = []
+
+    def counting(tp, opts, _solve=harness.transition_energy):
+        solved.append(tp)
+        return _solve(tp, opts)
+
+    monkeypatch.setattr(harness, "transition_energy", counting)
+    return solved
+
+
+def reference_problem(**kw):
+    base = dict(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", omega=1, T=2.0,
+                T_out=6.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
+    return TransitionProblem(**{**base, **kw})
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.cos_sum(2.5, 1.0), KernelSpec.cos_prod(2.0, 0.7)],
+                         ids=lambda kern: kern.kind)
+@pytest.mark.parametrize("mode", ["lambda", "supercritical", "homogeneous"])
+@pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.5)])
+def test_descending_reference_is_negated_ascending_bit_for_bit(monkeypatch, kernel, mode, k, s):
+    tp = reference_problem(kernel=kernel, mode=mode, k=k, s=s, omega=-1)
+    real = harness.transition_energy(tp, REF_OPTS)
+    solved = count_solves(monkeypatch)
+    mirrored = harness._reference_solve(tp, REF_OPTS)
+    assert [p.omega for p in solved] == [1]
+    assert real.converged
+    np.testing.assert_array_equal(mirrored.profile.values, real.profile.values)
+    for f in fields(MinimizeResult):
+        if f.name != "profile":
+            assert getattr(mirrored, f.name) == getattr(real, f.name), f.name
+
+
+def test_odd_well_solves_both_directions(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, "r.json", dict(RECOVERY_SMALL, chi=0.3)))
+    solved = count_solves(monkeypatch)
+    pair = harness._reference_pair(cfg, "lambda")
+    assert [p.omega for p in solved] == [1, -1]
+    assert pair[1].energy != pair[-1].energy
+    harness._reference_pair(cfg, "lambda")
+    assert len(solved) == 2  # both directions memoised
+
+
+@pytest.mark.parametrize("mode, first_solves", [("lambda", 1), ("supercritical", 2)])
+def test_recovery_reuses_reference_across_eps(tmp_path, monkeypatch, mode, first_solves):
+    solved = count_solves(monkeypatch)
+    outs = []
+    for eps in (2.0 ** -5, 2.0 ** -6):
+        raw = dict(RECOVERY_SMALL, mode=mode, eps=eps)
+        out = tmp_path / f"{eps}.csv"
+        run_experiment(load_config(write_config(tmp_path, "r.json", raw)), out)
+        outs.append(out.read_text())
+        assert len(solved) == first_solves
+    assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("change", [dict(grad_tol=1e-5), dict(max_iters=40000),
+                                    dict(reference_n_cells=96)],
+                         ids=["grad_tol", "max_iters", "reference_n_cells"])
+def test_reference_memo_misses_on_other_options(tmp_path, monkeypatch, change):
+    solved = count_solves(monkeypatch)
+    for raw in (RECOVERY_SMALL, dict(RECOVERY_SMALL, **change)):
+        run_experiment(load_config(write_config(tmp_path, "r.json", raw)), tmp_path / "r.csv")
+    assert len(solved) == 2
+
+
+def test_unconverged_reference_warns_on_every_config(tmp_path, monkeypatch):
+    solved = count_solves(monkeypatch)
+    for eps in (2.0 ** -5, 2.0 ** -6):
+        raw = dict(RECOVERY_SMALL, eps=eps, max_iters=3)
+        cfg = load_config(write_config(tmp_path, "r.json", raw))
+        with pytest.warns(RuntimeWarning, match="stopped on max_iters"):
+            run_experiment(cfg, tmp_path / "r.csv")
+    assert solved and not harness._REFERENCE_MEMO
+
+
+def test_reference_profiles_are_read_only():
+    tp = reference_problem()
+    for omega in (1, -1, 1):
+        values = harness._reference_solve(replace(tp, omega=omega), REF_OPTS).profile.values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
