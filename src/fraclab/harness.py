@@ -4,10 +4,8 @@ A config's omitted keys take their command's defaults from one table and
 unknown keys are rejected; the preconditions of the operations the run calls
 are checked up front, every violation collected into one error.  Each runner
 returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
-The reference solves behind ``predicted`` and the pasted recovery profiles
-go through ``_reference_solve``: with an even well the descending solve is
-the negated ascending one, and a process solves each distinct reference
-problem once, however many configs share it.
+With an even well, the descending reference solve behind ``predicted`` and
+the pasted recovery profiles is the negated ascending one (``_reference_pair``).
 Results are written atomically (temp file + rename).  Failures map to exit
 codes: 2 config, 3 numerical, 4 I/O.
 """
@@ -35,7 +33,7 @@ from .energy import (
 from .experiments import (_check_recovery_geometry, _check_sweep_geometry, build_recovery,
                           delta_rule, regime_sweep)
 from .grid import BVTarget, GridProfile, make_bv_target, make_grid, resample_scaled
-from .optimize import MinimizeOptions, MinimizeResult, NumericalFailure, check_gradient
+from .optimize import MinimizeOptions, NumericalFailure, check_gradient
 from .profiles import (
     TransitionProblem,
     _curve_problems,
@@ -223,41 +221,24 @@ def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
                                n_cells=cfg.raw["reference_n_cells"])
 
 
-# converged reference solves of this process, keyed by (problem with omega
-# normalised, options), oldest evicted first
-_REFERENCE_MEMO: dict = {}
-_REFERENCE_MEMO_SIZE = 32
-
-
-def _reference_solve(tp: TransitionProblem, opts: MinimizeOptions) -> MinimizeResult:
-    """``transition_energy(tp, opts)``, solved once per process.
+def _reference_pair(cfg: ExperimentConfig, mode: str) -> dict:
+    """The reference solves in both jump directions, keyed by omega.
 
     With an even well (chi = 0), W(-z) = W(z) and every step of the solve
     negates exactly under u -> -u, so the omega = -1 result is the omega = +1
-    one with its profile negated, bit for bit.  Only converged results are
-    kept: an unconverged solve runs, and warns, again on every call.
+    one with its profile negated, bit for bit, and is not solved.
     """
-    key_tp = replace(tp, omega=1) if tp.well.chi == 0 else tp
-    res = _REFERENCE_MEMO.get((key_tp, opts))
-    if res is None:
-        res = transition_energy(key_tp, opts)
-        if res.converged:
-            if len(_REFERENCE_MEMO) >= _REFERENCE_MEMO_SIZE:
-                del _REFERENCE_MEMO[next(iter(_REFERENCE_MEMO))]
-            _REFERENCE_MEMO[key_tp, opts] = res
-    if key_tp.omega != tp.omega:
-        res = replace(res, profile=GridProfile(res.profile.grid, -res.profile.values))
-    return res
-
-
-def _reference_pair(cfg: ExperimentConfig, mode: str) -> dict:
-    """The reference solves in both jump directions, keyed by omega."""
     tp, opts = _reference_problem(cfg, mode), cfg.opt_options()
-    return {omega: _reference_solve(replace(tp, omega=omega), opts) for omega in (1, -1)}
+    up = transition_energy(tp, opts)
+    if tp.well.chi == 0:
+        down = replace(up, profile=GridProfile(up.profile.grid, -up.profile.values))
+    else:
+        down = transition_energy(replace(tp, omega=-1), opts)
+    return {1: up, -1: down}
 
 
 def _homogeneous_reference(cfg: ExperimentConfig) -> float:
-    return _reference_solve(_reference_problem(cfg, "homogeneous"), cfg.opt_options()).energy
+    return transition_energy(_reference_problem(cfg, "homogeneous"), cfg.opt_options()).energy
 
 
 def _predicted(cfg: ExperimentConfig, target: BVTarget, mode: str,

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import fraclab.harness as harness
-from fraclab import DoubleWell, KernelSpec, MinimizeOptions, MinimizeResult, TransitionProblem
+from fraclab import MinimizeResult
 from fraclab.cli import main
 from fraclab.harness import (
     EXIT_CONFIG,
@@ -366,9 +366,8 @@ def test_doc_example_configs_load(tmp_path, doc):
 
 
 # ---------------------------------------------------------------------------
-# reference solves: sign symmetry and the per-process memo
+# reference solves: the even-well sign symmetry
 
-REF_OPTS = MinimizeOptions(grad_tol=1e-6)
 # a small recovery whose reference problems solve in a few milliseconds
 RECOVERY_SMALL = dict(RECOVERY_MIN, T_profile=2.0, n_cells=512, reference_n_cells=192,
                       grad_tol=1e-4)
@@ -386,22 +385,23 @@ def count_solves(monkeypatch) -> list:
     return solved
 
 
-def reference_problem(**kw):
-    base = dict(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", omega=1, T=2.0,
-                T_out=6.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
-    return TransitionProblem(**{**base, **kw})
+def small_recovery(tmp_path, **kw):
+    return load_config(write_config(tmp_path, "r.json", dict(RECOVERY_SMALL, **kw)))
 
 
-@pytest.mark.parametrize("kernel", [KernelSpec.cos_sum(2.5, 1.0), KernelSpec.cos_prod(2.0, 0.7)],
-                         ids=lambda kern: kern.kind)
+@pytest.mark.parametrize("kernel", [{"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
+                                    {"variant": "cos_prod", "c0": 2.0, "c1": 0.7}],
+                         ids=lambda kern: kern["variant"])
 @pytest.mark.parametrize("mode", ["lambda", "supercritical", "homogeneous"])
 @pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.5)])
-def test_descending_reference_is_negated_ascending_bit_for_bit(monkeypatch, kernel, mode, k, s):
-    tp = reference_problem(kernel=kernel, mode=mode, k=k, s=s, omega=-1)
-    real = harness.transition_energy(tp, REF_OPTS)
+def test_descending_reference_is_negated_ascending_bit_for_bit(tmp_path, monkeypatch,
+                                                               kernel, mode, k, s):
+    cfg = small_recovery(tmp_path, kernel=kernel, k=k, s=s, grad_tol=1e-6)
+    tp = harness._reference_problem(cfg, mode)
+    real = harness.transition_energy(replace(tp, omega=-1), cfg.opt_options())
     solved = count_solves(monkeypatch)
-    mirrored = harness._reference_solve(tp, REF_OPTS)
-    assert [p.omega for p in solved] == [1]
+    mirrored = harness._reference_pair(cfg, mode)[-1]
+    assert solved == [tp]
     assert real.converged
     np.testing.assert_array_equal(mirrored.profile.values, real.profile.values)
     for f in fields(MinimizeResult):
@@ -410,52 +410,36 @@ def test_descending_reference_is_negated_ascending_bit_for_bit(monkeypatch, kern
 
 
 def test_odd_well_solves_both_directions(tmp_path, monkeypatch):
-    cfg = load_config(write_config(tmp_path, "r.json", dict(RECOVERY_SMALL, chi=0.3)))
+    cfg = small_recovery(tmp_path, chi=0.3)
     solved = count_solves(monkeypatch)
     pair = harness._reference_pair(cfg, "lambda")
     assert [p.omega for p in solved] == [1, -1]
     assert pair[1].energy != pair[-1].energy
-    harness._reference_pair(cfg, "lambda")
-    assert len(solved) == 2  # both directions memoised
 
 
-@pytest.mark.parametrize("mode, first_solves", [("lambda", 1), ("supercritical", 2)])
-def test_recovery_reuses_reference_across_eps(tmp_path, monkeypatch, mode, first_solves):
+@pytest.mark.parametrize("mode, modes_solved", [("lambda", ["lambda"]),
+                                                ("supercritical", ["supercritical",
+                                                                   "homogeneous"])])
+def test_even_well_recovery_solves_ascending_references_only(tmp_path, monkeypatch,
+                                                             mode, modes_solved):
     solved = count_solves(monkeypatch)
-    outs = []
-    for eps in (2.0 ** -5, 2.0 ** -6):
-        raw = dict(RECOVERY_SMALL, mode=mode, eps=eps)
-        out = tmp_path / f"{eps}.csv"
-        run_experiment(load_config(write_config(tmp_path, "r.json", raw)), out)
-        outs.append(out.read_text())
-        assert len(solved) == first_solves
-    assert outs[0] != outs[1]
+    run_experiment(small_recovery(tmp_path, mode=mode), tmp_path / "r.csv")
+    assert [(p.mode, p.omega) for p in solved] == [(m, 1) for m in modes_solved]
 
 
-@pytest.mark.parametrize("change", [dict(grad_tol=1e-5), dict(max_iters=40000),
-                                    dict(reference_n_cells=96)],
-                         ids=["grad_tol", "max_iters", "reference_n_cells"])
-def test_reference_memo_misses_on_other_options(tmp_path, monkeypatch, change):
+def test_unconverged_reference_solves_and_warns_once(tmp_path, monkeypatch):
+    cfg = small_recovery(tmp_path, max_iters=3)
     solved = count_solves(monkeypatch)
-    for raw in (RECOVERY_SMALL, dict(RECOVERY_SMALL, **change)):
-        run_experiment(load_config(write_config(tmp_path, "r.json", raw)), tmp_path / "r.csv")
-    assert len(solved) == 2
+    with pytest.warns(RuntimeWarning, match="stopped on max_iters") as record:
+        pair = harness._reference_pair(cfg, "lambda")
+    assert [p.omega for p in solved] == [1]
+    assert len(record) == 1
+    assert not pair[-1].converged
 
 
-def test_unconverged_reference_warns_on_every_config(tmp_path, monkeypatch):
-    solved = count_solves(monkeypatch)
-    for eps in (2.0 ** -5, 2.0 ** -6):
-        raw = dict(RECOVERY_SMALL, eps=eps, max_iters=3)
-        cfg = load_config(write_config(tmp_path, "r.json", raw))
-        with pytest.warns(RuntimeWarning, match="stopped on max_iters"):
-            run_experiment(cfg, tmp_path / "r.csv")
-    assert solved and not harness._REFERENCE_MEMO
-
-
-def test_reference_profiles_are_read_only():
-    tp = reference_problem()
-    for omega in (1, -1, 1):
-        values = harness._reference_solve(replace(tp, omega=omega), REF_OPTS).profile.values
-        assert not values.flags.writeable
+def test_reference_profiles_are_read_only(tmp_path):
+    for omega, res in harness._reference_pair(small_recovery(tmp_path), "lambda").items():
+        values = res.profile.values
+        assert not values.flags.writeable, omega
         with pytest.raises(ValueError):
             values[0] = 0.0
