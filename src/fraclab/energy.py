@@ -12,9 +12,9 @@ double sum over ordered pairs i != j of ``a_ij * h^2 |x_i - x_j|^{-(1+2s)}
 * (g_i - g_j)^2`` with ``g`` the k-th finite difference of the profile,
 applied by FFT in O(N log N) time and O(N) memory (``_PairForm``).  The
 optional tail adds the closed-form interaction of a clamped profile with the
-constant +-1 exterior beyond a symmetric grid, counting each
-interior-exterior pair in both orders like the pair sum.  All gradients are
-exact derivatives of the implemented sums.
+constant +-1 exterior beyond a symmetric grid, counting each interior-exterior
+pair in both orders like the pair sum.  All gradients are exact derivatives of
+the implemented sums; one at the last energy call's point reuses its FFT product.
 """
 
 from __future__ import annotations
@@ -68,15 +68,22 @@ class DoubleWell:
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
-        out = (1.0 - z * z) ** 2 * (1.0 + self.chi * np.sin(0.5 * np.pi * z))
+        out = self._value(z, 1.0 - z * z)
         return out if out.ndim else float(out)
 
     def deriv(self, z):
         z = np.asarray(z, dtype=float)
-        q = 1.0 - z * z
-        out = -4.0 * z * q * (1.0 + self.chi * np.sin(0.5 * np.pi * z)) \
-            + q * q * self.chi * 0.5 * np.pi * np.cos(0.5 * np.pi * z)
+        out = self._deriv(z, 1.0 - z * z)
         return out if out.ndim else float(out)
+
+    def _value(self, z, q):  # q = 1 - z^2; the even well needs no sin or cos
+        return q * q if not self.chi else q ** 2 * (1.0 + self.chi * np.sin(0.5 * np.pi * z))
+
+    def _deriv(self, z, q):
+        if not self.chi:
+            return -4.0 * z * q
+        return -4.0 * z * q * (1.0 + self.chi * np.sin(0.5 * np.pi * z)) \
+            + q * q * self.chi * 0.5 * np.pi * np.cos(0.5 * np.pi * z)
 
     __call__ = value
 
@@ -242,10 +249,9 @@ class _PairForm:
     length L = 2^a, 3 2^a or 5 2^a >= 2N - 2 (lag N - 1 occurs only once).
     With t = cos(2 pi x / scale), constant: A g = c0 W g;  cos_sum: c0 W g +
     c1 (t o W g + W (t o g));  cos_prod: c0 W g + c1 t o W (t o g);  one
-    batched FFT covers [g, t o g].  The value is 2 g' . (diag(row) - A) g'
-    with g' the mean-centered vector, so constants evaluate to exactly zero.
-    Row sums come from the same path as A @ g, so the gradient vanishes
-    exactly on pure +-1 phases.
+    batched FFT covers [g, t o g].  With g' = g - mean(g), the value is
+    2 g' . (diag(row) - A) g' and its gradient 4 (row o g' - A g'), both
+    exactly zero wherever g' is, as on every pure +-1 phase.
     """
 
     def __init__(self, offset_weights: np.ndarray, kspec: KernelSpec | None,
@@ -276,18 +282,28 @@ class _PairForm:
             return c0 * wg + c1 * (t * wg + wtg)
         return c0 * wg + c1 * (t * wtg)
 
+    def product(self, gc: np.ndarray) -> np.ndarray:
+        """The value's FFT product: W gc for cos_sum, A gc otherwise."""
+        return self._w_product(gc) if self._kspec.kind == "cos_sum" else self.apply(gc)
+
     def value(self, g: np.ndarray) -> float:
         gc = g - g.mean()
+        return self.centred_value(gc, self.product(gc))
+
+    def centred_value(self, gc: np.ndarray, prod: np.ndarray) -> float:
         # cos_sum needs one transform, not two: W symmetric, g . W(t g) = (t g) . W g
         if self._kspec.kind == "cos_sum":
-            wg = self._w_product(gc)
-            quad = self._kspec.c0 * (gc @ wg) + 2.0 * self._kspec.c1 * ((self._t * gc) @ wg)
+            quad = self._kspec.c0 * (gc @ prod) + 2.0 * self._kspec.c1 * ((self._t * gc) @ prod)
         else:
-            quad = gc @ self.apply(gc)
+            quad = gc @ prod
         return max(2.0 * float(self.row @ (gc * gc) - quad), 0.0)
 
-    def grad(self, g: np.ndarray) -> np.ndarray:
-        return 4.0 * (self.row * g - self.apply(g))
+    def centred_apply(self, gc: np.ndarray, prod: np.ndarray) -> np.ndarray:
+        """A @ gc from ``product(gc)``: one more transform for cos_sum."""
+        if self._kspec.kind != "cos_sum":
+            return prod
+        t = self._t
+        return self._kspec.c0 * prod + self._kspec.c1 * (t * prod + self._w_product(t * gc))
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -314,11 +330,14 @@ def _cross_tail_constant(kspec: KernelSpec | None, s: float, T_out: float) -> fl
 class DiscreteEnergy:
     """Energy/gradient evaluator for repeated calls on one grid.
 
-    Precomputes the matrix-free pair operator, the trapezoid weights, and
-    (optionally) the tail coefficients, so a minimization loop costs one
-    batched FFT product, O(N log N), per energy or gradient call.  ``preconditioner`` returns the inverse of the
-    energy's constant-coefficient Hessian at a pure phase, applied by fast
-    sine transforms on the free nodes, for preconditioned descent.
+    Precomputes the matrix-free pair operator, the trapezoid weights and
+    (optionally) the tail coefficients.  ``energy`` evaluates each point afresh
+    with one O(N log N) FFT product and keeps what the gradient shares, which
+    ``gradient`` at an equal point reuses (cos_sum adds one single-row product).
+    So an instance holds per-point state and must not be shared across threads
+    (the curve's thread pool builds one per T).  ``preconditioner`` returns the
+    inverse of the energy's constant-coefficient Hessian at a pure phase,
+    applied by fast sine transforms on the free nodes.
 
     ``well_coef`` and ``nonlocal_coef`` select the functional: (1/eps,
     eps^{2(k+s)-1}) gives the eps/delta form, (1, 1) the rescaled form, and
@@ -355,6 +374,7 @@ class DiscreteEnergy:
         self._weights = _pair_weights(grid, s)
         self._a_bar = 1.0 if kspec is None else kspec.a_bar
         self._form = _PairForm(self._weights, kspec, x, kernel_scale)
+        self._last = (None,)  # u (a private copy), q = 1 - u^2, g = D_k u, gc, product(gc)
 
         self._tail_signs = tail_signs
         if tail_signs is not None:
@@ -394,27 +414,37 @@ class DiscreteEnergy:
         u = values[1:-1]
         return float((u - sr) ** 2 @ self._c_right + (u - sl) ** 2 @ self._c_left) + self._cross
 
+    def _point(self, values: np.ndarray) -> None:
+        """Evaluate and keep the pieces energy and gradient share at ``values``."""
+        u = np.array(values, dtype=float)
+        g = self._difference(u)
+        gc = g - g.mean()
+        self._last = (u, 1.0 - u * u, g, gc, self._form.product(gc))
+
     def energy(self, values: np.ndarray) -> float:
-        total = float(self._trap @ self.well.value(values))
-        g = self._difference(values)
-        total += self.nonlocal_coef * self._form.value(g)
+        self._point(values)
+        u, q, g, gc, prod = self._last
+        total = float(self._trap @ self.well._value(u, q))
+        total += self.nonlocal_coef * self._form.centred_value(gc, prod)
         if self._tail_signs is not None:
-            total += self.nonlocal_coef * self._tail_energy(values, g)
+            total += self.nonlocal_coef * self._tail_energy(u, g)
         return total
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        g = self._difference(values)
-        inner = self._form.grad(g)
+        if not np.array_equal(values, self._last[0]):  # equal content, never identity
+            self._point(values)
+        u, q, g, gc, prod = self._last
+        inner = 4.0 * (self._form.row * gc - self._form.centred_apply(gc, prod))
         if self._tail_signs is not None and self.k >= 1:
             inner[1:-1] += 2.0 * self._c_sum * g[1:-1]
         if self.k:
             inner = _stencil_adjoint(inner, self.k)
             inner *= self._h_k
-        grad = self._trap * self.well.deriv(values)
+        grad = self._trap * self.well._deriv(u, q)
         grad += self.nonlocal_coef * inner
         if self._tail_signs is not None and self.k == 0:
             sl, sr = self._tail_signs
-            u = values[1:-1]
+            u = u[1:-1]
             grad[1:-1] += self.nonlocal_coef * 2.0 * (
                 self._c_right * (u - sr) + self._c_left * (u - sl)
             )

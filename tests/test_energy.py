@@ -76,6 +76,43 @@ def test_double_well_rejects_bad_chi():
         DoubleWell(1.0)
 
 
+def _well_general(chi, z):
+    """The double well and its derivative by the general formula, sin and cos
+    included whatever chi is."""
+    q = 1.0 - z * z
+    value = q ** 2 * (1.0 + chi * np.sin(0.5 * np.pi * z))
+    deriv = -4.0 * z * q * (1.0 + chi * np.sin(0.5 * np.pi * z)) \
+        + q * q * chi * 0.5 * np.pi * np.cos(0.5 * np.pi * z)
+    return value, deriv
+
+
+WELL_POINTS = np.r_[np.linspace(-3.0, 3.0, 1201), -1.0, 1.0, 0.0, -0.0, 2.0000001, -2.7]
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.3])
+def test_double_well_matches_general_formula(chi):
+    # the even well skips its trig factor; only the sign of a zero may differ
+    w = DoubleWell(chi)
+    value, deriv = _well_general(chi, WELL_POINTS)
+    np.testing.assert_array_equal(w.value(WELL_POINTS), value)
+    got = w.deriv(WELL_POINTS)
+    np.testing.assert_array_equal(got, deriv)  # -0.0 == 0.0 here
+    assert np.all(got[np.signbit(got) != np.signbit(deriv)] == 0.0)
+    if chi:
+        assert np.array_equal(np.signbit(got), np.signbit(deriv))
+    for z in (-2.5, -1.0, 0.0, 0.3, 1.0):
+        assert type(w.value(z)) is float and type(w.deriv(z)) is float
+        assert w.value(z) == _well_general(chi, np.float64(z))[0]
+
+
+def test_even_well_derivative_matches_finite_differences():
+    w = DoubleWell(0.0)
+    z = np.linspace(-2.6, 2.6, 53)
+    step = 1e-6
+    fd = (w.value(z + step) - w.value(z - step)) / (2.0 * step)
+    np.testing.assert_allclose(w.deriv(z), fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+
+
 def test_kernel_examples():
     assert KernelSpec.constant(2.0).eval(0.37, -1.2) == 2.0
     cs = KernelSpec.cos_sum(2.5, 1.0)
@@ -351,6 +388,93 @@ def test_gradient_zero_at_clamped_pure_phase(lo, hi, n_cells, k):
         pure = np.full(g.n_nodes, phase)
         assert model.energy(pure) == 0.0
         assert np.all(model.gradient(pure) == 0.0)
+
+
+REUSE_KERNELS = [None, KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
+                 KernelSpec.cos_prod(2.0, 0.7)]
+
+
+def _reuse_case(k, kspec, tail_signs=None, chi=0.0, **kw):
+    g = make_grid(-3.0, 3.0, 60)
+
+    def model():
+        return DiscreteEnergy(g, k, 0.75, DoubleWell(chi), kspec=kspec, kernel_scale=0.3,
+                              tail_signs=tail_signs, **kw)
+    rng = np.random.default_rng(7 * k + 3)
+    u = np.tanh(2.0 * g.nodes()) + 0.1 * rng.standard_normal(g.n_nodes)
+    u[0], u[-1] = -1.0, 1.0
+    return model, u
+
+
+def _count_points(monkeypatch, model):
+    """Wrap the model's per-point step; the list counts its evaluations."""
+    calls = []
+    step = model._point
+    monkeypatch.setattr(model, "_point", lambda values: calls.append(1) or step(values))
+    return calls
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["no_tail", "tail"])
+@pytest.mark.parametrize("kspec", REUSE_KERNELS, ids=lambda k: k.kind if k else "none")
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("chi", [0.0, 0.3])
+def test_gradient_reuse_matches_fresh_instance(chi, k, kspec, tail, monkeypatch):
+    make, u = _reuse_case(k, kspec, (-1, 1) if tail else None, chi)
+    model = make()
+    calls = _count_points(monkeypatch, model)
+    model.energy(u)
+    np.testing.assert_array_equal(model.gradient(u), make().gradient(u))
+    assert len(calls) == 1  # the gradient reused the energy's point
+
+
+def test_gradient_reuse_follows_the_content(monkeypatch):
+    make, u = _reuse_case(1, KernelSpec.cos_sum(2.5, 1.0), (-1, 1))
+    model = make()
+    calls = _count_points(monkeypatch, model)
+    # an equal-content copy hits
+    model.energy(u)
+    np.testing.assert_array_equal(model.gradient(u.copy()), make().gradient(u))
+    assert len(calls) == 1
+    # an in-place change misses and gives the fresh gradient
+    u[17] += 0.25
+    np.testing.assert_array_equal(model.gradient(u), make().gradient(u))
+    assert len(calls) == 2
+    # a returned gradient is the caller's: writing into it changes nothing
+    model.energy(u)
+    first = model.gradient(u)
+    first[:] = 7.0
+    np.testing.assert_array_equal(model.gradient(u), make().gradient(u))
+    assert len(calls) == 3
+    # NaN != NaN: a point with a NaN entry never hits
+    u[5] = np.nan
+    model.energy(u)
+    model.gradient(u)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("kspec", REUSE_KERNELS, ids=lambda k: k.kind if k else "none")
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_pure_phase_and_constants_exactly_zero_through_reuse(k, kspec, monkeypatch):
+    for phase in (1.0, -1.0):
+        for tail in (None, (phase, phase)):
+            make, u = _reuse_case(k, kspec, tail, chi=0.4)
+            model = make()
+            calls = _count_points(monkeypatch, model)
+            pure = np.full(u.size, phase)
+            assert model.energy(pure) == 0.0
+            assert np.all(model.gradient(pure) == 0.0)
+            assert len(calls) == 1
+    # the nonlocal term alone, on constants whose stencil sums and mean are
+    # exact in floating point
+    make, u = _reuse_case(k, kspec, well_coef=0.0)
+    model = make()
+    calls = _count_points(monkeypatch, model)
+    consts = (-1.0, 0.0, 0.5, 3.0)
+    for c in consts:
+        const = np.full(u.size, c)
+        assert model.energy(const) == 0.0
+        assert np.all(model.gradient(const) == 0.0)
+    assert len(calls) == len(consts)
 
 
 def test_discrete_energy_matches_op_functions_with_tail():
