@@ -248,8 +248,8 @@ class _PairForm:
     W g is the head of a circular convolution with W's circulant symbol, of
     length L = 2^a, 3 2^a or 5 2^a >= 2N - 2 (lag N - 1 occurs only once).
     With t = cos(2 pi x / scale), constant: A g = c0 W g;  cos_sum: c0 W g +
-    c1 (t o W g + W (t o g));  cos_prod: c0 W g + c1 t o W (t o g);  one
-    batched FFT covers [g, t o g].  With g' = g - mean(g), the value is
+    c1 (t o W g + W (t o g));  cos_prod: c0 W g + c1 t o W (t o g), with one
+    batched FFT over [g, t o g].  With g' = g - mean(g), the value is
     2 g' . (diag(row) - A) g' and its gradient 4 (row o g' - A g'), both
     exactly zero wherever g' is, as on every pure +-1 phase.
     """
@@ -271,20 +271,25 @@ class _PairForm:
         spectrum = np.fft.rfft(g, self._len) * self._symbol
         return np.fft.irfft(spectrum, self._len)[..., :self._n]
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """A @ g."""
+    def product(self, g: np.ndarray) -> np.ndarray:
+        """The value's FFT product: W g for cos_sum, A g otherwise."""
         c0, c1 = self._kspec.c0, self._kspec.c1
+        if self._kspec.kind == "cos_sum":
+            return self._w_product(g)
         if self._kspec.kind == "constant":
             return c0 * self._w_product(g)
-        t = self._t
-        wg, wtg = self._w_product(np.stack([g, t * g]))
-        if self._kspec.kind == "cos_sum":
-            return c0 * wg + c1 * (t * wg + wtg)
-        return c0 * wg + c1 * (t * wtg)
+        wg, wtg = self._w_product(np.stack([g, self._t * g]))
+        return c0 * wg + c1 * (self._t * wtg)
 
-    def product(self, gc: np.ndarray) -> np.ndarray:
-        """The value's FFT product: W gc for cos_sum, A gc otherwise."""
-        return self._w_product(gc) if self._kspec.kind == "cos_sum" else self.apply(gc)
+    def apply(self, g: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
+        """A @ g; ``prod`` is ``product(g)`` if the caller has it (cos_sum
+        then needs one more transform, the other kernels none)."""
+        if prod is None:
+            prod = self.product(g)
+        if self._kspec.kind != "cos_sum":
+            return prod
+        t = self._t
+        return self._kspec.c0 * prod + self._kspec.c1 * (t * prod + self._w_product(t * g))
 
     def value(self, g: np.ndarray) -> float:
         gc = g - g.mean()
@@ -297,13 +302,6 @@ class _PairForm:
         else:
             quad = gc @ prod
         return max(2.0 * float(self.row @ (gc * gc) - quad), 0.0)
-
-    def centred_apply(self, gc: np.ndarray, prod: np.ndarray) -> np.ndarray:
-        """A @ gc from ``product(gc)``: one more transform for cos_sum."""
-        if self._kspec.kind != "cos_sum":
-            return prod
-        t = self._t
-        return self._kspec.c0 * prod + self._kspec.c1 * (t * prod + self._w_product(t * gc))
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -434,7 +432,7 @@ class DiscreteEnergy:
         if not np.array_equal(values, self._last[0]):  # equal content, never identity
             self._point(values)
         u, q, g, gc, prod = self._last
-        inner = 4.0 * (self._form.row * gc - self._form.centred_apply(gc, prod))
+        inner = 4.0 * (self._form.row * gc - self._form.apply(gc, prod))
         if self._tail_signs is not None and self.k >= 1:
             inner[1:-1] += 2.0 * self._c_sum * g[1:-1]
         if self.k:

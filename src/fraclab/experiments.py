@@ -2,11 +2,11 @@
 explicit recovery constructions, tail flattening, and decay probes.
 
 The sweep minimizes the eps/delta energy over profiles pinned to a
-piecewise +-1 target outside shrinking windows around its jumps, recording
-the minimum against the sharp-interface prediction.  The recovery
-construction pastes rescaled optimal profiles at kernel-aligned shifts of the
-jump points; the probes measure the decay trends (cross-interval
-interactions, truncation tails) that make those constructions work.
+piecewise +-1 target outside shrinking windows around its jumps, one solve
+per eps.  The recovery construction pastes rescaled optimal profiles at
+kernel-aligned shifts of the jump points; the probes measure the decay
+trends (cross-interval interactions, truncation tails) that make those
+constructions work.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class SweepPoint:
     eps: float
     delta: float
     min_energy: float
-    predicted: float
     result: MinimizeResult
 
 
@@ -99,17 +98,18 @@ def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float):
 def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
                  *, k: int, s: float, well: DoubleWell, n_cells: int,
                  T_profile: float = 4.0, window_factor: float = 2.0,
-                 lam: float = 1.0, predicted: float = math.nan,
-                 opts: MinimizeOptions = MinimizeOptions()) -> list[SweepPoint]:
+                 lam: float = 1.0, opts: MinimizeOptions = MinimizeOptions()) -> list[SweepPoint]:
     """Minimize the eps/delta energy on (0, 1) for each eps in the sweep.
 
     Profiles are clamped to the target outside windows of half-width
     ``min(tau/2, window_factor * eps * T_profile)`` around each jump, where
-    tau is half the minimal jump/edge separation.  Each solve is
-    preconditioned with the energy's spectral preconditioner, and one that
-    stops short of ``grad_tol`` emits a RuntimeWarning.  ``predicted`` is the
-    mode's sharp-interface limit, recorded on every point.  Where delta
-    falls below 2h (the supercritical rule at n_cells = 2000 does so from
+    tau is half the minimal jump/edge separation.  Each eps gets one solve,
+    from smooth ramps centred at the jumps; the subcritical rule instead
+    centres them on the kernel's diagonal minimum next to each jump
+    (``_jump_shift``) when that keeps eps * T_profile inside the window.
+    Each solve is preconditioned with the energy's spectral preconditioner,
+    and one that stops short of ``grad_tol`` emits a RuntimeWarning.  Where
+    delta falls below 2h (the supercritical rule at n_cells = 2000 does so from
     eps = 2^-5 on), the nodes sample the kernel's oscillation below its
     Nyquist rate, so the minimized energy is that of an aliased kernel.
     """
@@ -133,17 +133,23 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             in_window |= (x > a) & (x < b)
         clamp = ClampSpec(~in_window, np.where(in_window, 0.0, target_vals))
 
-        # descent keeps the transition in the basin it starts from, so offer
-        # one ramp centered at each jump and, for the subcritical rule, one
-        # shifted onto the kernel's diagonal minimum; keep the lowest minimum
-        centers_list = [list(target.jump_locations)]
+        # descent keeps the transition in the basin it starts from: the
+        # subcritical rule starts on the kernel's diagonal minimum where the
+        # window admits it, every other start is centred at the jumps
+        centers = list(target.jump_locations)
         if rule == "subcritical":
             r = kernel.diag_argmin()
-            aligned = [_jump_shift(t_j, delta, "subcritical", r)
-                       for t_j in target.jump_locations]
-            if all(abs(c - t) < w - eps * T_profile
-                   for c, t in zip(aligned, target.jump_locations)):
-                centers_list.append(aligned)
+            aligned = [_jump_shift(t_j, delta, "subcritical", r) for t_j in centers]
+            if all(abs(c - t) < w - eps * T_profile for c, t in zip(aligned, centers)):
+                centers = aligned
+        init = target_vals.copy()
+        for t_j, s_j, a, b, ctr in zip(target.jump_locations, target.jump_signs,
+                                       lo, hi, centers):
+            sel = (x > a) & (x < b)
+            w_ramp = w - abs(ctr - t_j)
+            # smooth ramp with flat window edges: kink-free for k >= 1
+            q = _smoothstep((x[sel] - ctr + w_ramp) / (2.0 * w_ramp))
+            init[sel] = s_j * (2.0 * q - 1.0)
 
         EnergyParams(k, s, eps, delta)  # rejects excluded exponent/scale combinations
         model = DiscreteEnergy(
@@ -151,25 +157,10 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             well_coef=1.0 / eps,
             nonlocal_coef=eps ** (2.0 * (k + s) - 1.0),
         )
-        precondition = model.preconditioner(in_window)
-        res = None
-        for centers in centers_list:
-            init = target_vals.copy()
-            for t_j, s_j, a, b, ctr in zip(target.jump_locations, target.jump_signs,
-                                           lo, hi, centers):
-                sel = (x > a) & (x < b)
-                w_ramp = w - abs(ctr - t_j)
-                # smooth ramp with flat window edges: kink-free for k >= 1
-                q = _smoothstep((x[sel] - ctr + w_ramp) / (2.0 * w_ramp))
-                init[sel] = s_j * (2.0 * q - 1.0)
-            cand = minimize(model.energy, model.gradient, GridProfile(grid, init),
-                            clamp, opts, precondition=precondition)
-            _warn_unconverged(cand, f"{rule} sweep solve at eps={eps:g}")
-            if res is None or cand.energy < res.energy:
-                res = cand
-        points.append(SweepPoint(
-            eps=eps, delta=delta, min_energy=res.energy, predicted=predicted, result=res,
-        ))
+        res = minimize(model.energy, model.gradient, GridProfile(grid, init), clamp, opts,
+                       precondition=model.preconditioner(in_window))
+        _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
+        points.append(SweepPoint(eps=eps, delta=delta, min_energy=res.energy, result=res))
     return points
 
 

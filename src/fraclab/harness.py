@@ -314,21 +314,21 @@ def _run_profile(cfg: ExperimentConfig, workers: int) -> list[dict]:
 
 def _run_curve(cfg: ExperimentConfig, workers: int) -> list[dict]:
     tp, T_list = _transition_problem(cfg), cfg.raw["T_list"]
-    points, _ = transition_energy_curve(tp, T_list, cfg.opt_options(), workers=workers)
+    points = transition_energy_curve(tp, T_list, cfg.opt_options(), workers=workers)
     return [_solve_record(tp_T, p.result) for tp_T, p in zip(_curve_problems(tp, T_list), points)]
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int) -> list[dict]:
     raw = cfg.raw
     target = _target(raw)
+    predicted = _predicted(cfg, target, _RULE_MODE[raw["rule"]])
     points = regime_sweep(
         cfg.kernel, target, raw["rule"], raw["eps_list"], k=cfg.k, s=cfg.s, well=cfg.well,
         n_cells=raw["n_cells"], T_profile=float(raw["T_profile"]),
-        window_factor=float(raw["window_factor"]), lam=float(raw["lam"]),
-        predicted=_predicted(cfg, target, _RULE_MODE[raw["rule"]]), opts=cfg.opt_options(),
+        window_factor=float(raw["window_factor"]), lam=float(raw["lam"]), opts=cfg.opt_options(),
     )
     return [{"eps": p.eps, "delta": p.delta, "ratio": p.delta / p.eps,
-             "min_energy": p.min_energy, "predicted": p.predicted} for p in points]
+             "min_energy": p.min_energy, "predicted": predicted} for p in points]
 
 
 def _run_recovery(cfg: ExperimentConfig, workers: int) -> list[dict]:
@@ -400,7 +400,7 @@ def _selftest_checks(inject_gradient_bug: bool):
     # monotone T-curve, homogeneous kernel, small N
     tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
                            T=2.0, T_out=6.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
-    pts, _ = transition_energy_curve(tp, [2.0, 4.0], MinimizeOptions(grad_tol=1e-5))
+    pts = transition_energy_curve(tp, [2.0, 4.0], MinimizeOptions(grad_tol=1e-5))
     mono = pts[1].m_hat <= pts[0].m_hat + 1e-6
     checks.append(("T-monotonicity", mono,
                    f"m({pts[0].T})={pts[0].m_hat:.6f} m({pts[1].T})={pts[1].m_hat:.6f}"))

@@ -71,8 +71,6 @@ class ClampSpec:
 class MinimizeOptions:
     grad_tol: float = 1e-7
     max_iters: int = 50_000
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     initial_step: float = 1.0
 
 
@@ -89,6 +87,8 @@ class MinimizeResult:
     backtracks: int
 
 
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 80
 # relative energy change below which the energy test is replaced by the slope
 # test; the energy's rounding floor was measured up to 2.4e-12 |E|
@@ -173,13 +173,13 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
             g_trial = None
             if abs(e_trial - energy) <= flat:
                 g_trial = projected_grad(trial)
-                accepted = -float(g_trial @ d) <= (1.0 - 2.0 * opts.armijo_c) * gd
+                accepted = -float(g_trial @ d) <= (1.0 - 2.0 * _ARMIJO_C) * gd
             else:
-                accepted = np.isfinite(e_trial) and e_trial <= energy - opts.armijo_c * t * gd
+                accepted = np.isfinite(e_trial) and e_trial <= energy - _ARMIJO_C * t * gd
             if accepted:
                 break
             backtracks += 1
-            t *= opts.backtrack_factor
+            t *= _BACKTRACK_FACTOR
         if not accepted:
             stop_reason = "line_search_underflow"
             break

@@ -150,22 +150,14 @@ def transition_energy_curve(tp: TransitionProblem, T_list,
     """m-hat as a function of the clamp half-length T.
 
     Each T keeps the template's T_out/T ratio and grid spacing (n_cells
-    scales with T), solved on up to ``workers`` threads.  Returns the curve
-    and a convergence flag set when the last two values differ by less than
-    1 percent (the finite-length energies decrease to the infinite-length
-    limit).
+    scales with T), solved on up to ``workers`` threads.
     """
     # only a curve needs the pool; importing it loads logging (about 0.3 MiB of RSS)
     from concurrent.futures import ThreadPoolExecutor
     problems = _curve_problems(tp, T_list)
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         results = list(pool.map(lambda p: transition_energy(p, opts), problems))
-    points = [TransitionCurvePoint(p.T, res.energy, res) for p, res in zip(problems, results)]
-    converged = (
-        len(points) >= 2
-        and abs(points[-1].m_hat - points[-2].m_hat) < 0.01 * abs(points[-1].m_hat)
-    )
-    return points, converged
+    return [TransitionCurvePoint(p.T, res.energy, res) for p, res in zip(problems, results)]
 
 
 def predicted_limit(kernel: KernelSpec, mode: str, k: int, s: float,

@@ -124,8 +124,8 @@ def t_curves():
                             omega=1, T=4.0, T_out=12.0, n_cells=768,
                             well=WELL0, k=0, s=0.75)
     osc = replace(hom, kernel=COSSUM, mode="lambda", lam=1.0)
-    pts_hom, _ = transition_energy_curve(hom, T_list, opts)
-    pts_osc, _ = transition_energy_curve(osc, T_list, opts)
+    pts_hom = transition_energy_curve(hom, T_list, opts)
+    pts_osc = transition_energy_curve(osc, T_list, opts)
     return pts_hom, pts_osc, time.monotonic() - t0
 
 

@@ -241,7 +241,7 @@ def test_regime_sweep_basic_properties():
     target = make_bv_target([(0.5, +1)])
     pts = regime_sweep(kern, target, "critical", [2.0 ** -5, 2.0 ** -6],
                        k=0, s=0.75, well=WELL, n_cells=512, T_profile=1.0,
-                       window_factor=4.0, predicted=1.0, opts=OPTS)
+                       window_factor=4.0, opts=OPTS)
     assert all(p.min_energy >= 0 for p in pts)
     assert pts[0].eps > pts[1].eps
     assert pts[0].delta == pts[0].eps  # lambda = 1 critical rule
@@ -252,6 +252,39 @@ def test_regime_sweep_basic_properties():
         outside = np.abs(x - 0.5) >= w
         np.testing.assert_array_equal(
             p.result.profile.values[outside], np.where(x[outside] >= 0.5, 1.0, -1.0))
+
+
+SUB_OPTS = MinimizeOptions(grad_tol=1e-6)
+
+
+def test_subcritical_sweep_solves_once_from_the_diagonal_minimum(monkeypatch):
+    from fraclab import experiments
+
+    starts = []
+    solve = experiments.minimize
+    monkeypatch.setattr(experiments, "minimize",
+                        lambda *args, **kw: starts.append(args[2].values) or solve(*args, **kw))
+    eps = 2.0 ** -7
+    regime_sweep(KernelSpec.cos_sum(2.5, 1.0), make_bv_target([(0.5, +1)]), "subcritical",
+                 [eps], k=0, s=0.75, well=WELL, n_cells=2000, T_profile=4.0,
+                 window_factor=4.0, opts=SUB_OPTS)
+    assert len(starts) == 1
+    # the ramp crosses zero on the kernel's diagonal minimum r = 1/2 next to the jump
+    delta = 2.0 ** -3.5
+    centre = delta * (np.floor(0.5 / delta - 0.5) + 0.5)
+    x, init = make_grid(0.0, 1.0, 2000).nodes(), starts[0]
+    i = int(np.argmax(init >= 0.0))
+    assert x[i - 1] < centre <= x[i]
+    crossing = x[i - 1] - init[i - 1] * (x[i] - x[i - 1]) / (init[i] - init[i - 1])
+    assert abs(crossing - centre) < 0.1 * (x[1] - x[0])
+
+
+def test_subcritical_sweep_leaves_the_centred_basin():
+    # from a ramp centred at the jump, descent stops at 22.16 here
+    pts = regime_sweep(KernelSpec.cos_sum(2.5, 1.0), make_bv_target([(0.5, +1)]),
+                       "subcritical", [2.0 ** -8], k=0, s=0.75, well=WELL, n_cells=4000,
+                       T_profile=4.0, window_factor=16.0, opts=SUB_OPTS)
+    assert pts[0].min_energy < 18.5
 
 
 def test_unconverged_sweep_solve_warns():

@@ -83,7 +83,7 @@ def test_argmin_invariance_under_kernel_scaling():
 
 def test_curve_monotone_and_flag():
     tp = small_problem(n_cells=160)
-    pts, _ = transition_energy_curve(tp, [2.0, 4.0], OPTS)
+    pts = transition_energy_curve(tp, [2.0, 4.0], OPTS)
     assert pts[1].m_hat <= pts[0].m_hat + 1e-6
     with pytest.raises(ValueError):
         transition_energy_curve(tp, [4.0, 2.0], OPTS)
