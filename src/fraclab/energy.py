@@ -3,7 +3,7 @@ quadrature weights, and the discrete phase-transition energy.
 
 ``DiscreteEnergy`` is the one evaluator of the functional
 
-    well_coef * trapezoid(W(u)) + nonlocal_coef * nonlocal sum (+ tail),
+    well_coef * trapezoid(W(u)) + nonlocal_coef * (nonlocal sum + exterior),
 
 with (well_coef, nonlocal_coef) = (1/eps, eps^{2(k+s)-1}) and the kernel at
 (x/delta, y/delta) for the eps/delta functional (``eval_F`` evaluates it
@@ -11,27 +11,23 @@ once), and (1, 1) for the rescaled one.  The nonlocal term is the nodal
 double sum over ordered pairs i != j of ``a_ij * h^2 |x_i - x_j|^{-(1+2s)}
 * (g_i - g_j)^2`` with ``g`` the k-th finite difference of the profile,
 applied by FFT in O(N log N) time and O(N) memory (``_PairForm``).  The
-optional tail adds the closed-form interaction of a clamped profile with the
-constant +-1 exterior beyond a symmetric grid, counting each interior-exterior
-pair in both orders like the pair sum.  All gradients are exact derivatives of
-the implemented sums; one at the last energy call's point reuses its FFT product.
+optional exterior term adds the pairs with a node off the grid, in both
+orders like the pair sum: the closed-form tail of the +-1 exterior beyond a
+symmetric grid, or the pinned rest of a larger grid (``block``).  All
+gradients are exact derivatives of the implemented sums; one at the last
+energy call's point reuses its FFT product.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy >= 2 would load it lazily, inside the first energy call
 
-from .grid import (
-    _REACH,
-    SUPPORTED_ORDERS,
-    GridProfile,
-    UniformGrid,
-    _stencil_adjoint,
-    _stencil_apply,
-)
+from .grid import (_REACH, SUPPORTED_ORDERS, GridProfile, UniformGrid, _stencil_adjoint,
+                   _stencil_apply, make_grid)
 
 __all__ = [
     "DoubleWell",
@@ -130,20 +126,16 @@ class KernelSpec:
         return cls("cos_prod", float(c0), float(c1))
 
     @property
+    def _swing(self) -> float:  # max |a - c0| over the unit square
+        return {"constant": 0.0, "cos_sum": 2.0 * abs(self.c1), "cos_prod": abs(self.c1)}[self.kind]
+
+    @property
     def alpha_a(self) -> float:
-        if self.kind == "constant":
-            return self.c0
-        if self.kind == "cos_sum":
-            return self.c0 - 2.0 * abs(self.c1)
-        return self.c0 - abs(self.c1)
+        return self.c0 - self._swing
 
     @property
     def beta_a(self) -> float:
-        if self.kind == "constant":
-            return self.c0
-        if self.kind == "cos_sum":
-            return self.c0 + 2.0 * abs(self.c1)
-        return self.c0 + abs(self.c1)
+        return self.c0 + self._swing
 
     @property
     def a_bar(self) -> float:
@@ -153,11 +145,7 @@ class KernelSpec:
     @property
     def a_inf(self) -> float:
         """Infimum of the diagonal t -> a(t, t)."""
-        if self.kind == "constant":
-            return self.c0
-        if self.kind == "cos_sum":
-            return self.c0 - 2.0 * abs(self.c1)
-        return self.c0 + min(0.0, self.c1)
+        return self.c0 + min(0.0, self.c1) if self.kind == "cos_prod" else self.alpha_a
 
     def diag_argmin(self) -> float:
         """A point r in [0, 1) with a(r, r) = a_inf (closed form per variant)."""
@@ -232,13 +220,6 @@ def _pair_weights(grid: UniformGrid, s: float) -> np.ndarray:
     w[0] = 0.0
     w.flags.writeable = False
     return w
-
-
-def _trapezoid(grid: UniformGrid) -> np.ndarray:
-    t = np.full(grid.n_nodes, grid.h)
-    t[0] *= 0.5
-    t[-1] *= 0.5
-    return t
 
 
 class _PairForm:
@@ -329,7 +310,7 @@ class DiscreteEnergy:
     """Energy/gradient evaluator for repeated calls on one grid.
 
     Precomputes the matrix-free pair operator, the trapezoid weights and
-    (optionally) the tail coefficients.  ``energy`` evaluates each point afresh
+    (optionally) the exterior term.  ``energy`` evaluates each point afresh
     with one O(N log N) FFT product and keeps what the gradient shares, which
     ``gradient`` at an equal point reuses (cos_sum adds one single-row product).
     So an instance holds per-point state and must not be shared across threads
@@ -339,12 +320,13 @@ class DiscreteEnergy:
 
     ``well_coef`` and ``nonlocal_coef`` select the functional: (1/eps,
     eps^{2(k+s)-1}) gives the eps/delta form, (1, 1) the rescaled form, and
-    ``well_coef=0`` the nonlocal term alone.  ``tail_signs`` = (left, right)
-    adds the interactions with the +-1 exterior beyond a grid spanning
-    (-T_out, T_out); each interior node contributes, over ordered pairs,
-    2 h rho(x_i) [(T_out - x_i)^{-2s} + (T_out + x_i)^{-2s}] / (2s) times
-    |g_i|^2 for k >= 1, or times the per-side |u_i - sign|^2 for k = 0 (which
-    needs s > 1/2), plus the cross-tail constant when the signs differ.
+    ``well_coef=0`` the nonlocal term alone.  The exterior term on g = D_k u,
+    sum_i ((R_i g_i - 2 B_i) g_i + C_i) + C0, has gradient 2 (R g - B) in g.
+    ``tail_signs`` = (left, right) fills it with the ordered-pair
+    interactions with the +-1 exterior beyond a grid on (-T_out, T_out):
+    R = c_+ + c_- with c_+-,i = 2 h rho(x_i) (T_out -+ x_i)^{-2s} / (2s) off
+    the end nodes; for k = 0 (s > 1/2), B = c_+ right + c_- left, C = R and
+    C0 = the cross-tail constant if the signs differ, else B = C = C0 = 0.
     Difference stencils act in exactly representable units and h^-k is
     applied after the stencil, so pure phases +-1 have exactly zero energy
     and gradient for every k and grid.
@@ -357,44 +339,44 @@ class DiscreteEnergy:
         if k not in SUPPORTED_ORDERS:
             raise ValueError(f"k must be one of {SUPPORTED_ORDERS}, got {k}")
         if grid.n_nodes < 2 * k + 3:
-            raise ValueError(
-                f"grid has {grid.n_nodes} nodes; k={k} energies need at least {2 * k + 3}"
-            )
-        self.grid = grid
+            raise ValueError(f"grid has {grid.n_nodes} nodes; k={k} needs at least {2 * k + 3}")
+        self.grid, self._h = grid, grid.h
         self.k = int(k)
         self.s = float(s)
         self.well = well
         self.well_coef = float(well_coef)
         self.nonlocal_coef = float(nonlocal_coef)
-        self._trap = _trapezoid(grid) * self.well_coef
+        self._trap = np.full(grid.n_nodes, grid.h * self.well_coef)  # trapezoid weights
+        self._trap[[0, -1]] *= 0.5
         self._h_k = grid.h ** -self.k
         x = grid.nodes()
         self._weights = _pair_weights(grid, s)
         self._a_bar = 1.0 if kspec is None else kspec.a_bar
+        self._kernel = (kspec, x, kernel_scale)
         self._form = _PairForm(self._weights, kspec, x, kernel_scale)
+        self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
         self._last = (None,)  # u (a private copy), q = 1 - u^2, g = D_k u, gc, product(gc)
 
-        self._tail_signs = tail_signs
+        self._exterior = None  # (R, B, C, C0)
         if tail_signs is not None:
             T_out = grid.x_hi
             if grid.x_lo != -T_out:
-                raise ValueError(
-                    f"the exterior tail needs a grid symmetric about 0, got ({grid.x_lo}, {T_out})"
-                )
+                raise ValueError(f"the exterior tail needs a grid symmetric about 0,"
+                                 f" got ({grid.x_lo}, {T_out})")
             if not set(tail_signs) <= {-1, 1}:
                 raise ValueError(f"tail signs must be +-1, got {tail_signs}")
             if k == 0 and s <= 0.5:
                 raise ValueError(f"tail correction with k=0 needs s > 1/2, got s={s}")
             xi = x[1:-1]
             rho = 1.0 if kspec is None else kspec.row_mean(xi, kernel_scale)
-            h = grid.h
-            self._c_right = 2.0 * h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
-            self._c_left = 2.0 * h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
-            self._c_sum = self._c_right + self._c_left
+            c_right, c_left = np.zeros(x.size), np.zeros(x.size)
+            c_right[1:-1] = 2.0 * grid.h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
+            c_left[1:-1] = 2.0 * grid.h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
             sl, sr = tail_signs
-            self._cross = (
-                _cross_tail_constant(kspec, s, T_out) if (k == 0 and sl != sr) else 0.0
-            )
+            R = c_right + c_left
+            self._exterior = (R, 0.0, 0.0, 0.0) if k else (
+                R, c_right * sr + c_left * sl, R,
+                _cross_tail_constant(kspec, s, T_out) if sl != sr else 0.0)
 
     def _difference(self, values: np.ndarray) -> np.ndarray:
         if not self.k:
@@ -403,14 +385,10 @@ class DiscreteEnergy:
         g *= self._h_k
         return g
 
-    def _tail_energy(self, values: np.ndarray, g: np.ndarray) -> float:
-        """The exterior tail term, before ``nonlocal_coef``; g = k-th difference."""
-        if self.k >= 1:
-            gi = g[1:-1]
-            return float((gi * gi) @ self._c_sum)
-        sl, sr = self._tail_signs
-        u = values[1:-1]
-        return float((u - sr) ** 2 @ self._c_right + (u - sl) ** 2 @ self._c_left) + self._cross
+    def _exterior_energy(self, g: np.ndarray) -> float:
+        """The exterior term, before ``nonlocal_coef``; g = k-th difference."""
+        R, B, C, C0 = self._exterior
+        return float(((R * g - 2.0 * B) * g + C).sum()) + C0
 
     def _point(self, values: np.ndarray) -> None:
         """Evaluate and keep the pieces energy and gradient share at ``values``."""
@@ -424,8 +402,8 @@ class DiscreteEnergy:
         u, q, g, gc, prod = self._last
         total = float(self._trap @ self.well._value(u, q))
         total += self.nonlocal_coef * self._form.centred_value(gc, prod)
-        if self._tail_signs is not None:
-            total += self.nonlocal_coef * self._tail_energy(u, g)
+        if self._exterior is not None:
+            total += self.nonlocal_coef * self._exterior_energy(g)
         return total
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
@@ -433,20 +411,42 @@ class DiscreteEnergy:
             self._point(values)
         u, q, g, gc, prod = self._last
         inner = 4.0 * (self._form.row * gc - self._form.apply(gc, prod))
-        if self._tail_signs is not None and self.k >= 1:
-            inner[1:-1] += 2.0 * self._c_sum * g[1:-1]
+        if self._exterior is not None:
+            R, B = self._exterior[:2]
+            inner += 2.0 * (R * g - B)
         if self.k:
             inner = _stencil_adjoint(inner, self.k)
             inner *= self._h_k
         grad = self._trap * self.well._deriv(u, q)
         grad += self.nonlocal_coef * inner
-        if self._tail_signs is not None and self.k == 0:
-            sl, sr = self._tail_signs
-            u = u[1:-1]
-            grad[1:-1] += self.nonlocal_coef * 2.0 * (
-                self._c_right * (u - sr) + self._c_left * (u - sl)
-            )
         return grad
+
+    def block(self, lo: int, hi: int, values: np.ndarray) -> "DiscreteEnergy":
+        """This energy on the nodes lo..hi-1, the others pinned to ``values``.
+
+        The pinned rest of the pair sum is the block's exterior term:
+        R = 2 (full row - block row); for k = 0, B = 2 A u_C (u_C: ``values``
+        off the block, 0 on it) and C = R, which needs |u_C| = 1; for k >= 1,
+        B = C = 0, which needs D_k ``values`` to vanish off the block and on
+        its one-sided edge rows (equal values on its _REACH[k] end nodes).
+        C0 is the full energy at ``values`` less the block's.  The block
+        keeps the full grid's h, trapezoid weights and preconditioner symbol.
+        """
+        if self._exterior is not None:
+            raise ValueError("only an energy without exterior term has blocks")
+        kspec, x, scale = self._kernel
+        out = copy.copy(self)
+        out.grid = make_grid(x[lo], x[hi - 1], hi - lo - 1)
+        out._form = _PairForm(self._weights[:hi - lo], kspec, x[lo:hi], scale)
+        out._trap, out._row, out._last = self._trap[lo:hi], self._row[lo:hi], (None,)
+        R = 2.0 * (self._form.row[lo:hi] - out._form.row)
+        pinned = np.array(values, dtype=float)
+        pinned[lo:hi] = 0.0
+        B, C = (0.0, 0.0) if self.k else (2.0 * self._form.apply(pinned)[lo:hi], R)
+        out._exterior = (R, B, C, 0.0)
+        c0 = (self.energy(values) - out.energy(values[lo:hi])) / self.nonlocal_coef
+        out._exterior = (R, B, C, c0)
+        return out
 
     def preconditioner(self, free_mask: np.ndarray):
         """P^-1 as a callable g -> P^-1 g, zero wherever ``free_mask`` is false.
@@ -509,7 +509,7 @@ class DiscreteEnergy:
         U = np.zeros((b - a, rows.size))
         U[cols - a] = hits[:, rows] * self._h_k
         z = np.column_stack([sine_solve(col) for col in U.T])
-        coef = 4.0 * self.nonlocal_coef * self._form.row[rows]
+        coef = 4.0 * self.nonlocal_coef * self._row[rows]
         core = np.linalg.inv(np.diag(1.0 / coef) + U.T @ z)
 
         def solve(r):
@@ -525,7 +525,7 @@ class DiscreteEnergy:
         folded = np.bincount(np.arange(w.size) % period, weights=w, minlength=period)
         sym = np.maximum(w.sum() - np.fft.rfft(folded)[1:m + 1].real, 0.0)
         theta = np.arange(1, m + 1) * (np.pi / (m + 1))
-        h = self.grid.h
+        h = self._h
         if self.k == 1:
             sym *= np.sin(theta) ** 2 / h ** 2
         elif self.k == 2:

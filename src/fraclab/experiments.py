@@ -12,7 +12,7 @@ constructions work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .energy import (
     _PairForm,
     _pair_weights,
 )
-from .grid import BVTarget, GridProfile, UniformGrid, kth_difference, make_grid, sample_bv_target
+from .grid import (_REACH, BVTarget, GridProfile, UniformGrid, kth_difference, make_grid,
+                   sample_bv_target)
 from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 
 __all__ = [
@@ -107,11 +108,16 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     from smooth ramps centred at the jumps; the subcritical rule instead
     centres them on the kernel's diagonal minimum next to each jump
     (``_jump_shift``) when that keeps eps * T_profile inside the window.
-    Each solve is preconditioned with the energy's spectral preconditioner,
-    and one that stops short of ``grad_tol`` emits a RuntimeWarning.  Where
-    delta falls below 2h (the supercritical rule at n_cells = 2000 does so from
-    eps = 2^-5 on), the nodes sample the kernel's oscillation below its
-    Nyquist rate, so the minimized energy is that of an aliased kernel.
+    Each solve runs on the span of the windows and ``_REACH[k]`` clamped
+    nodes on each side (one for k = 0; ``DiscreteEnergy.block``): the rest
+    of the (0, 1) grid is pinned, and its pairs enter as the block's
+    exterior term, so ``min_energy`` is the full-grid energy, minimized on
+    the block.  Each solve is preconditioned with the energy's spectral
+    preconditioner, and one that stops short of ``grad_tol`` emits a
+    RuntimeWarning.  Where delta falls below 2h (the supercritical rule at
+    n_cells = 2000 does so from eps = 2^-5 on), the nodes sample the
+    kernel's oscillation below its Nyquist rate, so the minimized energy is
+    that of an aliased kernel.
     """
     if rule not in _REGIME_RULES:
         raise ValueError(f"rule must be one of {_REGIME_RULES}, got {rule!r}")
@@ -128,10 +134,6 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
         hi = np.array(target.jump_locations) + w
         if np.any(hi[:-1] >= lo[1:]) or lo[0] <= 0.0 or hi[-1] >= 1.0:
             raise ValueError(f"clamp windows overlap at eps={eps} (half-width {w})")
-        in_window = np.zeros(x.size, dtype=bool)
-        for a, b in zip(lo, hi):
-            in_window |= (x > a) & (x < b)
-        clamp = ClampSpec(~in_window, np.where(in_window, 0.0, target_vals))
 
         # descent keeps the transition in the basin it starts from: the
         # subcritical rule starts on the kernel's diagonal minimum where the
@@ -142,24 +144,32 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             aligned = [_jump_shift(t_j, delta, "subcritical", r) for t_j in centers]
             if all(abs(c - t) < w - eps * T_profile for c, t in zip(aligned, centers)):
                 centers = aligned
-        init = target_vals.copy()
+        init, in_window = target_vals.copy(), np.zeros(x.size, dtype=bool)
         for t_j, s_j, a, b, ctr in zip(target.jump_locations, target.jump_signs,
                                        lo, hi, centers):
             sel = (x > a) & (x < b)
+            in_window |= sel
             w_ramp = w - abs(ctr - t_j)
             # smooth ramp with flat window edges: kink-free for k >= 1
             q = _smoothstep((x[sel] - ctr + w_ramp) / (2.0 * w_ramp))
             init[sel] = s_j * (2.0 * q - 1.0)
 
         EnergyParams(k, s, eps, delta)  # rejects excluded exponent/scale combinations
-        model = DiscreteEnergy(
-            grid, k, s, well, kspec=kernel, kernel_scale=delta,
-            well_coef=1.0 / eps,
-            nonlocal_coef=eps ** (2.0 * (k + s) - 1.0),
-        )
-        res = minimize(model.energy, model.gradient, GridProfile(grid, init), clamp, opts,
-                       precondition=model.preconditioner(in_window))
+        model = DiscreteEnergy(grid, k, s, well, kspec=kernel, kernel_scale=delta,
+                               well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
+        # solve on the windows' span and _REACH[k] pinned nodes on each side
+        # (one for k = 0, which keeps the block a grid); the pinned rest of
+        # the grid is the block's exterior term
+        free, margin = np.flatnonzero(in_window), _REACH.get(k, 1)
+        if not free.size:
+            raise ValueError(f"no node lies inside the clamp windows at eps={eps} (half-width {w})")
+        a, b = max(free[0] - margin, 0), min(free[-1] + 1 + margin, x.size)
+        block = model.block(a, b, init)
+        res = minimize(block.energy, block.gradient, GridProfile(block.grid, init[a:b]),
+                       ClampSpec(~in_window[a:b], init[a:b]), opts,
+                       precondition=block.preconditioner(in_window[a:b]))
         _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
+        res = replace(res, profile=GridProfile(grid, np.r_[init[:a], res.profile.values, init[b:]]))
         points.append(SweepPoint(eps=eps, delta=delta, min_energy=res.energy, result=res))
     return points
 

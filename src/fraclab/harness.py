@@ -177,6 +177,9 @@ def _validate(raw: dict) -> ExperimentConfig:
             _check(violations, "eps_list", lambda: _check_sweep_geometry(
                 target, [_positive(eps, "eps") for eps in raw["eps_list"]],
                 float(raw["T_profile"])))
+        if command == "sweep":
+            _check(violations, "window_factor",
+                   lambda: _positive(raw["window_factor"], "window_factor"))
 
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,

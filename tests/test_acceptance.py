@@ -280,8 +280,8 @@ def test_criterion_08_regime_separation():
     (0.900 at eps = 2^-7) would reach the 10 percent band around 0.342 only
     near eps ~ 2^-24 (n >> 10^7 nodes).  The paper gives no rate for the
     Gamma-convergence, so the raw ratio is reported, not asserted.  The
-    oscillating-kernel solves stop slightly above grad_tol (a rounding
-    stall of the solver); their count is reported, not asserted.
+    count of oscillating-kernel solves that stop short of grad_tol is
+    reported, not asserted; every one of the six converges today.
     """
     k, s = 0, 0.75
     opts = MinimizeOptions(grad_tol=1e-6)

@@ -23,6 +23,7 @@ from fraclab import (
     resample_scaled,
 )
 from fraclab.energy import _PairForm, _cross_tail_constant, _dst1, _pair_weights
+from fraclab.grid import _REACH
 
 # Dense-grid reference for F on u = tanh((x-0.5)/0.1), k=0, s=0.75, eps=0.1,
 # delta=0.25, CosSum(2.5, 1), chi=0.3: W term by adaptive quadrature, nonlocal
@@ -43,7 +44,7 @@ def _gagliardo(p, k, s, kspec=None, scale=1.0):
 def _tail(p, k, s, tail_signs, kspec=None):
     """The exterior tail term alone, over ordered pairs."""
     model = DiscreteEnergy(p.grid, k, s, DoubleWell(0.0), kspec=kspec, tail_signs=tail_signs)
-    return model._tail_energy(p.values, model._difference(p.values))
+    return model._exterior_energy(model._difference(p.values))
 
 
 def test_double_well_zeros_and_values():
@@ -671,3 +672,75 @@ def test_preconditioned_pure_phase_stops_at_iteration_zero(k):
                        MinimizeOptions(grad_tol=0.0), precondition=model.preconditioner(free))
         assert (res.iterations, res.stop_reason, res.final_grad_norm) == (0, "grad_tol", 0.0)
         np.testing.assert_array_equal(res.profile.values, start.values)
+
+
+# ---------------------------------------------------------------------------
+# DiscreteEnergy.block: a window of a larger grid, the pinned rest as its
+# exterior term
+
+
+def _window_case(k, kspec, n_cells=2000, margin=None):
+    """An eps/delta energy on (0, 1), a ramp in |x - 1/2| < 1/8 pinned to the
+    jump target outside, and its block with ``margin`` pinned nodes per side
+    (the sweep's _REACH[k] by default); ``v`` moves the free nodes at random."""
+    s, eps = (0.75 if k == 0 else 0.5), 2.0 ** -7
+    grid = make_grid(0.0, 1.0, n_cells)
+    x = grid.nodes()
+    model = DiscreteEnergy(grid, k, s, DoubleWell(0.3), kspec=kspec, kernel_scale=eps ** 0.5,
+                           well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
+    free = np.abs(x - 0.5) < 0.125
+    u = np.where(x >= 0.5, 1.0, -1.0)
+    q = np.clip((x[free] - 0.375) / 0.25, 0.0, 1.0)
+    u[free] = 2.0 * q * q * (3.0 - 2.0 * q) - 1.0
+    idx = np.flatnonzero(free)
+    m = _REACH.get(k, 0) if margin is None else margin
+    lo, hi = idx[0] - m, idx[-1] + 1 + m
+    v = u.copy()
+    v[free] += 0.1 * np.random.default_rng(k).standard_normal(idx.size)
+    return model, model.block(lo, hi, u), lo, hi, free, u, v
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_block_energy_and_gradient_match_the_full_grid(k, kspec):
+    model, block, lo, hi, free, u, v = _window_case(k, kspec)
+    assert block.grid.n_nodes == hi - lo
+    np.testing.assert_allclose(block.grid.nodes(), model.grid.nodes()[lo:hi], rtol=0, atol=1e-15)
+    # C0 was fitted at u; v is another profile with the same pinned values
+    assert block.energy(v[lo:hi]) == pytest.approx(model.energy(v), rel=1e-12, abs=0.0)
+    full, part = model.gradient(v)[free], block.gradient(v[lo:hi])[free[lo:hi]]
+    np.testing.assert_allclose(part, full, rtol=0, atol=1e-12 * np.abs(full).max())
+    # and the full grid's preconditioner, k = 2's boundary rows included
+    r = np.where(free, np.random.default_rng(5).standard_normal(free.size), 0.0)
+    full = model.preconditioner(free)(r)
+    part = block.preconditioner(free[lo:hi])(r[lo:hi])
+    np.testing.assert_allclose(part, full[lo:hi], rtol=0, atol=1e-13 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_needs_its_reach_in_pinned_nodes(k, kspec):
+    # with one node less, the block's one-sided edge rows read a free node
+    model, block, lo, hi, free, u, v = _window_case(k, kspec, margin=_REACH[k] - 1)
+    assert abs(block.energy(v[lo:hi]) / model.energy(v) - 1.0) > 1e-6
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+def test_block_constant_is_the_pinned_pair_sum(kspec):
+    # k = 0 at N = 501: C0 against the pinned-pinned pairs summed one by one;
+    # C0 is a difference of FFT-evaluated energies, 2e-12 off here
+    model, block, lo, hi, free, u, v = _window_case(0, kspec, n_cells=500)
+    x, scale = model.grid.nodes(), 2.0 ** -3.5
+    pinned = np.r_[0:lo, hi:x.size]
+    xp, up = x[pinned], u[pinned]
+    w = _pair_weights(model.grid, 0.75)[np.abs(pinned[:, None] - pinned[None, :])]
+    direct = float(np.sum(w * kspec.eval(xp[:, None] / scale, xp[None, :] / scale)
+                          * (up[:, None] - up[None, :]) ** 2))
+    assert block._exterior[3] == pytest.approx(direct, rel=1e-10)
+
+
+def test_block_of_a_tail_energy_is_refused():
+    grid = make_grid(-4.0, 4.0, 64)
+    model = DiscreteEnergy(grid, 1, 0.5, DoubleWell(0.0), tail_signs=(-1, 1))
+    with pytest.raises(ValueError, match="exterior"):
+        model.block(10, 50, np.where(grid.nodes() >= 0, 1.0, -1.0))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -263,7 +265,7 @@ def test_subcritical_sweep_solves_once_from_the_diagonal_minimum(monkeypatch):
     starts = []
     solve = experiments.minimize
     monkeypatch.setattr(experiments, "minimize",
-                        lambda *args, **kw: starts.append(args[2].values) or solve(*args, **kw))
+                        lambda *args, **kw: starts.append(args[2]) or solve(*args, **kw))
     eps = 2.0 ** -7
     regime_sweep(KernelSpec.cos_sum(2.5, 1.0), make_bv_target([(0.5, +1)]), "subcritical",
                  [eps], k=0, s=0.75, well=WELL, n_cells=2000, T_profile=4.0,
@@ -272,7 +274,7 @@ def test_subcritical_sweep_solves_once_from_the_diagonal_minimum(monkeypatch):
     # the ramp crosses zero on the kernel's diagonal minimum r = 1/2 next to the jump
     delta = 2.0 ** -3.5
     centre = delta * (np.floor(0.5 / delta - 0.5) + 0.5)
-    x, init = make_grid(0.0, 1.0, 2000).nodes(), starts[0]
+    x, init = starts[0].grid.nodes(), starts[0].values
     i = int(np.argmax(init >= 0.0))
     assert x[i - 1] < centre <= x[i]
     crossing = x[i - 1] - init[i - 1] * (x[i] - x[i - 1]) / (init[i] - init[i - 1])
@@ -285,6 +287,39 @@ def test_subcritical_sweep_leaves_the_centred_basin():
                        "subcritical", [2.0 ** -8], k=0, s=0.75, well=WELL, n_cells=4000,
                        T_profile=4.0, window_factor=16.0, opts=SUB_OPTS)
     assert pts[0].min_energy < 18.5
+
+
+# The subcritical k = 0, s = 0.75 sweep at window_factor 16 and h/eps = 0.064,
+# solved on the full (0, 1) grid before sweeps were solved on the windows'
+# block: eps exponent -> (n_cells, min_energy, iterations).  The 2^-13 point
+# took 15.5 s that way (one BLAS thread, 2-core Xeon).
+FULL_GRID_SWEEP = {9: (8000, 17.774336328684505, 40), 11: (32000, 16.156297794964203, 56),
+                   13: (128000, 14.374622617784826, 263)}
+
+
+def _subcritical_point(e):
+    return regime_sweep(KernelSpec.cos_sum(2.5, 1.0), make_bv_target([(0.5, +1)]),
+                        "subcritical", [2.0 ** -e], k=0, s=0.75, well=WELL,
+                        n_cells=FULL_GRID_SWEEP[e][0], T_profile=4.0, window_factor=16.0,
+                        opts=SUB_OPTS)[0]
+
+
+@pytest.mark.parametrize("e", [9, 11])
+def test_subcritical_window_solve_matches_the_full_grid(e):
+    n_cells, energy, iterations = FULL_GRID_SWEEP[e]
+    p = _subcritical_point(e)
+    assert p.min_energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+    assert p.result.iterations == iterations
+    assert p.result.profile.grid.n_nodes == n_cells + 1
+
+
+def test_subcritical_point_at_2_to_the_minus_13_under_5_seconds():
+    t0 = time.perf_counter()
+    p = _subcritical_point(13)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0
+    assert p.result.converged
+    assert p.min_energy == pytest.approx(FULL_GRID_SWEEP[13][1], rel=1e-9, abs=0.0)
 
 
 def test_unconverged_sweep_solve_warns():
@@ -303,3 +338,12 @@ def test_regime_sweep_rejects_wide_eps():
     with pytest.raises(ValueError, match="separated"):
         regime_sweep(kern, target, "critical", [0.25], k=0, s=0.75, well=WELL,
                      n_cells=128, T_profile=4.0)
+
+
+@pytest.mark.parametrize("window_factor", [1e-6, 0.0, -1.0])
+def test_regime_sweep_rejects_windows_without_nodes(window_factor):
+    with pytest.raises(ValueError, match="no node lies inside the clamp windows"):
+        # no node within 1e-3 of the jump
+        regime_sweep(KernelSpec.constant(1.0), make_bv_target([(0.503, +1)]), "critical",
+                     [2.0 ** -5], k=0, s=0.75, well=WELL, n_cells=128, T_profile=1.0,
+                     window_factor=window_factor)

@@ -334,6 +334,24 @@ def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window_factor", [0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_cli_bad_window_factor_exits_config_before_sweeping(tmp_path, monkeypatch,
+                                                            window_factor):
+    # zero and negative ones once ended in a traceback from the clamp, and NaN
+    # ran silently at tau/2, since min(tau/2, nan) is tau/2
+    def unused(*args, **kwargs):
+        raise AssertionError("a bad window_factor must be rejected before the sweep")
+
+    monkeypatch.setattr(harness, "regime_sweep", unused)
+    cfg = write_config(tmp_path, "bad.json", dict(SWEEP_MIN, window_factor=window_factor))
+    out = tmp_path / "x.csv"
+    res = CliRunner().invoke(main, ["sweep", str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "window_factor: window_factor must be positive and finite" in res.output
+    assert not out.exists()
+
+
 def test_integral_floats_read_as_integers(tmp_path):
     outs = []
     for name, raw in (("int", dict(PROFILE_CFG, omega=-1)),
@@ -362,6 +380,13 @@ def test_doc_example_configs_load(tmp_path, doc):
     for i, block in enumerate(blocks):
         path = tmp_path / f"{i}.json"
         path.write_text(block)
+        load_config(path)
+
+
+def test_shipped_example_configs_load():
+    examples = sorted((Path(__file__).resolve().parents[1] / "docs" / "examples").glob("*.json"))
+    assert examples
+    for path in examples:
         load_config(path)
 
 
