@@ -302,7 +302,7 @@ def _cross_tail_constant(kspec: KernelSpec | None, s: float, T_out: float) -> fl
     s > 1/2."""
     if s <= 0.5:
         raise ValueError(f"the cross-tail integral needs s > 1/2, got s={s}")
-    a_bar = 1.0 if kspec is None else kspec.a_bar
+    a_bar = (kspec or KernelSpec.constant(1.0)).a_bar
     return 8.0 * a_bar * (2.0 * T_out) ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
 
 
@@ -351,7 +351,7 @@ class DiscreteEnergy:
         self._h_k = grid.h ** -self.k
         x = grid.nodes()
         self._weights = _pair_weights(grid, s)
-        self._a_bar = 1.0 if kspec is None else kspec.a_bar
+        kspec = kspec or KernelSpec.constant(1.0)
         self._kernel = (kspec, x, kernel_scale)
         self._form = _PairForm(self._weights, kspec, x, kernel_scale)
         self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
@@ -368,7 +368,7 @@ class DiscreteEnergy:
             if k == 0 and s <= 0.5:
                 raise ValueError(f"tail correction with k=0 needs s > 1/2, got s={s}")
             xi = x[1:-1]
-            rho = 1.0 if kspec is None else kspec.row_mean(xi, kernel_scale)
+            rho = kspec.row_mean(xi, kernel_scale)
             c_right, c_left = np.zeros(x.size), np.zeros(x.size)
             c_right[1:-1] = 2.0 * grid.h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
             c_left[1:-1] = 2.0 * grid.h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
@@ -530,7 +530,7 @@ class DiscreteEnergy:
             sym *= np.sin(theta) ** 2 / h ** 2
         elif self.k == 2:
             sym *= (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4
-        lam = self.nonlocal_coef * 8.0 * self._a_bar * sym + 8.0 * h * self.well_coef
+        lam = self.nonlocal_coef * 8.0 * self._kernel[0].a_bar * sym + 8.0 * h * self.well_coef
         return 2.0 / ((m + 1) * lam)
 
 

@@ -121,6 +121,10 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     """
     if rule not in _REGIME_RULES:
         raise ValueError(f"rule must be one of {_REGIME_RULES}, got {rule!r}")
+    if not (math.isfinite(window_factor) and window_factor > 0):
+        # min(tau/2, nan) is tau/2: a NaN would run silently at the widest window
+        empty = ": no node lies inside the clamp windows" if window_factor <= 0 else ""
+        raise ValueError(f"window_factor must be positive and finite, got {window_factor}{empty}")
     eps_list, tau = _check_sweep_geometry(target, eps_list, T_profile)
 
     grid = make_grid(0.0, 1.0, n_cells)
@@ -289,17 +293,15 @@ def flatten_tail(p: GridProfile, c_dprime: float, c_prime: float, N: int,
 def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
                      s: float, n_cells: int, T_profile: float,
                      kernel: KernelSpec | None = None, mode: str = "supercritical",
-                     lam: float = 1.0, diag_shift: float = 0.0,
-                     delta_of_eps=None):
-    """Cross-interval interaction energy of the recovery profile per eps.
+                     lam: float = 1.0, diag_shift: float = 0.0):
+    """Cross-interval interaction energy of the recovery profile per eps,
+    with delta = lam * eps.
 
     Sums the eps-scaled nonlocal energy over node pairs lying in distinct
     jump intervals I_i x I_j and fits a log-log slope against eps (the
     interactions die as O(eps^{2s}) for k >= 1).
     """
     eps_list = [float(e) for e in eps_list]
-    if delta_of_eps is None:
-        delta_of_eps = lambda e: lam * e
     grid = make_grid(0.0, 1.0, n_cells)
     x = grid.nodes()
     n_jumps = len(target.jump_locations)
@@ -312,7 +314,7 @@ def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
     w = _pair_weights(grid, s)
     values = []
     for eps in eps_list:
-        delta = delta_of_eps(eps)
+        delta = lam * eps
         rec = build_recovery(target, profiles, eps, delta, mode, grid, T_profile,
                              lam=lam, diag_shift=diag_shift)
         g = kth_difference(rec, k).values

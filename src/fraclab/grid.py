@@ -44,6 +44,7 @@ class UniformGrid:
             )
         if int(self.n_cells) != self.n_cells or self.n_cells < 2:
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
 
     @property
     def h(self) -> float:
@@ -58,8 +59,9 @@ class UniformGrid:
 
 
 def make_grid(x_lo: float, x_hi: float, n_cells: int) -> UniformGrid:
-    """Build a uniform grid; rejects reversed endpoints and n_cells < 2."""
-    return UniformGrid(float(x_lo), float(x_hi), int(n_cells))
+    """Build a uniform grid; rejects reversed endpoints, a fractional n_cells
+    and n_cells < 2."""
+    return UniformGrid(float(x_lo), float(x_hi), n_cells)
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
@@ -86,112 +88,57 @@ class GridProfile:
         object.__setattr__(self, "values", _freeze(vals))
 
 
-# Second-order one-sided stencils anchored at the leftmost node of their
-# support; right-edge stencils are the mirror image, times (-1)^k.  The
-# entries are in units of h^-k and exactly representable, so each row sums to
-# exactly zero and maps a pure phase +-1 to exactly zero; h^-k is applied
-# after the stencil.
-_CENTRAL_STENCILS = {
-    1: np.array([-0.5, 0.0, 0.5]),
-    2: np.array([1.0, -2.0, 1.0]),
+# h^k D_k: second-order central rows, (-1/2, 0, 1/2) for k = 1 and (1, -2, 1)
+# for k = 2, and k one-sided rows at each edge.  _EDGE_ROWS holds the left
+# edge's rows, padded to the _REACH[k] nodes nearest the edge that they read
+# (so D_k^T departs from the central formula on those columns); the right
+# edge's rows are the left's mirrored, times (-1)^k.  The entries are in units
+# of h^-k and exactly representable, so each row sums to exactly zero and maps
+# a pure phase +-1 to exactly zero; h^-k is applied after the stencil.
+_EDGE_ROWS = {
+    1: np.array([[-1.5, 2.0, -0.5]]),
+    2: np.array([[2.0, -5.0, 4.0, -1.0, 0.0],
+                 [0.0, 2.0, -5.0, 4.0, -1.0]]),
 }
-_EDGE_STENCILS = {
-    1: np.array([-1.5, 2.0, -0.5]),
-    2: np.array([2.0, -5.0, 4.0, -1.0]),
-}
+_EDGES = {k: (rows, (-1.0) ** k * rows[::-1, ::-1]) for k, rows in _EDGE_ROWS.items()}
+_REACH = {k: rows.shape[1] for k, rows in _EDGE_ROWS.items()}
 
 
-def _float_coefs(k: int, sign: float) -> tuple:
-    return (tuple((sign * _CENTRAL_STENCILS[k]).tolist()),
-            tuple((sign * _EDGE_STENCILS[k]).tolist()))
-
-
-# The (central, one-sided) entries as Python floats, read from the left edge
-# inwards and, times (-1)^k, from the right edge inwards; and the reach
-# m = k + len(edge) - 1 of the one-sided rows: they read the m nodes nearest
-# their edge, so D_k^T departs from the central formula on those m columns.
-_LEFT_COEFS = {k: _float_coefs(k, 1.0) for k in (1, 2)}
-_RIGHT_COEFS = {k: _float_coefs(k, (-1.0) ** k) for k in (1, 2)}
-_REACH = {k: k + e.size - 1 for k, e in _EDGE_STENCILS.items()}
-
-
-def _edge_rows(vals: list, k: int, coefs: tuple) -> tuple:
-    """The k one-sided rows of h^k D_k nearest an edge, from the _REACH[k]
-    nodal values nearest it, edge node first."""
+def _central(values: np.ndarray, k: int, out: np.ndarray, transpose: bool = False) -> None:
+    """The central rows of h^k D_k, or of their transpose, at nodes 1..n-2 of
+    ``values``, into ``out``; the k = 2 rows are their own transpose."""
     if k == 1:
-        e0, e1, e2 = coefs[1]
-        v0, v1, v2 = vals
-        return (e0 * v0 + e1 * v1 + e2 * v2,)
-    e0, e1, e2, e3 = coefs[1]
-    v0, v1, v2, v3, v4 = vals
-    return (e0 * v0 + e1 * v1 + e2 * v2 + e3 * v3,
-            e0 * v1 + e1 * v2 + e2 * v3 + e3 * v4)
-
-
-def _edge_columns(vals: list, k: int, coefs: tuple) -> tuple:
-    """The _REACH[k] columns of h^k D_k^T y nearest an edge, from the
-    _REACH[k] + 1 entries of y nearest it, edge node first.  Column j sums
-    e[j - i] y_i over the one-sided rows i < k and c[j - i + 1] y_i over the
-    central rows i >= k."""
-    c0, c1, c2 = coefs[0]
-    if k == 1:
-        e0, e1, e2 = coefs[1]
-        y0, y1, y2, y3 = vals
-        return (e0 * y0 + c0 * y1,
-                e1 * y0 + c1 * y1 + c0 * y2,
-                e2 * y0 + c2 * y1 + c1 * y2 + c0 * y3)
-    e0, e1, e2, e3 = coefs[1]
-    y0, y1, y2, y3, y4, y5 = vals
-    return (e0 * y0,
-            e1 * y0 + e0 * y1 + c0 * y2,
-            e2 * y0 + e1 * y1 + c1 * y2 + c0 * y3,
-            e3 * y0 + e2 * y1 + c2 * y2 + c1 * y3 + c0 * y4,
-            e3 * y1 + c2 * y3 + c1 * y4 + c0 * y5)
+        np.subtract(values[2:], values[:-2], out=out)
+        out *= -0.5 if transpose else 0.5
+    else:
+        d = values[1:] - values[:-1]
+        np.subtract(d[1:], d[:-1], out=out)
 
 
 def _stencil_apply(values: np.ndarray, k: int) -> np.ndarray:
-    """h^k D_k values for k = 1, 2 on n >= 2k + 1 nodes, without a matrix.
-
-    The central rows k..n-k-1 are one sliced expression, (v_{i+1} -
-    v_{i-1}) / 2 or (v_{i+1} - v_i) - (v_i - v_{i-1}); the k one-sided rows
-    per side are summed from the few values they touch.
-    """
+    """h^k D_k values for k = 1, 2 on n >= 2k + 1 nodes, without a matrix."""
     n, m = values.size, _REACH[k]
+    left, right = _EDGES[k]
     out = np.empty(n)
-    inner = out[k:n - k]
-    if k == 1:
-        np.subtract(values[2:], values[:-2], out=inner)
-        inner *= 0.5
-    else:
-        d = values[1:] - values[:-1]
-        np.subtract(d[2:-1], d[1:-2], out=inner)
-    out[:k] = _edge_rows(values[:m].tolist(), k, _LEFT_COEFS[k])
-    out[n - k:] = _edge_rows(values[n - m:].tolist()[::-1], k, _RIGHT_COEFS[k])[::-1]
+    _central(values[k - 1:n - k + 1], k, out[k:n - k])
+    np.dot(left, values[:m], out=out[:k])
+    np.dot(right, values[n - m:], out=out[n - k:])
     return out
 
 
 def _stencil_adjoint(values: np.ndarray, k: int) -> np.ndarray:
-    """h^k D_k^T values, the adjoint of ``_stencil_apply``.
-
-    Away from the edges column j of D_k is the central stencil reversed, one
-    sliced expression; the _REACH[k] columns per side that the one-sided rows
-    reach are summed from the few values they touch.  On grids too small for
-    the two edges' reach to stay apart (n < 2 _REACH[k]) the columns are
-    assembled from ``_stencil_apply`` instead.
-    """
+    """h^k D_k^T values, the adjoint of ``_stencil_apply``: the central rows'
+    transpose over their entries, zero-padded one node past each end, plus
+    the edge rows' transpose on the _REACH[k] columns nearest each edge,
+    which overlap when n < 2 _REACH[k]."""
     n, m = values.size, _REACH[k]
-    if n < 2 * m:
-        return np.array([_stencil_apply(e, k) for e in np.eye(n)]) @ values
+    left, right = _EDGES[k]
+    inner = np.zeros(n + 2)
+    inner[k + 1:n + 1 - k] = values[k:n - k]
     out = np.empty(n)
-    inner = out[1:n - 1]
-    if k == 1:
-        np.subtract(values[:-2], values[2:], out=inner)
-        inner *= 0.5
-    else:
-        d = values[1:] - values[:-1]
-        np.subtract(d[1:], d[:-1], out=inner)
-    out[:m] = _edge_columns(values[:m + 1].tolist(), k, _LEFT_COEFS[k])
-    out[n - m:] = _edge_columns(values[:n - m - 2:-1].tolist(), k, _RIGHT_COEFS[k])[::-1]
+    _central(inner, k, out, transpose=True)
+    out[:m] += np.dot(values[:k], left)
+    out[n - m:] += np.dot(values[n - k:], right)
     return out
 
 

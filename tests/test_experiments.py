@@ -340,6 +340,15 @@ def test_regime_sweep_rejects_wide_eps():
                      n_cells=128, T_profile=4.0)
 
 
+@pytest.mark.parametrize("window_factor", [np.nan, np.inf, 0.0, -1.0])
+def test_regime_sweep_rejects_window_factor_not_positive_and_finite(window_factor):
+    # a NaN used to run silently at half-width tau/2
+    with pytest.raises(ValueError, match="window_factor must be positive and finite"):
+        regime_sweep(KernelSpec.constant(1.0), make_bv_target([(0.5, +1)]), "critical",
+                     [2.0 ** -5], k=0, s=0.75, well=WELL, n_cells=128, T_profile=1.0,
+                     window_factor=window_factor)
+
+
 @pytest.mark.parametrize("window_factor", [1e-6, 0.0, -1.0])
 def test_regime_sweep_rejects_windows_without_nodes(window_factor):
     with pytest.raises(ValueError, match="no node lies inside the clamp windows"):

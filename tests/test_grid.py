@@ -15,7 +15,7 @@ from fraclab import (
     resample_scaled,
     sample_bv_target,
 )
-from fraclab.grid import _stencil_adjoint, _stencil_apply
+from fraclab.grid import _REACH, _stencil_adjoint, _stencil_apply
 
 
 def test_make_grid_basic():
@@ -31,10 +31,15 @@ def test_make_grid_wide():
     assert g.n_nodes == 9
 
 
-@pytest.mark.parametrize("args", [(1.0, 0.0, 4), (0.0, 0.0, 4), (0.0, 1.0, 1)])
+@pytest.mark.parametrize("args", [(1.0, 0.0, 4), (0.0, 0.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 2.5)])
 def test_make_grid_rejects(args):
     with pytest.raises(ValueError):
         make_grid(*args)
+
+
+def test_make_grid_stores_integral_n_cells_as_int():
+    g = make_grid(0.0, 1.0, 2.0)
+    assert g.n_cells == 2 and type(g.n_cells) is int
 
 
 def test_profile_validates_shape_and_finiteness():
@@ -130,6 +135,16 @@ def test_stencil_columns_match_hand_written_rows(k, n):
     unit = np.eye(n)
     np.testing.assert_array_equal(np.column_stack([_stencil_apply(e, k) for e in unit]), expect)
     np.testing.assert_array_equal(np.column_stack([_stencil_adjoint(e, k) for e in unit]), expect.T)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2)
+                                 for n in [*range(2 * k + 1, 2 * _REACH[k] + 3), 769]])
+def test_stencil_adjoint_is_exact_transpose(k, n):
+    # below n = 2 _REACH[k] the two edges' columns overlap
+    unit = np.eye(n)
+    apply = np.column_stack([_stencil_apply(e, k) for e in unit])
+    adjoint = np.column_stack([_stencil_adjoint(e, k) for e in unit])
+    np.testing.assert_array_equal(adjoint, apply.T)
 
 
 @pytest.mark.parametrize("k", [1, 2])
