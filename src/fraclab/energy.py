@@ -285,14 +285,16 @@ class _PairForm:
         return max(2.0 * float(self.row @ (gc * gc) - quad), 0.0)
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
+def _dst1(x: np.ndarray, ext: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized DST-I, y_l = sum_n x_n sin(pi (n+1) (l+1) / (m+1)), as the
-    imaginary part of an rfft of the odd extension [0, x, 0, -reversed(x)].
-    Applied twice it multiplies by (m+1)/2."""
+    imaginary part of an rfft of the odd extension [0, x, 0, -reversed(x)],
+    built in ``ext`` (length 2 (m+1), zero at 0 and m+1) if given.  Applied
+    twice it multiplies by (m+1)/2."""
     m = x.size
-    ext = np.zeros(2 * (m + 1))
+    if ext is None:
+        ext = np.zeros(2 * (m + 1))
     ext[1:m + 1] = x
-    ext[m + 2:] = -x[::-1]
+    np.negative(x[::-1], out=ext[m + 2:])
     return -0.5 * np.fft.rfft(ext)[1:m + 1].imag
 
 
@@ -374,7 +376,7 @@ class DiscreteEnergy:
             c_left[1:-1] = 2.0 * grid.h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
             sl, sr = tail_signs
             R = c_right + c_left
-            self._exterior = (R, 0.0, 0.0, 0.0) if k else (
+            self._exterior = (R, None, None, 0.0) if k else (
                 R, c_right * sr + c_left * sl, R,
                 _cross_tail_constant(kspec, s, T_out) if sl != sr else 0.0)
 
@@ -388,13 +390,15 @@ class DiscreteEnergy:
     def _exterior_energy(self, g: np.ndarray) -> float:
         """The exterior term, before ``nonlocal_coef``; g = k-th difference."""
         R, B, C, C0 = self._exterior
+        if B is None:  # k >= 1: B = C = 0
+            return float((R * g * g).sum()) + C0
         return float(((R * g - 2.0 * B) * g + C).sum()) + C0
 
     def _point(self, values: np.ndarray) -> None:
         """Evaluate and keep the pieces energy and gradient share at ``values``."""
         u = np.array(values, dtype=float)
         g = self._difference(u)
-        gc = g - g.mean()
+        gc = g - g.sum() / g.size  # g.mean() bit for bit, without its dispatch
         self._last = (u, 1.0 - u * u, g, gc, self._form.product(gc))
 
     def energy(self, values: np.ndarray) -> float:
@@ -407,13 +411,14 @@ class DiscreteEnergy:
         return total
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        if not np.array_equal(values, self._last[0]):  # equal content, never identity
+        last = self._last[0]
+        if last is None or (values != last).any():  # equal content, never identity
             self._point(values)
         u, q, g, gc, prod = self._last
         inner = 4.0 * (self._form.row * gc - self._form.apply(gc, prod))
         if self._exterior is not None:
             R, B = self._exterior[:2]
-            inner += 2.0 * (R * g - B)
+            inner += 2.0 * (R * g if B is None else R * g - B)
         if self.k:
             inner = _stencil_adjoint(inner, self.k)
             inner *= self._h_k
@@ -424,25 +429,32 @@ class DiscreteEnergy:
     def block(self, lo: int, hi: int, values: np.ndarray) -> "DiscreteEnergy":
         """This energy on the nodes lo..hi-1, the others pinned to ``values``.
 
-        The pinned rest of the pair sum is the block's exterior term:
+        The block's exterior term is the pinned rest of the pair sum plus
+        this energy's own exterior rows on lo..hi-1.  The pinned rest has
         R = 2 (full row - block row); for k = 0, B = 2 A u_C (u_C: ``values``
         off the block, 0 on it) and C = R, which needs |u_C| = 1; for k >= 1,
         B = C = 0, which needs D_k ``values`` to vanish off the block and on
         its one-sided edge rows (equal values on its _REACH[k] end nodes).
-        C0 is the full energy at ``values`` less the block's.  The block
-        keeps the full grid's h, trapezoid weights and preconditioner symbol.
+        C0 is the full energy at ``values`` less the block's, so it also
+        holds the exterior rows of the pinned nodes.  The block keeps the
+        full grid's h, trapezoid weights and preconditioner symbol.
         """
-        if self._exterior is not None:
-            raise ValueError("only an energy without exterior term has blocks")
         kspec, x, scale = self._kernel
         out = copy.copy(self)
         out.grid = make_grid(x[lo], x[hi - 1], hi - lo - 1)
         out._form = _PairForm(self._weights[:hi - lo], kspec, x[lo:hi], scale)
         out._trap, out._row, out._last = self._trap[lo:hi], self._row[lo:hi], (None,)
         R = 2.0 * (self._form.row[lo:hi] - out._form.row)
-        pinned = np.array(values, dtype=float)
-        pinned[lo:hi] = 0.0
-        B, C = (0.0, 0.0) if self.k else (2.0 * self._form.apply(pinned)[lo:hi], R)
+        B = C = None
+        if not self.k:
+            pinned = np.array(values, dtype=float)
+            pinned[lo:hi] = 0.0
+            B, C = 2.0 * self._form.apply(pinned)[lo:hi], R
+        if self._exterior is not None:
+            R_ext, B_ext, C_ext = self._exterior[:3]
+            R = R + R_ext[lo:hi]
+            if B is not None:
+                B, C = B + B_ext[lo:hi], C + C_ext[lo:hi]
         out._exterior = (R, B, C, 0.0)
         c0 = (self.energy(values) - out.energy(values[lo:hi])) / self.nonlocal_coef
         out._exterior = (R, B, C, c0)
@@ -491,8 +503,10 @@ class DiscreteEnergy:
         P as a low-rank update, inverted by the Sherman-Morrison-Woodbury
         formula; without it P^-1 H keeps two eigenvalues growing like N^2.
         """
+        ext = np.zeros(2 * (b - a + 1))  # the block's DST-I buffer
+
         def sine_solve(r):
-            return _dst1(inverse * _dst1(r))
+            return _dst1(inverse * _dst1(r, ext), ext)
 
         if self.k != 2:
             return sine_solve

@@ -12,7 +12,7 @@ constructions work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,10 @@ from .energy import (
     _PairForm,
     _pair_weights,
 )
-from .grid import (_REACH, BVTarget, GridProfile, UniformGrid, kth_difference, make_grid,
+from .grid import (BVTarget, GridProfile, UniformGrid, kth_difference, make_grid,
                    sample_bv_target)
-from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
+from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
+from .profiles import _window_solve
 
 __all__ = [
     "SweepPoint",
@@ -161,19 +162,10 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
         EnergyParams(k, s, eps, delta)  # rejects excluded exponent/scale combinations
         model = DiscreteEnergy(grid, k, s, well, kspec=kernel, kernel_scale=delta,
                                well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
-        # solve on the windows' span and _REACH[k] pinned nodes on each side
-        # (one for k = 0, which keeps the block a grid); the pinned rest of
-        # the grid is the block's exterior term
-        free, margin = np.flatnonzero(in_window), _REACH.get(k, 1)
-        if not free.size:
+        if not in_window.any():
             raise ValueError(f"no node lies inside the clamp windows at eps={eps} (half-width {w})")
-        a, b = max(free[0] - margin, 0), min(free[-1] + 1 + margin, x.size)
-        block = model.block(a, b, init)
-        res = minimize(block.energy, block.gradient, GridProfile(block.grid, init[a:b]),
-                       ClampSpec(~in_window[a:b], init[a:b]), opts,
-                       precondition=block.preconditioner(in_window[a:b]))
+        res = _window_solve(model, init, in_window, opts, minimize)
         _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
-        res = replace(res, profile=GridProfile(grid, np.r_[init[:a], res.profile.values, init[b:]]))
         points.append(SweepPoint(eps=eps, delta=delta, min_energy=res.energy, result=res))
     return points
 

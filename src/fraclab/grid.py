@@ -6,7 +6,9 @@ All types are immutable values; every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -42,7 +44,8 @@ class UniformGrid:
             raise ValueError(
                 f"grid endpoints must satisfy x_lo < x_hi, got ({self.x_lo}, {self.x_hi})"
             )
-        if int(self.n_cells) != self.n_cells or self.n_cells < 2:
+        n = self.n_cells  # int() of a NaN or an infinity would raise its own error
+        if not (isinstance(n, Real) and math.isfinite(n) and int(n) == n and n >= 2):
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
 

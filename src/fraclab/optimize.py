@@ -120,20 +120,19 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
     is du.du / du.dg.
     """
     clamp.check(initial.values)
-    free = ~clamp.fixed_mask
+    clamped = np.flatnonzero(clamp.fixed_mask)
     u = initial.values.copy()
     n_energy = n_grad = backtracks = 0
 
     def projected_grad(vals):
         nonlocal n_grad
         n_grad += 1
-        g = np.asarray(grad_fn(vals), dtype=float)
+        g = np.array(grad_fn(vals), dtype=float)  # a copy: grad_fn's array stays intact
         if not np.all(np.isfinite(g)):
             raise NumericalFailure("non-finite gradient encountered",
                                    GridProfile(initial.grid, vals), energy_fn(vals))
-        out = np.zeros_like(g)
-        out[free] = g[free]
-        return out
+        g[clamped] = 0.0
+        return g
 
     energy = float(energy_fn(u))
     if not np.isfinite(energy):
@@ -166,7 +165,7 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = u - t * d
-            if np.array_equal(trial, u):
+            if not (trial != u).any():  # equal to u bit for bit
                 break
             e_trial = float(energy_fn(trial))
             n_energy += 1

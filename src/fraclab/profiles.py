@@ -3,6 +3,9 @@
 A transition problem minimizes the rescaled energy over profiles pinned to
 ``omega * sgn(x)`` for |x| >= T, on a grid spanning (-T_out, T_out), with the
 closed-form tail correction standing in for the interactions beyond the grid.
+Only |x| < T is free, so each solve runs on that window and a few clamped
+nodes per side, the clamped rest of the grid and the tail entering as the
+window's exterior term (``_window_solve``, which the regime sweep shares).
 The kernel enters in one of four modes:
 
 * ``lambda``        -- a(x/lam, y/lam), the critical-scaling profile problem;
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import DiscreteEnergy, DoubleWell, KernelSpec
-from .grid import GridProfile, make_grid
+from .grid import _REACH, GridProfile, make_grid
 from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 
 __all__ = [
@@ -104,20 +107,43 @@ def _clamp_and_init(tp: TransitionProblem, grid) -> tuple[ClampSpec, GridProfile
     return ClampSpec(mask, fixed), GridProfile(grid, ramp)
 
 
+def _window_solve(model: DiscreteEnergy, init: np.ndarray, free: np.ndarray,
+                  opts: MinimizeOptions, solve) -> MinimizeResult:
+    """Minimize ``model`` over its ``free`` nodes from ``init``, the other
+    nodes pinned to ``init``, on one block: the free nodes' span plus
+    ``_REACH[k]`` pinned nodes per side (one for k = 0, which keeps the block
+    a grid).  The pinned rest is the block's exterior term
+    (``DiscreteEnergy.block``), so the energy is the full one.  ``solve`` is
+    the caller's ``minimize``; the returned profile is the full grid's."""
+    idx, margin = np.flatnonzero(free), _REACH.get(model.k, 1)
+    if not idx.size:
+        raise ValueError("no free node to minimize over")
+    a, b = max(idx[0] - margin, 0), min(idx[-1] + 1 + margin, free.size)
+    block = model.block(a, b, init)
+    res = solve(block.energy, block.gradient, GridProfile(block.grid, init[a:b]),
+                ClampSpec(~free[a:b], init[a:b]), opts,
+                precondition=block.preconditioner(free[a:b]))
+    values = np.r_[init[:a], res.profile.values, init[b:]]
+    return replace(res, profile=GridProfile(model.grid, values))
+
+
 def transition_energy(tp: TransitionProblem,
                       opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Estimate the transition energy m^omega for the problem's kernel mode.
 
     Minimizes the rescaled energy plus tail correction over profiles clamped
     to omega * sgn(x) for |x| >= T, by descent preconditioned with the
-    energy's spectral preconditioner.  The returned energy is an upper
-    estimate of the infimum; a solve that stops short of ``grad_tol`` emits
-    a RuntimeWarning naming its stop reason and final gradient norm.
+    energy's spectral preconditioner.  The solve runs on the free nodes
+    |x| < T and ``_REACH[k]`` clamped nodes per side (one for k = 0); the
+    rest of the (-T_out, T_out) grid and the tail beyond it enter as the
+    block's exterior term, and the returned profile spans the whole grid.
+    The returned energy is an upper estimate of the infimum; a solve that
+    stops short of ``grad_tol`` emits a RuntimeWarning naming its stop
+    reason and final gradient norm.
     """
     model = _assemble(tp)
     clamp, ramp = _clamp_and_init(tp, model.grid)
-    res = minimize(model.energy, model.gradient, ramp, clamp, opts,
-                   precondition=model.preconditioner(~clamp.fixed_mask))
+    res = _window_solve(model, ramp.values, ~clamp.fixed_mask, opts, minimize)
     _warn_unconverged(res, f"transition solve ({tp.mode}, omega={tp.omega}, k={tp.k},"
                           f" N={model.grid.n_nodes})")
     return res

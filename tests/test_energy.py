@@ -739,8 +739,27 @@ def test_block_constant_is_the_pinned_pair_sum(kspec):
     assert block._exterior[3] == pytest.approx(direct, rel=1e-10)
 
 
-def test_block_of_a_tail_energy_is_refused():
-    grid = make_grid(-4.0, 4.0, 64)
-    model = DiscreteEnergy(grid, 1, 0.5, DoubleWell(0.0), tail_signs=(-1, 1))
-    with pytest.raises(ValueError, match="exterior"):
-        model.block(10, 50, np.where(grid.nodes() >= 0, 1.0, -1.0))
+@pytest.mark.parametrize("signs", [(-1, 1), (1, 1)])
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_block_of_a_tail_energy_matches_the_full_energy(k, kspec, signs):
+    # a transition energy with its exterior tail, blocked on the free nodes
+    # |x| < 2 and _REACH[k] pinned nodes per side (one for k = 0): the tail
+    # rows on the block join its exterior term, those on the pinned nodes C0
+    s = 0.75 if k == 0 else 0.5
+    grid = make_grid(-6.0, 6.0, 240)
+    x = grid.nodes()
+    model = DiscreteEnergy(grid, k, s, DoubleWell(0.3), kspec=kspec, kernel_scale=1.3,
+                           tail_signs=signs)
+    free = np.abs(x) < 2.0
+    u = np.where(x >= 0.0, float(signs[1]), float(signs[0]))
+    u[free] = np.interp(x[free], [-2.0, 2.0], signs)
+    idx, m = np.flatnonzero(free), _REACH.get(k, 1)
+    lo, hi = idx[0] - m, idx[-1] + 1 + m
+    block = model.block(lo, hi, u)
+    assert block.energy(u[lo:hi]) == pytest.approx(model.energy(u), rel=1e-12, abs=0.0)
+    v = u.copy()
+    v[free] += 0.1 * np.random.default_rng(k).standard_normal(idx.size)
+    assert block.energy(v[lo:hi]) == pytest.approx(model.energy(v), rel=1e-12, abs=0.0)
+    full, part = model.gradient(v)[free], block.gradient(v[lo:hi])[free[lo:hi]]
+    np.testing.assert_allclose(part, full, rtol=0, atol=1e-12 * np.abs(full).max())

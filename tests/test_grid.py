@@ -31,10 +31,13 @@ def test_make_grid_wide():
     assert g.n_nodes == 9
 
 
-@pytest.mark.parametrize("args", [(1.0, 0.0, 4), (0.0, 0.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 2.5)])
+@pytest.mark.parametrize("args", [(1.0, 0.0, 4), (0.0, 0.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 2.5),
+                                  (0.0, 1.0, float("inf")), (0.0, 1.0, float("nan"))])
 def test_make_grid_rejects(args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         make_grid(*args)
+    if not np.isfinite(args[2]):  # the grid's own message, not int()'s
+        assert "n_cells must be an integer >= 2" in str(err.value)
 
 
 def test_make_grid_stores_integral_n_cells_as_int():
@@ -150,7 +153,8 @@ def test_stencil_adjoint_is_exact_transpose(k, n):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("n", [5, 6, 7, 10, 11, 769])
 def test_stencil_adjoint_identity(k, n):
-    # n = 10, 11 put both of k = 2's code paths (n < 10 and n >= 10) under test
+    # for k = 2 the two edges' columns overlap at n = 5, 6, 7 (n < 2 _REACH[2] = 10)
+    # and lie apart at n = 10, 11; one code path serves both
     rng = np.random.default_rng(100 * n + k)
     u, y = rng.standard_normal(n), rng.standard_normal(n)
     du = _stencil_apply(u, k)

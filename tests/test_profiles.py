@@ -179,6 +179,27 @@ def test_preconditioned_minimum_matches_plain_minimize(k, kernel):
     assert pre.energy == pytest.approx(plain.energy, rel=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["lambda", "supercritical", "homogeneous"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_windowed_transition_matches_the_full_grid_solve(k, mode):
+    # transition_energy solves on |x| < T and _REACH[k] clamped nodes per
+    # side; the same preconditioned solve on the whole (-T_out, T_out) grid
+    tp = small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode=mode, lam=1.3, k=k,
+                       s=0.75 if k == 0 else 0.5)
+    opts = MinimizeOptions(grad_tol=1e-6)
+    res = transition_energy(tp, opts)
+    model = _assemble(tp)
+    clamp, ramp = _clamp_and_init(tp, model.grid)
+    full = minimize(model.energy, model.gradient, ramp, clamp, opts,
+                    precondition=model.preconditioner(~clamp.fixed_mask))
+    assert res.converged and full.converged
+    assert res.iterations == full.iterations
+    assert res.energy == pytest.approx(full.energy, rel=1e-11, abs=0.0)
+    assert res.profile.grid == model.grid
+    fixed = clamp.fixed_mask
+    np.testing.assert_array_equal(res.profile.values[fixed], clamp.fixed_values[fixed])
+
+
 def _workload_problem(k, lam=1.0):
     """The k >= 1 cos_sum profile at N = 769, as the profile benchmark runs it."""
     return TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=lam,
