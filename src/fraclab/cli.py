@@ -47,7 +47,7 @@ def _command(name: str, help_text: str):
     @main.command(name=name, help=help_text)
     @click.argument("config", type=str)
     @click.option("--out", type=str, default=None, help="Output CSV path.")
-    @click.option("--workers", type=int, default=1, show_default=True,
+    @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
                   help="Worker threads for independent jobs.")
     @click.option("--quiet", is_flag=True, help="Suppress the completion message.")
     def cmd(config, out, workers, quiet, _name=name):

@@ -11,9 +11,9 @@ once), and (1, 1) for the rescaled one.  The nonlocal term is the nodal
 double sum over ordered pairs i != j of ``a_ij * h^2 |x_i - x_j|^{-(1+2s)}
 * (g_i - g_j)^2`` with ``g`` the k-th finite difference of the profile,
 applied by FFT in O(N log N) time and O(N) memory (``_PairForm``).  The
-optional exterior term adds the pairs with a node off the grid, in both
-orders like the pair sum: the closed-form tail of the +-1 exterior beyond a
-symmetric grid, or the pinned rest of a larger grid (``block``).  All
+exterior term adds the pairs with a node off the grid, in both orders like
+the pair sum: the closed-form tail of the +-1 exterior beyond a symmetric
+grid, the pinned rest of a larger grid (``block``), or zero.  All
 gradients are exact derivatives of the implemented sums; one at the last
 energy call's point reuses its FFT product.
 """
@@ -308,11 +308,17 @@ def _cross_tail_constant(kspec: KernelSpec | None, s: float, T_out: float) -> fl
     return 8.0 * a_bar * (2.0 * T_out) ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
 
 
+def _check_nodes(grid: UniformGrid, k: int) -> None:
+    """Raises ValueError unless ``grid`` has the 2k + 3 nodes an order-k energy needs."""
+    if grid.n_nodes < 2 * k + 3:
+        raise ValueError(f"grid has {grid.n_nodes} nodes; k={k} needs at least {2 * k + 3}")
+
+
 class DiscreteEnergy:
     """Energy/gradient evaluator for repeated calls on one grid.
 
     Precomputes the matrix-free pair operator, the trapezoid weights and
-    (optionally) the exterior term.  ``energy`` evaluates each point afresh
+    the exterior term.  ``energy`` evaluates each point afresh
     with one O(N log N) FFT product and keeps what the gradient shares, which
     ``gradient`` at an equal point reuses (cos_sum adds one single-row product).
     So an instance holds per-point state and must not be shared across threads
@@ -323,12 +329,15 @@ class DiscreteEnergy:
     ``well_coef`` and ``nonlocal_coef`` select the functional: (1/eps,
     eps^{2(k+s)-1}) gives the eps/delta form, (1, 1) the rescaled form, and
     ``well_coef=0`` the nonlocal term alone.  The exterior term on g = D_k u,
-    sum_i ((R_i g_i - 2 B_i) g_i + C_i) + C0, has gradient 2 (R g - B) in g.
+    sum_i (R_i g_i - 2 B_i) g_i + c0, has gradient 2 (R g - B) in g; it is
+    held as (R, B, c0), with B = None for k >= 1, where B is zero.  Without
+    ``tail_signs``, R and c0 are zero, and so is B for k = 0.
     ``tail_signs`` = (left, right) fills it with the ordered-pair
     interactions with the +-1 exterior beyond a grid on (-T_out, T_out):
     R = c_+ + c_- with c_+-,i = 2 h rho(x_i) (T_out -+ x_i)^{-2s} / (2s) off
-    the end nodes; for k = 0 (s > 1/2), B = c_+ right + c_- left, C = R and
-    C0 = the cross-tail constant if the signs differ, else B = C = C0 = 0.
+    the end nodes; for k = 0 (s > 1/2), B = c_+ right + c_- left and
+    c0 = sum(R), plus the cross-tail constant if the signs differ; for
+    k >= 1, c0 = 0.
     Difference stencils act in exactly representable units and h^-k is
     applied after the stencil, so pure phases +-1 have exactly zero energy
     and gradient for every k and grid.
@@ -340,8 +349,7 @@ class DiscreteEnergy:
                  tail_signs=None):
         if k not in SUPPORTED_ORDERS:
             raise ValueError(f"k must be one of {SUPPORTED_ORDERS}, got {k}")
-        if grid.n_nodes < 2 * k + 3:
-            raise ValueError(f"grid has {grid.n_nodes} nodes; k={k} needs at least {2 * k + 3}")
+        _check_nodes(grid, k)
         self.grid, self._h = grid, grid.h
         self.k = int(k)
         self.s = float(s)
@@ -359,7 +367,7 @@ class DiscreteEnergy:
         self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
         self._last = (None,)  # u (a private copy), q = 1 - u^2, g = D_k u, gc, product(gc)
 
-        self._exterior = None  # (R, B, C, C0)
+        self._exterior = (np.zeros(x.size), None if k else np.zeros(x.size), 0.0)  # (R, B, c0)
         if tail_signs is not None:
             T_out = grid.x_hi
             if grid.x_lo != -T_out:
@@ -376,9 +384,9 @@ class DiscreteEnergy:
             c_left[1:-1] = 2.0 * grid.h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
             sl, sr = tail_signs
             R = c_right + c_left
-            self._exterior = (R, None, None, 0.0) if k else (
-                R, c_right * sr + c_left * sl, R,
-                _cross_tail_constant(kspec, s, T_out) if sl != sr else 0.0)
+            self._exterior = (R, None, 0.0) if k else (
+                R, c_right * sr + c_left * sl,
+                float(R.sum()) + (_cross_tail_constant(kspec, s, T_out) if sl != sr else 0.0))
 
     def _difference(self, values: np.ndarray) -> np.ndarray:
         if not self.k:
@@ -389,10 +397,10 @@ class DiscreteEnergy:
 
     def _exterior_energy(self, g: np.ndarray) -> float:
         """The exterior term, before ``nonlocal_coef``; g = k-th difference."""
-        R, B, C, C0 = self._exterior
-        if B is None:  # k >= 1: B = C = 0
-            return float((R * g * g).sum()) + C0
-        return float(((R * g - 2.0 * B) * g + C).sum()) + C0
+        R, B, c0 = self._exterior
+        if B is None:  # k >= 1
+            return float((R * g * g).sum()) + c0
+        return float(((R * g - 2.0 * B) * g).sum()) + c0
 
     def _point(self, values: np.ndarray) -> None:
         """Evaluate and keep the pieces energy and gradient share at ``values``."""
@@ -406,8 +414,7 @@ class DiscreteEnergy:
         u, q, g, gc, prod = self._last
         total = float(self._trap @ self.well._value(u, q))
         total += self.nonlocal_coef * self._form.centred_value(gc, prod)
-        if self._exterior is not None:
-            total += self.nonlocal_coef * self._exterior_energy(g)
+        total += self.nonlocal_coef * self._exterior_energy(g)
         return total
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
@@ -416,9 +423,8 @@ class DiscreteEnergy:
             self._point(values)
         u, q, g, gc, prod = self._last
         inner = 4.0 * (self._form.row * gc - self._form.apply(gc, prod))
-        if self._exterior is not None:
-            R, B = self._exterior[:2]
-            inner += 2.0 * (R * g if B is None else R * g - B)
+        R, B = self._exterior[:2]
+        inner += 2.0 * (R * g if B is None else R * g - B)
         if self.k:
             inner = _stencil_adjoint(inner, self.k)
             inner *= self._h_k
@@ -432,32 +438,29 @@ class DiscreteEnergy:
         The block's exterior term is the pinned rest of the pair sum plus
         this energy's own exterior rows on lo..hi-1.  The pinned rest has
         R = 2 (full row - block row); for k = 0, B = 2 A u_C (u_C: ``values``
-        off the block, 0 on it) and C = R, which needs |u_C| = 1; for k >= 1,
-        B = C = 0, which needs D_k ``values`` to vanish off the block and on
-        its one-sided edge rows (equal values on its _REACH[k] end nodes).
-        C0 is the full energy at ``values`` less the block's, so it also
-        holds the exterior rows of the pinned nodes.  The block keeps the
-        full grid's h, trapezoid weights and preconditioner symbol.
+        off the block, 0 on it); for k >= 1, B = 0, which needs D_k
+        ``values`` to vanish off the block and on its one-sided edge rows
+        (equal values on its _REACH[k] end nodes).  c0 is the full energy at
+        ``values`` less the block's, so it holds every term the block's
+        nodes do not move: the pinned-pinned pairs, the pinned rest's
+        2 A_ij u_j^2 (i on the block, j off it) and the exterior rows of the
+        pinned nodes.  The block keeps the full grid's h, trapezoid weights
+        and preconditioner symbol.
         """
         kspec, x, scale = self._kernel
         out = copy.copy(self)
         out.grid = make_grid(x[lo], x[hi - 1], hi - lo - 1)
         out._form = _PairForm(self._weights[:hi - lo], kspec, x[lo:hi], scale)
         out._trap, out._row, out._last = self._trap[lo:hi], self._row[lo:hi], (None,)
-        R = 2.0 * (self._form.row[lo:hi] - out._form.row)
-        B = C = None
-        if not self.k:
+        R, B = self._exterior[:2]
+        R = 2.0 * (self._form.row[lo:hi] - out._form.row) + R[lo:hi]
+        if B is not None:  # k = 0
             pinned = np.array(values, dtype=float)
             pinned[lo:hi] = 0.0
-            B, C = 2.0 * self._form.apply(pinned)[lo:hi], R
-        if self._exterior is not None:
-            R_ext, B_ext, C_ext = self._exterior[:3]
-            R = R + R_ext[lo:hi]
-            if B is not None:
-                B, C = B + B_ext[lo:hi], C + C_ext[lo:hi]
-        out._exterior = (R, B, C, 0.0)
+            B = 2.0 * self._form.apply(pinned)[lo:hi] + B[lo:hi]
+        out._exterior = (R, B, 0.0)
         c0 = (self.energy(values) - out.energy(values[lo:hi])) / self.nonlocal_coef
-        out._exterior = (R, B, C, c0)
+        out._exterior = (R, B, c0)
         return out
 
     def preconditioner(self, free_mask: np.ndarray):

@@ -80,9 +80,16 @@ class SweepPoint:
     result: MinimizeResult
 
 
-def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float):
-    """(eps_list as floats, tau); raises ValueError unless eps_list is non-empty and
-    strictly descending and the target's jumps lie 4 * max(eps) * T_profile apart."""
+def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float,
+                          window_factor: float, x: np.ndarray):
+    """(eps_list as floats, the clamp windows' half-width at each eps); raises
+    ValueError unless eps_list is non-empty and strictly descending, the
+    target's jumps lie 4 * max(eps) * T_profile apart, window_factor is
+    positive and finite, and at every eps the windows hold a node of ``x``.
+
+    The half-width is min(tau/2, window_factor * eps * T_profile); since the
+    jumps lie at least 2 tau from each other and from 0 and 1, the windows
+    never overlap and stay inside (0, 1)."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"eps_list must be non-empty and strictly descending, got {eps_list}")
@@ -94,7 +101,17 @@ def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float):
             f"jumps must be separated by at least 4 * max(eps) * T_profile ="
             f" {4.0 * max(eps_list) * T_profile}; minimal separation is {2.0 * tau}"
         )
-    return eps_list, tau
+    if not (math.isfinite(window_factor) and window_factor > 0):
+        # min(tau/2, nan) is tau/2: a NaN would run silently at the widest window
+        empty = ": no node lies inside the clamp windows" if window_factor <= 0 else ""
+        raise ValueError(f"window_factor must be positive and finite, got {window_factor}{empty}")
+    jumps = np.array(target.jump_locations)
+    widths = [min(0.5 * tau, window_factor * eps * T_profile) for eps in eps_list]
+    for eps, w in zip(eps_list, widths):
+        # a node x with jump - w < x < jump + w, the windows' own test
+        if not np.any(np.searchsorted(x, jumps + w) > np.searchsorted(x, jumps - w, "right")):
+            raise ValueError(f"no node lies inside the clamp windows at eps={eps} (half-width {w})")
+    return eps_list, widths
 
 
 def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
@@ -122,23 +139,16 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     """
     if rule not in _REGIME_RULES:
         raise ValueError(f"rule must be one of {_REGIME_RULES}, got {rule!r}")
-    if not (math.isfinite(window_factor) and window_factor > 0):
-        # min(tau/2, nan) is tau/2: a NaN would run silently at the widest window
-        empty = ": no node lies inside the clamp windows" if window_factor <= 0 else ""
-        raise ValueError(f"window_factor must be positive and finite, got {window_factor}{empty}")
-    eps_list, tau = _check_sweep_geometry(target, eps_list, T_profile)
-
     grid = make_grid(0.0, 1.0, n_cells)
     x = grid.nodes()
+    eps_list, widths = _check_sweep_geometry(target, eps_list, T_profile, window_factor, x)
+
     target_vals = target.value_at(x)
     points = []
-    for eps in eps_list:
+    for eps, w in zip(eps_list, widths):
         delta = delta_rule(rule, eps, lam)
-        w = min(0.5 * tau, window_factor * eps * T_profile)
         lo = np.array(target.jump_locations) - w
         hi = np.array(target.jump_locations) + w
-        if np.any(hi[:-1] >= lo[1:]) or lo[0] <= 0.0 or hi[-1] >= 1.0:
-            raise ValueError(f"clamp windows overlap at eps={eps} (half-width {w})")
 
         # descent keeps the transition in the basin it starts from: the
         # subcritical rule starts on the kernel's diagonal minimum where the
@@ -162,8 +172,6 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
         EnergyParams(k, s, eps, delta)  # rejects excluded exponent/scale combinations
         model = DiscreteEnergy(grid, k, s, well, kspec=kernel, kernel_scale=delta,
                                well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
-        if not in_window.any():
-            raise ValueError(f"no node lies inside the clamp windows at eps={eps} (half-width {w})")
         res = _window_solve(model, init, in_window, opts, minimize)
         _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
         points.append(SweepPoint(eps=eps, delta=delta, min_energy=res.energy, result=res))

@@ -27,6 +27,7 @@ from .energy import (
     EnergyParams,
     KernelSpec,
     _PairForm,
+    _check_nodes,
     _pair_weights,
     eval_F,
 )
@@ -166,6 +167,7 @@ def _validate(raw: dict) -> ExperimentConfig:
         violations.append("curve needs T_list with at least two ascending values")
     if command in ("sweep", "recovery"):
         target = _check(violations, "jumps", lambda: _target(raw))
+        grid = _check(violations, "n_cells", lambda: make_grid(0.0, 1.0, raw["n_cells"]))
         key, names = ("rule", _RULE_MODE) if command == "sweep" else ("mode", _MODE_RULE)
         if raw.get(key) not in tuple(names):
             violations.append(f"{command} {key} must be one of {tuple(names)},"
@@ -173,18 +175,20 @@ def _validate(raw: dict) -> ExperimentConfig:
         elif target is not None and command == "recovery":
             _check(violations, "eps", lambda: _check_recovery_geometry(
                 target, _positive(raw["eps"], "eps"), _delta(raw), float(raw["T_profile"])))
-        if target is not None and command == "sweep":
-            _check(violations, "eps_list", lambda: _check_sweep_geometry(
-                target, [_positive(eps, "eps") for eps in raw["eps_list"]],
-                float(raw["T_profile"])))
         if command == "sweep":
-            _check(violations, "window_factor",
-                   lambda: _positive(raw["window_factor"], "window_factor"))
+            factor = _check(violations, "window_factor",
+                            lambda: _positive(raw["window_factor"], "window_factor"))
+            if not any(v is None for v in (target, grid, factor)):
+                _check(violations, "eps_list", lambda: _check_sweep_geometry(
+                    target, [_positive(eps, "eps") for eps in raw["eps_list"]],
+                    float(raw["T_profile"]), factor, grid.nodes()))
 
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,
                                k=raw["k"], s=float(raw["s"]), raw=raw)
-        # the transition problems the run sets up, checked before it solves any
+        # the grids and transition problems the run sets up, checked before it solves any
+        if command in ("sweep", "recovery"):
+            _check(violations, "n_cells", lambda: _check_nodes(grid, cfg.k))
         _check(violations, "transition problem", {
             "profile": lambda: _transition_problem(cfg),
             "curve": lambda: _curve_problems(_transition_problem(cfg), raw["T_list"]),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import DiscreteEnergy, DoubleWell, KernelSpec
+from .energy import DiscreteEnergy, DoubleWell, KernelSpec, _check_nodes
 from .grid import _REACH, GridProfile, make_grid
 from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 
@@ -76,6 +76,10 @@ class TransitionProblem:
             raise ValueError(f"lambda mode needs lam > 0, got {self.lam}")
         if self.k == 0 and self.s <= 0.5:
             raise ValueError(f"(k, s) = (0, {self.s}) is excluded; need s > 1/2 when k = 0")
+        # the grid and clamp the solve sets up, checked before it starts
+        grid = make_grid(-self.T_out, self.T_out, self.n_cells)
+        _check_nodes(grid, self.k)
+        _clamp_and_init(self, grid)
 
     def effective_kernel(self):
         """(kernel-or-None, coordinate scale) actually entering the energy."""

@@ -679,9 +679,9 @@ def test_preconditioned_pure_phase_stops_at_iteration_zero(k):
 # exterior term
 
 
-def _window_case(k, kspec, n_cells=2000, margin=None):
-    """An eps/delta energy on (0, 1), a ramp in |x - 1/2| < 1/8 pinned to the
-    jump target outside, and its block with ``margin`` pinned nodes per side
+def _window_case(k, kspec, n_cells=2000, margin=None, ends=(-1.0, 1.0)):
+    """An eps/delta energy on (0, 1), a ramp in |x - 1/2| < 1/8 pinned to
+    ``ends`` outside, and its block with ``margin`` pinned nodes per side
     (the sweep's _REACH[k] by default); ``v`` moves the free nodes at random."""
     s, eps = (0.75 if k == 0 else 0.5), 2.0 ** -7
     grid = make_grid(0.0, 1.0, n_cells)
@@ -689,9 +689,10 @@ def _window_case(k, kspec, n_cells=2000, margin=None):
     model = DiscreteEnergy(grid, k, s, DoubleWell(0.3), kspec=kspec, kernel_scale=eps ** 0.5,
                            well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
     free = np.abs(x - 0.5) < 0.125
-    u = np.where(x >= 0.5, 1.0, -1.0)
+    left, right = ends
+    u = np.where(x >= 0.5, right, left)
     q = np.clip((x[free] - 0.375) / 0.25, 0.0, 1.0)
-    u[free] = 2.0 * q * q * (3.0 - 2.0 * q) - 1.0
+    u[free] = (right - left) * q * q * (3.0 - 2.0 * q) + left
     idx = np.flatnonzero(free)
     m = _REACH.get(k, 0) if margin is None else margin
     lo, hi = idx[0] - m, idx[-1] + 1 + m
@@ -701,12 +702,15 @@ def _window_case(k, kspec, n_cells=2000, margin=None):
 
 
 @pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_block_energy_and_gradient_match_the_full_grid(k, kspec):
-    model, block, lo, hi, free, u, v = _window_case(k, kspec)
+@pytest.mark.parametrize("k, ends", [(0, (-1.0, 1.0)), (1, (-1.0, 1.0)), (2, (-1.0, 1.0)),
+                                     (0, (-0.6, 0.8))],
+                         ids=["0", "1", "2", "0-pinned-off-phase"])
+def test_block_energy_and_gradient_match_the_full_grid(k, ends, kspec):
+    # c0 is fitted, so the pinned values need not be +-1
+    model, block, lo, hi, free, u, v = _window_case(k, kspec, ends=ends)
     assert block.grid.n_nodes == hi - lo
     np.testing.assert_allclose(block.grid.nodes(), model.grid.nodes()[lo:hi], rtol=0, atol=1e-15)
-    # C0 was fitted at u; v is another profile with the same pinned values
+    # c0 was fitted at u; v is another profile with the same pinned values
     assert block.energy(v[lo:hi]) == pytest.approx(model.energy(v), rel=1e-12, abs=0.0)
     full, part = model.gradient(v)[free], block.gradient(v[lo:hi])[free[lo:hi]]
     np.testing.assert_allclose(part, full, rtol=0, atol=1e-12 * np.abs(full).max())
@@ -727,8 +731,9 @@ def test_block_needs_its_reach_in_pinned_nodes(k, kspec):
 
 @pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
 def test_block_constant_is_the_pinned_pair_sum(kspec):
-    # k = 0 at N = 501: C0 against the pinned-pinned pairs summed one by one;
-    # C0 is a difference of FFT-evaluated energies, 2e-12 off here
+    # k = 0 at N = 501: c0 less sum(R), the pinned rest's constant at |u| = 1,
+    # against the pinned-pinned pairs summed one by one; c0 is a difference
+    # of FFT-evaluated energies, 2e-12 off here
     model, block, lo, hi, free, u, v = _window_case(0, kspec, n_cells=500)
     x, scale = model.grid.nodes(), 2.0 ** -3.5
     pinned = np.r_[0:lo, hi:x.size]
@@ -736,7 +741,8 @@ def test_block_constant_is_the_pinned_pair_sum(kspec):
     w = _pair_weights(model.grid, 0.75)[np.abs(pinned[:, None] - pinned[None, :])]
     direct = float(np.sum(w * kspec.eval(xp[:, None] / scale, xp[None, :] / scale)
                           * (up[:, None] - up[None, :]) ** 2))
-    assert block._exterior[3] == pytest.approx(direct, rel=1e-10)
+    R, _, c0 = block._exterior
+    assert c0 - R.sum() == pytest.approx(direct, rel=1e-10)
 
 
 @pytest.mark.parametrize("signs", [(-1, 1), (1, 1)])

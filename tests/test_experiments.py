@@ -356,3 +356,16 @@ def test_regime_sweep_rejects_windows_without_nodes(window_factor):
         regime_sweep(KernelSpec.constant(1.0), make_bv_target([(0.503, +1)]), "critical",
                      [2.0 ** -5], k=0, s=0.75, well=WELL, n_cells=128, T_profile=1.0,
                      window_factor=window_factor)
+
+
+def test_regime_sweep_checks_every_window_before_solving(monkeypatch):
+    # eps = 2^-5's windows hold nodes, 2^-10's none: no solve may start
+    from fraclab import experiments
+
+    def unused(*args, **kwargs):
+        raise AssertionError("an empty window must be rejected before the first solve")
+
+    monkeypatch.setattr(experiments, "minimize", unused)
+    with pytest.raises(ValueError, match="no node lies inside the clamp windows at eps=0.0009765625"):
+        regime_sweep(KernelSpec.constant(1.0), make_bv_target([(0.503, +1)]), "critical",
+                     [2.0 ** -5, 2.0 ** -10], k=0, s=0.75, well=WELL, n_cells=128, T_profile=1.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fraclab.cli as cli
 import fraclab.harness as harness
 from fraclab import MinimizeResult
 from fraclab.cli import main
@@ -319,9 +320,19 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(SWEEP_MIN, max_iters=100.5),
     dict(SWEEP_MIN, jumps=[[0.5, 1.5]]),
     dict(SWEEP_MIN, left_value=-1.5),
+    dict(PROFILE_CFG, n_cells=1),
+    dict(PROFILE_CFG, k=2, s=0.5, n_cells=4),  # 5 nodes; k = 2 needs 7
+    dict(PROFILE_CFG, n_cells=3),  # no node inside |x| < T
+    dict(SWEEP_MIN, n_cells=1),
+    dict(SWEEP_MIN, n_cells=3, eps_list=[2.0 ** -7]),  # no node in the window
+    dict(RECOVERY_MIN, n_cells=1),
+    dict(RECOVERY_MIN, reference_n_cells=1),
+    dict(RECOVERY_MIN, k=2, s=0.5, n_cells=4),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
-        "jump-sign-fraction", "left_value-fraction"])
+        "jump-sign-fraction", "left_value-fraction", "profile-one-cell",
+        "profile-too-few-nodes", "profile-no-free-node", "sweep-one-cell", "sweep-empty-window",
+        "recovery-one-cell", "recovery-reference-one-cell", "recovery-too-few-nodes"])
 def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     def unused(tp, opts):
         raise AssertionError("a bad config must be rejected before any solve")
@@ -331,6 +342,21 @@ def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     out = tmp_path / "x.csv"
     res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, workers):
+    # both once ran silently as one worker
+    def unused(*args, **kwargs):
+        raise AssertionError("a bad --workers must be rejected before the run")
+
+    monkeypatch.setattr(cli, "load_config", unused)
+    cfg = write_config(tmp_path, "c.json", CURVE_CFG)
+    out = tmp_path / "x.csv"
+    res = CliRunner().invoke(main, ["curve", str(cfg), "--out", str(out), "--workers", workers])
+    assert res.exit_code == 2, res.output
+    assert "--workers" in res.output
     assert not out.exists()
 
 
