@@ -36,7 +36,6 @@ from .grid import (
     sample_bv_target,
 )
 from .optimize import (
-    ClampSpec,
     MinimizeOptions,
     MinimizeResult,
     NumericalFailure,

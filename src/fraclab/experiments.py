@@ -80,16 +80,10 @@ class SweepPoint:
     result: MinimizeResult
 
 
-def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float,
-                          window_factor: float, x: np.ndarray):
-    """(eps_list as floats, the clamp windows' half-width at each eps); raises
-    ValueError unless eps_list is non-empty and strictly descending, the
-    target's jumps lie 4 * max(eps) * T_profile apart, window_factor is
-    positive and finite, and at every eps the windows hold a node of ``x``.
-
-    The half-width is min(tau/2, window_factor * eps * T_profile); since the
-    jumps lie at least 2 tau from each other and from 0 and 1, the windows
-    never overlap and stay inside (0, 1)."""
+def _check_sweep_eps(target: BVTarget, eps_list, T_profile: float) -> list[float]:
+    """eps_list as floats; raises ValueError unless it is non-empty and
+    strictly descending and the target's jumps lie 4 * max(eps) * T_profile
+    apart."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"eps_list must be non-empty and strictly descending, got {eps_list}")
@@ -101,16 +95,38 @@ def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float,
             f"jumps must be separated by at least 4 * max(eps) * T_profile ="
             f" {4.0 * max(eps_list) * T_profile}; minimal separation is {2.0 * tau}"
         )
+    return eps_list
+
+
+def _windows(target: BVTarget, w: float, x: np.ndarray) -> np.ndarray:
+    """Boolean (jumps, nodes) array: row j marks the nodes of ``x`` in the
+    open window of half-width ``w`` around the target's j-th jump."""
+    jumps = np.array(target.jump_locations)[:, None]
+    return (x > jumps - w) & (x < jumps + w)
+
+
+def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float,
+                          window_factor: float, x: np.ndarray):
+    """(eps_list as floats, the clamp windows' half-width at each eps); raises
+    ValueError unless eps_list passes ``_check_sweep_eps``, window_factor is
+    positive and finite, and at every eps each jump's window holds a node of
+    ``x``.
+
+    The half-width is min(tau/2, window_factor * eps * T_profile); since the
+    jumps lie at least 2 tau from each other and from 0 and 1, the windows
+    never overlap and stay inside (0, 1)."""
+    eps_list = _check_sweep_eps(target, eps_list, T_profile)
     if not (math.isfinite(window_factor) and window_factor > 0):
         # min(tau/2, nan) is tau/2: a NaN would run silently at the widest window
         empty = ": no node lies inside the clamp windows" if window_factor <= 0 else ""
         raise ValueError(f"window_factor must be positive and finite, got {window_factor}{empty}")
-    jumps = np.array(target.jump_locations)
+    tau = jump_half_separation(target)
     widths = [min(0.5 * tau, window_factor * eps * T_profile) for eps in eps_list]
     for eps, w in zip(eps_list, widths):
-        # a node x with jump - w < x < jump + w, the windows' own test
-        if not np.any(np.searchsorted(x, jumps + w) > np.searchsorted(x, jumps - w, "right")):
-            raise ValueError(f"no node lies inside the clamp windows at eps={eps} (half-width {w})")
+        bare = ~_windows(target, w, x).any(axis=1)
+        if bare.any():
+            raise ValueError(f"no node lies inside the clamp windows at eps={eps} (half-width {w})"
+                             f" around the jumps at {np.array(target.jump_locations)[bare]}")
     return eps_list, widths
 
 
@@ -147,8 +163,7 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     points = []
     for eps, w in zip(eps_list, widths):
         delta = delta_rule(rule, eps, lam)
-        lo = np.array(target.jump_locations) - w
-        hi = np.array(target.jump_locations) + w
+        windows = _windows(target, w, x)
 
         # descent keeps the transition in the basin it starts from: the
         # subcritical rule starts on the kernel's diagonal minimum where the
@@ -159,11 +174,9 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             aligned = [_jump_shift(t_j, delta, "subcritical", r) for t_j in centers]
             if all(abs(c - t) < w - eps * T_profile for c, t in zip(aligned, centers)):
                 centers = aligned
-        init, in_window = target_vals.copy(), np.zeros(x.size, dtype=bool)
-        for t_j, s_j, a, b, ctr in zip(target.jump_locations, target.jump_signs,
-                                       lo, hi, centers):
-            sel = (x > a) & (x < b)
-            in_window |= sel
+        init = target_vals.copy()
+        for t_j, s_j, sel, ctr in zip(target.jump_locations, target.jump_signs,
+                                      windows, centers):
             w_ramp = w - abs(ctr - t_j)
             # smooth ramp with flat window edges: kink-free for k >= 1
             q = _smoothstep((x[sel] - ctr + w_ramp) / (2.0 * w_ramp))
@@ -172,7 +185,7 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
         EnergyParams(k, s, eps, delta)  # rejects excluded exponent/scale combinations
         model = DiscreteEnergy(grid, k, s, well, kspec=kernel, kernel_scale=delta,
                                well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
-        res = _window_solve(model, init, in_window, opts, minimize)
+        res = _window_solve(model, init, windows.any(axis=0), opts, minimize)
         _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
         points.append(SweepPoint(eps=eps, delta=delta, min_energy=res.energy, result=res))
     return points

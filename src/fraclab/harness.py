@@ -31,8 +31,8 @@ from .energy import (
     _pair_weights,
     eval_F,
 )
-from .experiments import (_check_recovery_geometry, _check_sweep_geometry, build_recovery,
-                          delta_rule, regime_sweep)
+from .experiments import (_check_recovery_geometry, _check_sweep_eps, _check_sweep_geometry,
+                          build_recovery, delta_rule, regime_sweep)
 from .grid import BVTarget, GridProfile, make_bv_target, make_grid, resample_scaled
 from .optimize import MinimizeOptions, NumericalFailure, check_gradient
 from .profiles import (
@@ -128,6 +128,13 @@ def _integer(value) -> int:
     raise ValueError(f"must be an integer, got {value!r}")
 
 
+def _holds_boolean(value) -> bool:
+    """Whether a JSON value is or holds a boolean, which Python reads as 1 or 0."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_boolean, value))
+
+
 def _positive(value, name: str) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0):
@@ -146,7 +153,8 @@ def _check(violations: list, label: str, fn):
 
 
 def _validate(raw: dict) -> ExperimentConfig:
-    violations: list[str] = []
+    # no config field takes a boolean
+    violations = [f"{key}: booleans are not accepted" for key in raw if _holds_boolean(raw[key])]
     command = raw.get("command")
     if command in tuple(_DEFAULTS):
         known = {"command", "kernel", *_DEFAULTS[command], *_NO_DEFAULT[command]}
@@ -178,10 +186,13 @@ def _validate(raw: dict) -> ExperimentConfig:
         if command == "sweep":
             factor = _check(violations, "window_factor",
                             lambda: _positive(raw["window_factor"], "window_factor"))
-            if not any(v is None for v in (target, grid, factor)):
+            # the eps-only rules need the jumps alone, the window rule all three
+            eps_list = None if target is None else _check(violations, "eps_list", lambda: (
+                _check_sweep_eps(target, [_positive(eps, "eps") for eps in raw["eps_list"]],
+                                 float(raw["T_profile"]))))
+            if not any(v is None for v in (eps_list, grid, factor)):
                 _check(violations, "eps_list", lambda: _check_sweep_geometry(
-                    target, [_positive(eps, "eps") for eps in raw["eps_list"]],
-                    float(raw["T_profile"]), factor, grid.nodes()))
+                    target, eps_list, float(raw["T_profile"]), factor, grid.nodes()))
 
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,

@@ -14,14 +14,13 @@ rounding (see ``minimize``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridProfile
 
 __all__ = [
-    "ClampSpec",
     "MinimizeOptions",
     "MinimizeResult",
     "NumericalFailure",
@@ -38,33 +37,6 @@ class NumericalFailure(RuntimeError):
         super().__init__(message)
         self.last_profile = last_profile
         self.last_energy = last_energy
-
-
-@dataclass(frozen=True)
-class ClampSpec:
-    """Per-node clamp: where ``fixed_mask`` is true the value is pinned."""
-
-    fixed_mask: np.ndarray = field(repr=False)
-    fixed_values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mask = np.asarray(self.fixed_mask, dtype=bool)
-        vals = np.asarray(self.fixed_values, dtype=float)
-        if mask.shape != vals.shape or mask.ndim != 1:
-            raise ValueError("fixed_mask and fixed_values must be 1-d arrays of equal length")
-        if mask.all():
-            raise ValueError("clamp must leave at least one free node")
-        object.__setattr__(self, "fixed_mask", mask)
-        object.__setattr__(self, "fixed_values", vals)
-
-    @classmethod
-    def free(cls, n: int) -> "ClampSpec":
-        return cls(np.zeros(n, dtype=bool), np.zeros(n))
-
-    def check(self, values: np.ndarray):
-        m = self.fixed_mask
-        if not np.array_equal(values[m], self.fixed_values[m]):
-            raise ValueError("initial profile does not respect the clamp values")
 
 
 @dataclass(frozen=True)
@@ -95,15 +67,17 @@ _MAX_BACKTRACKS = 80
 _FLAT_RTOL = 1e-10
 
 
-def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
+def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
              opts: MinimizeOptions = MinimizeOptions(),
              precondition=None) -> MinimizeResult:
-    """Minimize ``energy_fn`` over the free nodes of ``initial``.
+    """Minimize ``energy_fn`` over the nodes of ``initial`` that the boolean
+    mask ``free`` (1-d, one entry per node, at least one true) marks; the
+    others keep their values in ``initial``.
 
     ``energy_fn(values) -> float`` and ``grad_fn(values) -> ndarray`` act on
     nodal value arrays.  ``precondition(g) -> ndarray`` applies P^-1 to a
     projected gradient; P^-1 must be symmetric positive definite on the free
-    nodes and zero on the clamped ones (``DiscreteEnergy.preconditioner``).
+    nodes and zero on the others (``DiscreteEnergy.preconditioner``).
     None means the identity, which is plain projected gradient descent.
 
     Stops on ``grad_tol`` (infinity norm of the free-node gradient, not of
@@ -119,8 +93,12 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, clamp: ClampSpec,
     -t (du.g_prev) / (du.dg), since P du = -t g_prev; with the identity it
     is du.du / du.dg.
     """
-    clamp.check(initial.values)
-    clamped = np.flatnonzero(clamp.fixed_mask)
+    free = np.asarray(free, dtype=bool)
+    if free.shape != initial.values.shape:
+        raise ValueError(f"free mask must be 1-d with {initial.values.size} entries")
+    if not free.any():
+        raise ValueError("free mask must hold at least one free node")
+    clamped = np.flatnonzero(~free)
     u = initial.values.copy()
     n_energy = n_grad = backtracks = 0
 

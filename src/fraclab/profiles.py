@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import DiscreteEnergy, DoubleWell, KernelSpec, _check_nodes
 from .grid import _REACH, GridProfile, make_grid
-from .optimize import ClampSpec, MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
+from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 
 __all__ = [
     "TransitionProblem",
@@ -79,7 +79,8 @@ class TransitionProblem:
         # the grid and clamp the solve sets up, checked before it starts
         grid = make_grid(-self.T_out, self.T_out, self.n_cells)
         _check_nodes(grid, self.k)
-        _clamp_and_init(self, grid)
+        if not _start(self, grid)[1].any():
+            raise ValueError(f"no node lies inside |x| < T = {self.T} at n_cells = {self.n_cells}")
 
     def effective_kernel(self):
         """(kernel-or-None, coordinate scale) actually entering the energy."""
@@ -101,32 +102,30 @@ def _assemble(tp: TransitionProblem) -> DiscreteEnergy:
     )
 
 
-def _clamp_and_init(tp: TransitionProblem, grid) -> tuple[ClampSpec, GridProfile]:
+def _start(tp: TransitionProblem, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(the linear ramp clamped to omega * sgn(x) for |x| >= T, free mask |x| < T)."""
     x = grid.nodes()
-    ramp = tp.omega * np.clip(x / tp.T, -1.0, 1.0)
+    values = tp.omega * np.clip(x / tp.T, -1.0, 1.0)
     # the tolerance absorbs node coordinates landing an ulp inside +-T
-    mask = np.abs(x) >= tp.T * (1.0 - 1e-12)
-    fixed = np.where(x >= 0, float(tp.omega), float(-tp.omega))
-    ramp[mask] = fixed[mask]
-    return ClampSpec(mask, fixed), GridProfile(grid, ramp)
+    free = np.abs(x) < tp.T * (1.0 - 1e-12)
+    values[~free] = np.where(x[~free] >= 0, float(tp.omega), float(-tp.omega))
+    return values, free
 
 
 def _window_solve(model: DiscreteEnergy, init: np.ndarray, free: np.ndarray,
                   opts: MinimizeOptions, solve) -> MinimizeResult:
-    """Minimize ``model`` over its ``free`` nodes from ``init``, the other
-    nodes pinned to ``init``, on one block: the free nodes' span plus
-    ``_REACH[k]`` pinned nodes per side (one for k = 0, which keeps the block
-    a grid).  The pinned rest is the block's exterior term
-    (``DiscreteEnergy.block``), so the energy is the full one.  ``solve`` is
-    the caller's ``minimize``; the returned profile is the full grid's."""
+    """Minimize ``model`` from ``init`` over the nodes of the boolean mask
+    ``free``, the others pinned to ``init``, on one block a:b: the free
+    nodes' span plus ``_REACH[k]`` pinned nodes per side (one for k = 0, which
+    keeps the block a grid).  ``free[a:b]`` is the mask of both ``solve``, the
+    caller's ``minimize``, and the block's preconditioner; the pinned rest is
+    the block's exterior term (``DiscreteEnergy.block``), so the energy is
+    the full one.  The returned profile is the full grid's."""
     idx, margin = np.flatnonzero(free), _REACH.get(model.k, 1)
-    if not idx.size:
-        raise ValueError("no free node to minimize over")
     a, b = max(idx[0] - margin, 0), min(idx[-1] + 1 + margin, free.size)
     block = model.block(a, b, init)
-    res = solve(block.energy, block.gradient, GridProfile(block.grid, init[a:b]),
-                ClampSpec(~free[a:b], init[a:b]), opts,
-                precondition=block.preconditioner(free[a:b]))
+    res = solve(block.energy, block.gradient, GridProfile(block.grid, init[a:b]), free[a:b],
+                opts, precondition=block.preconditioner(free[a:b]))
     values = np.r_[init[:a], res.profile.values, init[b:]]
     return replace(res, profile=GridProfile(model.grid, values))
 
@@ -146,8 +145,7 @@ def transition_energy(tp: TransitionProblem,
     reason and final gradient norm.
     """
     model = _assemble(tp)
-    clamp, ramp = _clamp_and_init(tp, model.grid)
-    res = _window_solve(model, ramp.values, ~clamp.fixed_mask, opts, minimize)
+    res = _window_solve(model, *_start(tp, model.grid), opts, minimize)
     _warn_unconverged(res, f"transition solve ({tp.mode}, omega={tp.omega}, k={tp.k},"
                           f" N={model.grid.n_nodes})")
     return res

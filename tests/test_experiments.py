@@ -349,11 +349,15 @@ def test_regime_sweep_rejects_window_factor_not_positive_and_finite(window_facto
                      window_factor=window_factor)
 
 
-@pytest.mark.parametrize("window_factor", [1e-6, 0.0, -1.0])
-def test_regime_sweep_rejects_windows_without_nodes(window_factor):
+@pytest.mark.parametrize("jumps, window_factor", [
+    # no node within 1e-3 of the jump at 0.503
+    ([(0.503, +1)], 1e-6), ([(0.503, +1)], 0.0), ([(0.503, +1)], -1.0),
+    # the node 0.5 lies in its own window; the 0.253 window holds none
+    ([(0.253, +1), (0.5, -1)], 1e-6),
+], ids=["1e-06", "0.0", "-1.0", "one-of-two-empty"])
+def test_regime_sweep_rejects_windows_without_nodes(jumps, window_factor):
     with pytest.raises(ValueError, match="no node lies inside the clamp windows"):
-        # no node within 1e-3 of the jump
-        regime_sweep(KernelSpec.constant(1.0), make_bv_target([(0.503, +1)]), "critical",
+        regime_sweep(KernelSpec.constant(1.0), make_bv_target(jumps), "critical",
                      [2.0 ** -5], k=0, s=0.75, well=WELL, n_cells=128, T_profile=1.0,
                      window_factor=window_factor)
 

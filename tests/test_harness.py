@@ -328,11 +328,16 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(RECOVERY_MIN, n_cells=1),
     dict(RECOVERY_MIN, reference_n_cells=1),
     dict(RECOVERY_MIN, k=2, s=0.5, n_cells=4),
+    # the 0.5 jump's window holds a node, the 0.25 one's none
+    dict(SWEEP_MIN, kernel={"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
+         jumps=[[0.25, 1], [0.5, -1]], rule="subcritical", eps_list=[2.0 ** -7], n_cells=10,
+         window_factor=1),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
         "jump-sign-fraction", "left_value-fraction", "profile-one-cell",
         "profile-too-few-nodes", "profile-no-free-node", "sweep-one-cell", "sweep-empty-window",
-        "recovery-one-cell", "recovery-reference-one-cell", "recovery-too-few-nodes"])
+        "recovery-one-cell", "recovery-reference-one-cell", "recovery-too-few-nodes",
+        "sweep-one-window-empty"])
 def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     def unused(tp, opts):
         raise AssertionError("a bad config must be rejected before any solve")
@@ -342,6 +347,34 @@ def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     out = tmp_path / "x.csv"
     res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
+    assert not out.exists()
+
+
+def test_sweep_eps_rules_are_checked_next_to_a_bad_grid_and_window_factor(tmp_path):
+    raw = dict(SWEEP_MIN, n_cells=1, window_factor=0, eps_list=[0.5])
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, "bad.json", raw))
+    assert [v.split(":")[0] for v in err.value.violations] == [
+        "n_cells", "window_factor", "eps_list"]
+    assert "jumps must be separated by at least" in err.value.violations[2]
+
+
+@pytest.mark.parametrize("raw, key", [
+    (dict(PROFILE_CFG, T=True), "T"),
+    (dict(SWEEP_MIN, eps_list=[0.03125, False]), "eps_list"),
+    (dict(PROFILE_CFG, kernel={"variant": "constant", "c": True}), "kernel"),
+], ids=["T", "eps_list-entry", "kernel-c"])
+def test_cli_rejects_booleans(tmp_path, monkeypatch, raw, key):
+    # true once read as the number 1: T = true ran at T = 1 and exited 0
+    def unused(*args, **kwargs):
+        raise AssertionError("a boolean must be rejected before any solve")
+
+    monkeypatch.setattr(harness, "transition_energy", unused)
+    cfg = write_config(tmp_path, "bad.json", raw)
+    out = tmp_path / "x.csv"
+    res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert f"{key}: booleans are not accepted" in res.output
     assert not out.exists()
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fraclab import (
-    ClampSpec,
     DoubleWell,
     GridProfile,
     MinimizeOptions,
@@ -27,7 +26,7 @@ def test_minimize_quadratic_converges_to_target():
     g = make_grid(0.0, 1.0, 16)
     energy, grad = quadratic_target(1.0)
     init = GridProfile(g, np.zeros(g.n_nodes))
-    res = minimize(energy, grad, init, ClampSpec.free(g.n_nodes),
+    res = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool),
                    MinimizeOptions(grad_tol=1e-9))
     assert res.converged
     assert res.final_grad_norm <= 1e-9
@@ -44,25 +43,15 @@ def test_minimize_preserves_clamped_nodes_exactly():
     fixed = np.where(mask, rng.uniform(-2, 2, n), 0.0)
     init_vals = np.where(mask, fixed, 0.5)
     energy, grad = quadratic_target(-1.0)
-    res = minimize(energy, grad, GridProfile(g, init_vals), ClampSpec(mask, fixed))
+    res = minimize(energy, grad, GridProfile(g, init_vals), ~mask)
     np.testing.assert_array_equal(res.profile.values[mask], fixed[mask])
     np.testing.assert_allclose(res.profile.values[~mask], -1.0, atol=1e-6)
-
-
-def test_minimize_rejects_initial_violating_clamp():
-    g = make_grid(0.0, 1.0, 4)
-    mask = np.array([True, False, False, False, False])
-    clamp = ClampSpec(mask, np.array([1.0, 0, 0, 0, 0]))
-    energy, grad = quadratic_target(0.0)
-    with pytest.raises(ValueError):
-        minimize(energy, grad, GridProfile(g, np.zeros(5)), clamp)
 
 
 def test_minimize_single_free_node_descends_to_nearest_well():
     g = make_grid(0.0, 1.0, 2)
     well = DoubleWell(0.0)
     mask = np.array([True, False, True])
-    fixed = np.array([0.5, 0.0, 0.5])
     init = np.array([0.5, 0.5, 0.5])
 
     def energy(u):
@@ -73,7 +62,7 @@ def test_minimize_single_free_node_descends_to_nearest_well():
         out[1] = well.deriv(u[1])
         return out
 
-    res = minimize(energy, grad, GridProfile(g, init), ClampSpec(mask, fixed),
+    res = minimize(energy, grad, GridProfile(g, init), ~mask,
                    MinimizeOptions(grad_tol=1e-10))
     assert res.profile.values[1] == pytest.approx(1.0, abs=1e-8)
 
@@ -103,7 +92,7 @@ def test_minimize_monotone_energy_and_determinism():
             energies.append(e)
             return e
 
-        res = minimize(tracking, grad, init, ClampSpec.free(g.n_nodes), opts)
+        res = minimize(tracking, grad, init, np.ones(g.n_nodes, dtype=bool), opts)
         return res, energies
 
     res1, _ = run()
@@ -133,12 +122,18 @@ def test_minimize_raises_numerical_failure_on_nan():
 
     init = GridProfile(g, np.full(5, 1.0))
     with pytest.raises(NumericalFailure):
-        minimize(energy, grad, init, ClampSpec.free(5))
+        minimize(energy, grad, init, np.ones(5, dtype=bool))
 
 
-def test_clamp_spec_requires_free_node():
-    with pytest.raises(ValueError):
-        ClampSpec(np.ones(4, dtype=bool), np.zeros(4))
+def test_minimize_rejects_a_bad_free_mask():
+    g = make_grid(0.0, 1.0, 4)
+    energy, grad = quadratic_target(0.0)
+    init = GridProfile(g, np.zeros(5))
+    with pytest.raises(ValueError, match="at least one free node"):
+        minimize(energy, grad, init, np.zeros(5, dtype=bool))
+    for free in (np.ones(4, dtype=bool), np.ones((1, 5), dtype=bool)):
+        with pytest.raises(ValueError, match="free mask must be 1-d with 5 entries"):
+            minimize(energy, grad, init, free)
 
 
 def test_check_gradient_quadratic_is_tiny():
@@ -170,7 +165,7 @@ def test_minimize_converges_below_the_energy_rounding_floor():
         return 2.0 * w * (u - 1.0)
 
     res = minimize(energy, grad, GridProfile(g, np.zeros(g.n_nodes)),
-                   ClampSpec.free(g.n_nodes), MinimizeOptions(grad_tol=1e-8))
+                   np.ones(g.n_nodes, dtype=bool), MinimizeOptions(grad_tol=1e-8))
     assert res.converged
     assert res.stop_reason == "grad_tol"
     assert res.final_grad_norm <= 1e-8
@@ -191,7 +186,7 @@ def test_minimize_never_accepts_a_null_step():
         return np.full(u.size, 1e-30)
 
     init = GridProfile(g, np.ones(g.n_nodes))
-    res = minimize(energy, grad, init, ClampSpec.free(g.n_nodes),
+    res = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool),
                    MinimizeOptions(grad_tol=1e-40, max_iters=200))
     assert res.iterations == 0
     assert not res.converged
@@ -214,7 +209,7 @@ def test_minimize_reports_stop_reason_and_counts():
         return grad(u)
 
     init = GridProfile(g, np.zeros(g.n_nodes))
-    res = minimize(counted_energy, counted_grad, init, ClampSpec.free(g.n_nodes),
+    res = minimize(counted_energy, counted_grad, init, np.ones(g.n_nodes, dtype=bool),
                    MinimizeOptions(grad_tol=1e-9, initial_step=4.0))
     assert res.stop_reason == "grad_tol"
     assert (res.energy_evals, res.grad_evals) == (calls["energy"], calls["grad"])
@@ -222,7 +217,7 @@ def test_minimize_reports_stop_reason_and_counts():
     assert res.energy_evals >= res.iterations + res.backtracks + 2
     assert res.backtracks >= res.iterations > 0
 
-    capped = minimize(energy, grad, init, ClampSpec.free(g.n_nodes),
+    capped = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool),
                       MinimizeOptions(grad_tol=1e-9, max_iters=1, initial_step=0.1))
     assert capped.stop_reason == "max_iters"
     assert not capped.converged
@@ -238,7 +233,7 @@ def test_minimize_backtracks_from_non_finite_trial_energies():
     def grad(u):
         return 2.0 * (u - 1.5)
 
-    res = minimize(energy, grad, GridProfile(g, np.zeros(5)), ClampSpec.free(5),
+    res = minimize(energy, grad, GridProfile(g, np.zeros(5)), np.ones(5, dtype=bool),
                    MinimizeOptions(initial_step=10.0))
     assert res.converged and np.isfinite(res.energy)
     assert res.backtracks > 0
@@ -249,7 +244,8 @@ def test_minimize_with_negative_max_iters_returns_the_initial_profile():
     g = make_grid(0.0, 1.0, 8)
     energy, grad = quadratic_target(1.0)
     init = GridProfile(g, np.zeros(g.n_nodes))
-    res = minimize(energy, grad, init, ClampSpec.free(g.n_nodes), MinimizeOptions(max_iters=-1))
+    res = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool),
+                   MinimizeOptions(max_iters=-1))
     assert (res.iterations, res.stop_reason, res.converged) == (0, "max_iters", False)
     np.testing.assert_array_equal(res.profile.values, init.values)
 
@@ -272,11 +268,11 @@ def test_minimize_with_inverse_hessian_preconditioner_takes_one_step():
 
     init = GridProfile(g, np.where(mask, fixed, 0.0))
     opts = MinimizeOptions(grad_tol=1e-9)
-    res = minimize(energy, grad, init, ClampSpec(mask, fixed), opts, precondition=inverse_hessian)
+    res = minimize(energy, grad, init, ~mask, opts, precondition=inverse_hessian)
     assert (res.iterations, res.stop_reason, res.backtracks) == (1, "grad_tol", 0)
     np.testing.assert_array_equal(res.profile.values[mask], 3.0)
     np.testing.assert_allclose(res.profile.values[~mask], 1.0, rtol=0, atol=1e-12)
-    plain = minimize(energy, grad, init, ClampSpec(mask, fixed), opts)
+    plain = minimize(energy, grad, init, ~mask, opts)
     assert plain.converged and plain.iterations > 10
 
 
@@ -292,8 +288,8 @@ def test_minimize_identity_preconditioner_is_the_default_loop():
 
     init = GridProfile(g, np.zeros(g.n_nodes))
     opts = MinimizeOptions(grad_tol=1e-8, max_iters=5000)
-    default = minimize(energy, grad, init, ClampSpec.free(g.n_nodes), opts)
-    identity = minimize(energy, grad, init, ClampSpec.free(g.n_nodes), opts,
+    default = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool), opts)
+    identity = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool), opts,
                         precondition=lambda vec: vec)
     assert default.converged
     assert (identity.iterations, identity.backtracks) == (default.iterations, default.backtracks)

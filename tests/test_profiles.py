@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from fraclab import (
     DoubleWell,
+    GridProfile,
     KernelSpec,
     MinimizeOptions,
     TransitionProblem,
@@ -17,7 +18,7 @@ from fraclab import (
     transition_energy,
     transition_energy_curve,
 )
-from fraclab.profiles import _assemble, _clamp_and_init
+from fraclab.profiles import _assemble, _start
 
 OPTS = MinimizeOptions(grad_tol=1e-5)
 
@@ -172,8 +173,8 @@ def test_preconditioned_minimum_matches_plain_minimize(k, kernel):
     opts = MinimizeOptions(grad_tol=1e-7)
     pre = transition_energy(tp, opts)
     model = _assemble(tp)
-    clamp, ramp = _clamp_and_init(tp, model.grid)
-    plain = minimize(model.energy, model.gradient, ramp, clamp, opts)
+    ramp, free = _start(tp, model.grid)
+    plain = minimize(model.energy, model.gradient, GridProfile(model.grid, ramp), free, opts)
     assert pre.converged and plain.converged
     assert pre.iterations < plain.iterations
     assert pre.energy == pytest.approx(plain.energy, rel=1e-9)
@@ -189,15 +190,15 @@ def test_windowed_transition_matches_the_full_grid_solve(k, mode):
     opts = MinimizeOptions(grad_tol=1e-6)
     res = transition_energy(tp, opts)
     model = _assemble(tp)
-    clamp, ramp = _clamp_and_init(tp, model.grid)
-    full = minimize(model.energy, model.gradient, ramp, clamp, opts,
-                    precondition=model.preconditioner(~clamp.fixed_mask))
+    ramp, free = _start(tp, model.grid)
+    full = minimize(model.energy, model.gradient, GridProfile(model.grid, ramp), free, opts,
+                    precondition=model.preconditioner(free))
     assert res.converged and full.converged
     assert res.iterations == full.iterations
     assert res.energy == pytest.approx(full.energy, rel=1e-11, abs=0.0)
     assert res.profile.grid == model.grid
-    fixed = clamp.fixed_mask
-    np.testing.assert_array_equal(res.profile.values[fixed], clamp.fixed_values[fixed])
+    fixed = ~free
+    np.testing.assert_array_equal(res.profile.values[fixed], ramp[fixed])
 
 
 def _workload_problem(k, lam=1.0):
