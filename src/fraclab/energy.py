@@ -42,8 +42,12 @@ __all__ = [
 class DoubleWell:
     """W_chi(z) = (1 - z^2)^2 * (1 + chi * sin(pi z / 2)).
 
-    Vanishes exactly at z = +-1; chi in (-1, 1) tilts the wells so positive
-    and negative transitions can cost differently.  Satisfies
+    Vanishes exactly at z = +-1; chi in (-1, 1) tilts the well, W(z) != W(-z)
+    for chi != 0.  The tilt does not make positive and negative transitions
+    cost differently: every supported kernel is even, a(-x, -y) = a(x, y),
+    and every reference grid is symmetric about 0, so the reflection
+    x -> -x maps an ascending profile to a descending one of the same
+    energy, and m+ = m- for every chi.  Satisfies
     ``alpha_w * (1-|z|)^2 <= W(z) <= beta_w * (1-|z|)^2`` for |z| <= 2 and
     ``inf_{|z|>=2} W >= 9 * (1 - |chi|) > 0``.
     """
