@@ -218,13 +218,14 @@ def _jump_intervals(target: BVTarget, x: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(np.array(bounds), x, side="right") - 1, 0, len(locs) - 1)
 
 
-def build_recovery(target: BVTarget, profiles: dict, eps: float, delta: float,
+def build_recovery(target: BVTarget, profile: GridProfile, eps: float, delta: float,
                    mode: str, grid: UniformGrid, T_profile: float,
                    *, lam: float = 1.0, diag_shift: float = 0.0) -> GridProfile:
     """Paste rescaled optimal profiles at kernel-aligned jump shifts.
 
-    ``profiles`` maps jump direction +-1 to a T-clamped optimal profile in the
-    rescaled variable.  In ``lambda`` mode the paste is v((x - t^d) lam/delta)
+    ``profile`` is the T-clamped ascending optimal profile v in the rescaled
+    variable, on a grid symmetric about 0; a descending jump (s_j = -1)
+    pastes its reflection v(-xi).  In ``lambda`` mode xi = (x - t^d) lam/delta
     with t^d = delta * floor(t/delta); the supercritical mode uses the same
     shift with the 1/eps scaling; the subcritical mode shifts onto the
     kernel's diagonal minimum, t^d = delta * (floor(t/delta - r) + r), with
@@ -237,14 +238,13 @@ def build_recovery(target: BVTarget, profiles: dict, eps: float, delta: float,
         return sample_bv_target(target, grid)
 
     scale = lam / delta if mode == "lambda" else 1.0 / eps
-    x = grid.nodes()
+    x, nodes = grid.nodes(), profile.grid.nodes()
     idx = _jump_intervals(target, x)
     values = np.empty_like(x)
     for j, (t_j, s_j) in enumerate(zip(target.jump_locations, target.jump_signs)):
-        v = profiles[s_j]
         sel = idx == j
         xi = (x[sel] - _jump_shift(t_j, delta, mode, diag_shift)) * scale
-        values[sel] = np.interp(xi, v.grid.nodes(), v.values)
+        values[sel] = np.interp(s_j * xi, nodes, profile.values)
     return GridProfile(grid, values)
 
 
@@ -303,12 +303,12 @@ def flatten_tail(p: GridProfile, c_dprime: float, c_prime: float, N: int,
     return GridProfile(p.grid, best_vals), ratio
 
 
-def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
+def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int,
                      s: float, n_cells: int, T_profile: float,
                      kernel: KernelSpec | None = None, mode: str = "supercritical",
                      lam: float = 1.0, diag_shift: float = 0.0):
     """Cross-interval interaction energy of the recovery profile per eps,
-    with delta = lam * eps.
+    with delta = lam * eps, pasted from ``profile`` as in ``build_recovery``.
 
     Sums the eps-scaled nonlocal energy over node pairs lying in distinct
     jump intervals I_i x I_j and fits a log-log slope against eps (the
@@ -328,7 +328,7 @@ def cross_term_probe(target: BVTarget, profiles: dict, eps_list, *, k: int,
     values = []
     for eps in eps_list:
         delta = lam * eps
-        rec = build_recovery(target, profiles, eps, delta, mode, grid, T_profile,
+        rec = build_recovery(target, profile, eps, delta, mode, grid, T_profile,
                              lam=lam, diag_shift=diag_shift)
         g = kth_difference(rec, k).values
         # ordered pairs in distinct blocks: the total minus each block's own

@@ -205,16 +205,6 @@ class BVTarget:
         object.__setattr__(self, "jump_locations", locs)
         object.__setattr__(self, "jump_signs", signs)
 
-    @property
-    def ascending(self) -> tuple:
-        """S^+ : locations of up jumps."""
-        return tuple(t for t, s in zip(self.jump_locations, self.jump_signs) if s == 1)
-
-    @property
-    def descending(self) -> tuple:
-        """S^- : locations of down jumps."""
-        return tuple(t for t, s in zip(self.jump_locations, self.jump_signs) if s == -1)
-
     def value_at(self, x) -> np.ndarray:
         """Piecewise-constant value; a point exactly at a jump takes the right limit."""
         x = np.asarray(x, dtype=float)

@@ -4,8 +4,8 @@ A config's omitted keys take their command's defaults from one table and
 unknown keys are rejected; the preconditions of the operations the run calls
 are checked up front, every violation collected into one error.  Each runner
 returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
-With an even well, the descending reference solve behind ``predicted`` and
-the pasted recovery profiles is the negated ascending one (``_reference_pair``).
+Each mode gets one ascending reference solve behind ``predicted`` and the
+pasted recovery profiles; a descending jump uses its reflection x -> -x.
 Results are written atomically (temp file + rename).  Failures map to exit
 codes: 2 config, 3 numerical, 4 I/O.
 """
@@ -34,7 +34,7 @@ from .energy import (
 from .experiments import (_check_recovery_geometry, _check_sweep_eps, _check_sweep_geometry,
                           build_recovery, delta_rule, regime_sweep)
 from .grid import BVTarget, GridProfile, make_bv_target, make_grid, resample_scaled
-from .optimize import MinimizeOptions, NumericalFailure, check_gradient
+from .optimize import MinimizeOptions, MinimizeResult, NumericalFailure, check_gradient
 from .profiles import (
     TransitionProblem,
     _curve_problems,
@@ -239,37 +239,21 @@ def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
                                n_cells=cfg.raw["reference_n_cells"])
 
 
-def _reference_pair(cfg: ExperimentConfig, mode: str) -> dict:
-    """The reference solves in both jump directions, keyed by omega.
-
-    With an even well (chi = 0), W(-z) = W(z) and every step of the solve
-    negates exactly under u -> -u, so the omega = -1 result is the omega = +1
-    one with its profile negated, bit for bit, and is not solved.
-    """
-    tp, opts = _reference_problem(cfg, mode), cfg.opt_options()
-    up = transition_energy(tp, opts)
-    if tp.well.chi == 0:
-        down = replace(up, profile=GridProfile(up.profile.grid, -up.profile.values))
-    else:
-        down = transition_energy(replace(tp, omega=-1), opts)
-    return {1: up, -1: down}
-
-
-def _homogeneous_reference(cfg: ExperimentConfig) -> float:
-    return transition_energy(_reference_problem(cfg, "homogeneous"), cfg.opt_options()).energy
+def _reference(cfg: ExperimentConfig, mode: str) -> MinimizeResult:
+    """The ascending reference solve of ``mode``; a descending jump is its reflection."""
+    return transition_energy(_reference_problem(cfg, mode), cfg.opt_options())
 
 
 def _predicted(cfg: ExperimentConfig, target: BVTarget, mode: str,
-               pair: dict | None = None) -> float:
-    """Sharp-interface limit for ``target``: from the reference ``pair``
-    (solved if not given) in lambda mode, else from the homogeneous one."""
-    n_up, n_down = len(target.ascending), len(target.descending)
+               reference: MinimizeResult | None = None) -> float:
+    """Sharp-interface limit for ``target``: m-hat from the lambda-mode
+    ``reference`` (solved if not given), else from the homogeneous one."""
     if mode != "lambda":
-        return predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, n_up, n_down,
-                               m_hat=_homogeneous_reference(cfg))
-    pair = pair or _reference_pair(cfg, mode)
-    return predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, n_up, n_down,
-                           m_hat_up=pair[1].energy, m_hat_down=pair[-1].energy)
+        reference = _reference(cfg, "homogeneous")
+    elif reference is None:
+        reference = _reference(cfg, mode)
+    return predicted_limit(cfg.kernel, mode, cfg.k, cfg.s, len(target.jump_locations),
+                           reference.energy)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -353,10 +337,10 @@ def _run_recovery(cfg: ExperimentConfig, workers: int) -> list[dict]:
     raw = cfg.raw
     target = _target(raw)
     mode, eps, delta = raw["mode"], float(raw["eps"]), _delta(raw)
-    pair = _reference_pair(cfg, mode)
-    predicted = _predicted(cfg, target, mode, pair)
-    rec = build_recovery(target, {omega: res.profile for omega, res in pair.items()},
-                         eps, delta, mode, make_grid(0.0, 1.0, raw["n_cells"]),
+    reference = _reference(cfg, mode)
+    predicted = _predicted(cfg, target, mode, reference)
+    rec = build_recovery(target, reference.profile, eps, delta, mode,
+                         make_grid(0.0, 1.0, raw["n_cells"]),
                          float(raw["T_profile"]), lam=float(raw["lam"]),
                          diag_shift=cfg.kernel.diag_argmin())
     energy = eval_F(rec, EnergyParams(cfg.k, cfg.s, eps, delta), cfg.well, cfg.kernel)
@@ -423,14 +407,15 @@ def _selftest_checks(inject_gradient_bug: bool):
     checks.append(("T-monotonicity", mono,
                    f"m({pts[0].T})={pts[0].m_hat:.6f} m({pts[1].T})={pts[1].m_hat:.6f}"))
 
-    # jump-direction symmetry for an even well
+    # jump-direction symmetry for a tilted well, by the reflection x -> -x
     tp_sym = TransitionProblem(kernel=kern, mode="lambda", lam=1.0, omega=1, T=2.0,
-                               T_out=6.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
+                               T_out=6.0, n_cells=192, well=well, k=0, s=0.75)
     opts = MinimizeOptions(grad_tol=1e-5)
     m_up = transition_energy(tp_sym, opts).energy
     m_dn = transition_energy(replace(tp_sym, omega=-1), opts).energy
-    sym = abs(m_up - m_dn) / m_up <= 1e-3
-    checks.append(("jump symmetry", sym, f"m+={m_up:.8f} m-={m_dn:.8f}"))
+    gap = abs(m_up - m_dn) / m_up
+    checks.append(("jump symmetry", gap <= 1e-10,
+                   f"m+={m_up:.8f} m-={m_dn:.8f} rel gap {gap:.1e}"))
 
     # sandwich bounds against the homogeneous problem at the same grid
     tp_hom = replace(tp_sym, mode="homogeneous")

@@ -189,29 +189,19 @@ def transition_energy_curve(tp: TransitionProblem, T_list,
 
 
 def predicted_limit(kernel: KernelSpec, mode: str, k: int, s: float,
-                    n_up: int, n_down: int, m_hat: float | None = None,
-                    m_hat_up: float | None = None,
-                    m_hat_down: float | None = None) -> float:
-    """Sharp-interface limit prediction for a target with the given jump counts.
-
-    ``lambda`` mode weighs the per-direction estimates by the numbers of
-    ascending and descending jumps; the supercritical and subcritical modes
-    scale the homogeneous estimate by the kernel mean or diagonal infimum
-    raised to 1/(2(k+s)).
+                    n_jumps: int, m_hat: float) -> float:
+    """Sharp-interface limit for a target with ``n_jumps`` jumps, each charged
+    one transition energy whatever its direction (a descending transition is
+    the ascending one reflected): ``m_hat`` in ``lambda`` and ``homogeneous``
+    modes, the homogeneous ``m_hat`` scaled by the kernel mean or diagonal
+    infimum raised to 1/(2(k+s)) in the supercritical and subcritical modes.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    total = n_up + n_down
-    if mode == "lambda":
-        if m_hat_up is None or m_hat_down is None:
-            raise ValueError("lambda mode needs per-direction estimates m_hat_up/m_hat_down")
-        return m_hat_up * n_up + m_hat_down * n_down
-    if m_hat is None:
-        raise ValueError(f"{mode} mode needs the homogeneous estimate m_hat")
-    if mode == "homogeneous":
-        return m_hat * total
+    if mode in ("lambda", "homogeneous"):
+        return m_hat * n_jumps
     stat = kernel.a_bar if mode == "supercritical" else kernel.a_inf
-    return stat ** scaling_exponent(k, s) * m_hat * total
+    return stat ** scaling_exponent(k, s) * m_hat * n_jumps
 
 
 def lambda_continuity_probe(tp: TransitionProblem, rel_perturbation: float,

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,18 +26,15 @@ from fraclab import (
 
 WELL = DoubleWell(0.0)
 OPTS = MinimizeOptions(grad_tol=1e-5)
+HOMOGENEOUS_TP = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
+                                   omega=1, T=2.0, T_out=6.0, n_cells=240, well=WELL,
+                                   k=0, s=0.75)
 
 
 @pytest.fixture(scope="module")
-def homogeneous_profiles():
-    """Cheap per-sign optimal profiles for pasting, k=0, s=0.75."""
-    tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                           omega=1, T=2.0, T_out=6.0, n_cells=240, well=WELL,
-                           k=0, s=0.75)
-    from dataclasses import replace
-    up = transition_energy(tp, OPTS).profile
-    down = transition_energy(replace(tp, omega=-1), OPTS).profile
-    return {+1: up, -1: down}
+def homogeneous_profile():
+    """A cheap ascending optimal profile for pasting, k=0, s=0.75."""
+    return transition_energy(HOMOGENEOUS_TP, OPTS).profile
 
 
 def test_delta_rule_values():
@@ -72,11 +70,11 @@ def test_jump_shift_rules():
     assert abs(got - 0.37) <= 0.1
 
 
-def test_build_recovery_matches_target_outside_windows(homogeneous_profiles):
+def test_build_recovery_matches_target_outside_windows(homogeneous_profile):
     target = make_bv_target([(0.3, +1), (0.7, -1)], left_value=-1)
     grid = make_grid(0.0, 1.0, 512)
     eps, delta, T = 0.02, 0.02, 2.0
-    rec = build_recovery(target, homogeneous_profiles, eps, delta,
+    rec = build_recovery(target, homogeneous_profile, eps, delta,
                          "supercritical", grid, T)
     x = grid.nodes()
     tv = sample_bv_target(target, grid).values
@@ -89,28 +87,42 @@ def test_build_recovery_matches_target_outside_windows(homogeneous_profiles):
     assert np.any(np.abs(rec.values - tv) > 0.5)
 
 
-def test_build_recovery_rejects_crowded_jumps(homogeneous_profiles):
+def test_build_recovery_rejects_crowded_jumps(homogeneous_profile):
     target = make_bv_target([(0.48, +1), (0.52, -1)], left_value=-1)
     grid = make_grid(0.0, 1.0, 128)
     with pytest.raises(ValueError, match="jump pair"):
-        build_recovery(target, homogeneous_profiles, 0.05, 0.05,
+        build_recovery(target, homogeneous_profile, 0.05, 0.05,
                        "supercritical", grid, 2.0)
 
 
-def test_build_recovery_lambda_mode_scale(homogeneous_profiles):
+def test_build_recovery_lambda_mode_scale(homogeneous_profile):
     target = make_bv_target([(0.5, +1)])
     grid = make_grid(0.0, 1.0, 512)
     eps = 0.02
     lam = 2.0
     delta = lam * eps
-    rec = build_recovery(target, homogeneous_profiles, eps, delta, "lambda",
+    rec = build_recovery(target, homogeneous_profile, eps, delta, "lambda",
                          grid, 2.0, lam=lam)
     # paste argument is (x - t^d) * lam/delta = (x - t^d)/eps
     x = grid.nodes()
-    v = homogeneous_profiles[+1]
+    v = homogeneous_profile
     t_shift = delta * np.floor(0.5 / delta)
     expect = np.interp((x - t_shift) / eps, v.grid.nodes(), v.values)
     np.testing.assert_allclose(rec.values, expect, atol=1e-12)
+
+
+def test_build_recovery_descending_jump_pastes_reflection(homogeneous_profile):
+    # the reflected ascending profile stands in for a descending solve
+    target = make_bv_target([(0.5, -1)])
+    grid = make_grid(0.0, 1.0, 512)
+    eps = 0.02
+    rec = build_recovery(target, homogeneous_profile, eps, eps, "lambda", grid, 2.0)
+    down = transition_energy(replace(HOMOGENEOUS_TP, omega=-1), OPTS).profile
+    x = grid.nodes()
+    t_shift = eps * np.floor(0.5 / eps)
+    expect = np.interp((x - t_shift) / eps, down.grid.nodes(), down.values)
+    np.testing.assert_allclose(rec.values, expect, rtol=0, atol=1e-12)
+    assert rec.values[0] == 1.0 and rec.values[-1] == -1.0
 
 
 def test_flatten_tail_identity_on_already_flat():
@@ -160,26 +172,26 @@ def test_flatten_tail_left_side():
     np.testing.assert_array_equal(out.values[x > -2.0], p.values[x > -2.0])
 
 
-def test_cross_term_probe_single_jump_is_zero(homogeneous_profiles):
+def test_cross_term_probe_single_jump_is_zero(homogeneous_profile):
     target = make_bv_target([(0.5, +1)])
     values, slope = cross_term_probe(
-        target, homogeneous_profiles, [0.05, 0.025], k=0, s=0.75,
+        target, homogeneous_profile, [0.05, 0.025], k=0, s=0.75,
         n_cells=256, T_profile=2.0)
     assert values == [0.0, 0.0]
 
 
-def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profiles):
+def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profile):
     target = make_bv_target([(0.3, +1), (0.7, -1)], left_value=-1)
     eps_list = [0.04, 0.02]
     values, slope = cross_term_probe(
-        target, homogeneous_profiles, eps_list, k=0, s=0.75,
+        target, homogeneous_profile, eps_list, k=0, s=0.75,
         n_cells=512, T_profile=2.0)
     assert all(v > 0 for v in values)
     # cross term is a restriction of the full nonlocal sum
     from fraclab import DiscreteEnergy
 
     grid = make_grid(0.0, 1.0, 512)
-    rec = build_recovery(target, homogeneous_profiles, 0.02, 0.02 ** 2,
+    rec = build_recovery(target, homogeneous_profile, 0.02, 0.02 ** 2,
                          "supercritical", grid, 2.0)
     total = 0.02 ** 0.5 * DiscreteEnergy(grid, 0, 0.75, WELL, well_coef=0.0).energy(rec.values)
     assert values[1] <= total + 1e-12
@@ -196,10 +208,10 @@ def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
     # is dense or matrix-free.
     pg = make_grid(-3.0, 3.0, 120)
     xp = pg.nodes()
-    profiles = {+1: GridProfile(pg, np.tanh(2 * xp)), -1: GridProfile(pg, -np.tanh(2 * xp))}
+    profile = GridProfile(pg, np.tanh(2 * xp))
     target = make_bv_target([(0.3, +1), (0.7, -1)], left_value=-1)
     eps_list = [0.04, 0.02]
-    values, _ = cross_term_probe(target, profiles, eps_list, k=k, s=s, n_cells=512,
+    values, _ = cross_term_probe(target, profile, eps_list, k=k, s=s, n_cells=512,
                                  T_profile=2.0, kernel=kernel, mode="lambda")
 
     from fraclab import kth_difference
@@ -211,7 +223,7 @@ def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
     w = _pair_weights(grid, s)[np.abs(idx[:, None] - idx[None, :])]
     across = (x[:, None] < 0.5) != (x[None, :] < 0.5)
     for eps, value in zip(eps_list, values):
-        rec = build_recovery(target, profiles, eps, eps, "lambda", grid, 2.0)
+        rec = build_recovery(target, profile, eps, eps, "lambda", grid, 2.0)
         g = kth_difference(rec, k).values
         a = 1.0 if kernel is None else kernel.eval(x[:, None] / eps, x[None, :] / eps)
         pairs = np.sum((w * a * (g[:, None] - g[None, :]) ** 2)[across])

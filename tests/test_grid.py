@@ -192,8 +192,6 @@ def test_resample_scaled_roundtrip_and_examples():
 
 def test_bv_target_single_jump():
     t = make_bv_target([(0.5, +1)], left_value=-1)
-    assert t.ascending == (0.5,)
-    assert t.descending == ()
     g = make_grid(0.0, 1.0, 4)
     np.testing.assert_array_equal(sample_bv_target(t, g).values, [-1, -1, 1, 1, 1])
 

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,6 @@ from click.testing import CliRunner
 
 import fraclab.cli as cli
 import fraclab.harness as harness
-from fraclab import MinimizeResult
 from fraclab.cli import main
 from fraclab.harness import (
     EXIT_CONFIG,
@@ -162,12 +161,8 @@ def test_run_sweep_experiment_schema(tmp_path):
 
 
 def test_critical_sweep_skips_homogeneous_reference(tmp_path, monkeypatch):
-    import fraclab.harness as harness
-
-    def unused(cfg):
-        raise AssertionError("the critical rule predicts from lambda-mode solves only")
-
-    monkeypatch.setattr(harness, "_homogeneous_reference", unused)
+    # the critical rule predicts from its lambda-mode solve only
+    solved = count_solves(monkeypatch)
     cfg_raw = {
         "command": "sweep", "kernel": {"variant": "constant", "c": 1.0},
         "k": 0, "s": 0.75, "jumps": [[0.5, 1]], "rule": "critical",
@@ -176,6 +171,7 @@ def test_critical_sweep_skips_homogeneous_reference(tmp_path, monkeypatch):
     }
     run_experiment(load_config(write_config(tmp_path, "s.json", cfg_raw)),
                    tmp_path / "sweep.csv")
+    assert [p.mode for p in solved] == ["lambda"]
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
 
 
@@ -450,7 +446,7 @@ def test_shipped_example_configs_load():
 
 
 # ---------------------------------------------------------------------------
-# reference solves: the even-well sign symmetry
+# reference solves: one ascending solve per mode, a descending jump its reflection
 
 # a small recovery whose reference problems solve in a few milliseconds
 RECOVERY_SMALL = dict(RECOVERY_MIN, T_profile=2.0, n_cells=512, reference_n_cells=192,
@@ -473,32 +469,27 @@ def small_recovery(tmp_path, **kw):
     return load_config(write_config(tmp_path, "r.json", dict(RECOVERY_SMALL, **kw)))
 
 
+@pytest.mark.parametrize("chi", [0.0, 0.3])
 @pytest.mark.parametrize("kernel", [{"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
                                     {"variant": "cos_prod", "c0": 2.0, "c1": 0.7}],
                          ids=lambda kern: kern["variant"])
 @pytest.mark.parametrize("mode", ["lambda", "supercritical", "homogeneous"])
 @pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.5)])
-def test_descending_reference_is_negated_ascending_bit_for_bit(tmp_path, monkeypatch,
-                                                               kernel, mode, k, s):
-    cfg = small_recovery(tmp_path, kernel=kernel, k=k, s=s, grad_tol=1e-6)
+def test_descending_reference_is_reflection(tmp_path, monkeypatch, kernel, mode, k, s, chi):
+    # every kernel is even and the reference grid symmetric about 0, so the
+    # reflection x -> -x maps the ascending solve onto the descending one,
+    # whatever the tilt of the well
+    cfg = small_recovery(tmp_path, kernel=kernel, k=k, s=s, chi=chi, T_profile=4.0,
+                         reference_n_cells=384, grad_tol=1e-6)
     tp = harness._reference_problem(cfg, mode)
     real = harness.transition_energy(replace(tp, omega=-1), cfg.opt_options())
     solved = count_solves(monkeypatch)
-    mirrored = harness._reference_pair(cfg, mode)[-1]
+    up = harness._reference(cfg, mode)
     assert solved == [tp]
-    assert real.converged
-    np.testing.assert_array_equal(mirrored.profile.values, real.profile.values)
-    for f in fields(MinimizeResult):
-        if f.name != "profile":
-            assert getattr(mirrored, f.name) == getattr(real, f.name), f.name
-
-
-def test_odd_well_solves_both_directions(tmp_path, monkeypatch):
-    cfg = small_recovery(tmp_path, chi=0.3)
-    solved = count_solves(monkeypatch)
-    pair = harness._reference_pair(cfg, "lambda")
-    assert [p.omega for p in solved] == [1, -1]
-    assert pair[1].energy != pair[-1].energy
+    assert up.converged and real.converged
+    assert up.energy == pytest.approx(real.energy, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(up.profile.values[::-1], real.profile.values, rtol=0, atol=1e-12)
+    assert up.iterations == real.iterations
 
 
 @pytest.mark.parametrize("mode, modes_solved", [("lambda", ["lambda"]),
@@ -511,19 +502,30 @@ def test_even_well_recovery_solves_ascending_references_only(tmp_path, monkeypat
     assert [(p.mode, p.omega) for p in solved] == [(m, 1) for m in modes_solved]
 
 
+@pytest.mark.parametrize("mode, modes_solved", [("lambda", ["lambda"]),
+                                                ("supercritical", ["supercritical",
+                                                                   "homogeneous"])])
+def test_tilted_recovery_solves_one_reference_per_mode(tmp_path, monkeypatch, mode,
+                                                       modes_solved):
+    # a tilted well and a descending jump once took a second, omega = -1 solve
+    solved = count_solves(monkeypatch)
+    cfg = small_recovery(tmp_path, mode=mode, chi=0.4, jumps=[[0.3, 1], [0.7, -1]])
+    run_experiment(cfg, tmp_path / "r.csv")
+    assert [(p.mode, p.omega) for p in solved] == [(m, 1) for m in modes_solved]
+
+
 def test_unconverged_reference_solves_and_warns_once(tmp_path, monkeypatch):
     cfg = small_recovery(tmp_path, max_iters=3)
     solved = count_solves(monkeypatch)
     with pytest.warns(RuntimeWarning, match="stopped on max_iters") as record:
-        pair = harness._reference_pair(cfg, "lambda")
+        reference = harness._reference(cfg, "lambda")
     assert [p.omega for p in solved] == [1]
     assert len(record) == 1
-    assert not pair[-1].converged
+    assert not reference.converged
 
 
 def test_reference_profiles_are_read_only(tmp_path):
-    for omega, res in harness._reference_pair(small_recovery(tmp_path), "lambda").items():
-        values = res.profile.values
-        assert not values.flags.writeable, omega
-        with pytest.raises(ValueError):
-            values[0] = 0.0
+    values = harness._reference(small_recovery(tmp_path), "lambda").profile.values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0.0

@@ -103,27 +103,28 @@ def test_sandwich_bounds_at_matched_discretization():
 def test_predicted_limit_examples():
     kern1 = KernelSpec.constant(1.0)
     m = 4.2
-    for mode in ("supercritical", "subcritical", "homogeneous"):
-        assert predicted_limit(kern1, mode, 0, 0.75, 1, 0, m_hat=m) == pytest.approx(m)
-    assert predicted_limit(kern1, "lambda", 0, 0.75, 1, 0,
-                           m_hat_up=m, m_hat_down=9.9) == pytest.approx(m)
+    for mode in ("lambda", "supercritical", "subcritical", "homogeneous"):
+        assert predicted_limit(kern1, mode, 0, 0.75, 1, m) == pytest.approx(m)
 
     kern = KernelSpec.cos_sum(2.5, 1.0)
-    sub = predicted_limit(kern, "subcritical", 0, 0.75, 1, 0, m_hat=m)
-    sup = predicted_limit(kern, "supercritical", 0, 0.75, 1, 0, m_hat=m)
+    sub = predicted_limit(kern, "subcritical", 0, 0.75, 1, m)
+    sup = predicted_limit(kern, "supercritical", 0, 0.75, 1, m)
     assert sub / sup == pytest.approx(0.2 ** (2.0 / 3.0), rel=1e-12)
     assert sub / sup == pytest.approx(0.34199518933533946, rel=1e-6)
 
-    two = predicted_limit(kern, "supercritical", 0, 0.75, 1, 1, m_hat=m)
+    # each jump costs one transition energy, whatever its direction
+    two = predicted_limit(kern, "supercritical", 0, 0.75, 2, m)
     assert two == pytest.approx(2.0 * sup, rel=1e-12)
 
 
 def test_predicted_limit_requires_estimates():
     kern = KernelSpec.constant(1.0)
-    with pytest.raises(ValueError):
-        predicted_limit(kern, "lambda", 0, 0.75, 1, 0)
-    with pytest.raises(ValueError):
-        predicted_limit(kern, "supercritical", 0, 0.75, 1, 0)
+    with pytest.raises(TypeError):
+        predicted_limit(kern, "lambda", 0, 0.75, 1)
+    with pytest.raises(TypeError):
+        predicted_limit(kern, "supercritical", 0, 0.75, 1)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        predicted_limit(kern, "critical", 0, 0.75, 1, 4.2)
 
 
 def test_lambda_continuity_constant_kernel_invariant():
