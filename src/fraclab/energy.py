@@ -3,19 +3,20 @@ quadrature weights, and the discrete phase-transition energy.
 
 ``DiscreteEnergy`` is the one evaluator of the functional
 
-    well_coef * trapezoid(W(u)) + nonlocal_coef * (nonlocal sum + exterior),
+    (1/eps) * trapezoid(W(u)) + eps^{2(k+s)-1} * (nonlocal sum + exterior),
 
-with (well_coef, nonlocal_coef) = (1/eps, eps^{2(k+s)-1}) and the kernel at
-(x/delta, y/delta) for the eps/delta functional (``eval_F`` evaluates it
-once), and (1, 1) for the rescaled one.  The nonlocal term is the nodal
-double sum over ordered pairs i != j of ``a_ij * h^2 |x_i - x_j|^{-(1+2s)}
-* (g_i - g_j)^2`` with ``g`` the k-th finite difference of the profile,
-applied by FFT in O(N log N) time and O(N) memory (``_PairForm``).  The
-exterior term adds the pairs with a node off the grid, in both orders like
-the pair sum: the closed-form tail of the +-1 exterior beyond a symmetric
-grid, the pinned rest of a larger grid (``block``), or zero.  All
-gradients are exact derivatives of the implemented sums; one at the last
-energy call's point reuses its FFT product.
+with the kernel at (x/delta, y/delta), for the parameters (k, s, eps, delta)
+of an ``EnergyParams`` (``eval_F`` evaluates it once); the rescaled
+functional is the case eps = 1, where both coefficients are exactly 1.  The
+nonlocal term is the nodal double sum over ordered pairs i != j of
+``a_ij * h^2 |x_i - x_j|^{-(1+2s)} * (g_i - g_j)^2`` with ``g`` the k-th
+finite difference of the profile, applied by FFT in O(N log N) time and
+O(N) memory (``_PairForm``).  The exterior term adds the pairs with a node
+off the grid, in both orders like the pair sum: the closed-form tail of the
++-1 exterior beyond a symmetric grid, the pinned rest of a larger grid
+(``block``), or zero.  All gradients are exact derivatives of the
+implemented sums; one at the last energy call's point reuses its FFT
+product.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Exponents and scales (k, s, eps, delta) of the eps/delta functional."""
+    """(k, s, eps, delta) of the eps/delta functional, the one check that
+    k + s > 1/2, and its coefficients: 1/eps on the well term and
+    eps^{2(k+s)-1} on the nonlocal one, both exactly 1 at eps = 1."""
 
     k: int
     s: float
@@ -194,19 +197,24 @@ class EnergyParams:
     delta: float
 
     def __post_init__(self):
-        if self.k not in (0, 1, 2):
-            raise ValueError(f"k must be in {{0, 1, 2}}, got {self.k}")
+        if self.k not in SUPPORTED_ORDERS:
+            raise ValueError(f"k must be one of {SUPPORTED_ORDERS}, got {self.k}")
         if not (0.0 < self.s < 1.0):
             raise ValueError(f"s must lie in (0, 1), got {self.s}")
-        if self.k + self.s <= 0.5 or (self.k == 0 and self.s == 0.5):
-            raise ValueError(
-                f"(k, s) = ({self.k}, {self.s}) is excluded: need k + s > 1/2 and"
-                " (k, s) != (0, 1/2)"
-            )
+        if self.k + self.s <= 0.5:
+            raise ValueError(f"(k, s) = ({self.k}, {self.s}) is excluded: need k + s > 1/2")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
+
+    @property
+    def well_coef(self) -> float:
+        return 1.0 / self.eps
+
+    @property
+    def nonlocal_coef(self) -> float:
+        return self.eps ** (2.0 * (self.k + self.s) - 1.0)
 
 
 def _pair_weights(grid: UniformGrid, s: float) -> np.ndarray:
@@ -330,44 +338,37 @@ class DiscreteEnergy:
     inverse of the energy's constant-coefficient Hessian at a pure phase,
     applied by fast sine transforms on the free nodes.
 
-    ``well_coef`` and ``nonlocal_coef`` select the functional: (1/eps,
-    eps^{2(k+s)-1}) gives the eps/delta form, (1, 1) the rescaled form, and
-    ``well_coef=0`` the nonlocal term alone.  The exterior term on g = D_k u,
-    sum_i (R_i g_i - 2 B_i) g_i + c0, has gradient 2 (R g - B) in g; it is
-    held as (R, B, c0), with B = None for k >= 1, where B is zero.  Without
-    ``tail_signs``, R and c0 are zero, and so is B for k = 0.
-    ``tail_signs`` = (left, right) fills it with the ordered-pair
-    interactions with the +-1 exterior beyond a grid on (-T_out, T_out):
-    R = c_+ + c_- with c_+-,i = 2 h rho(x_i) (T_out -+ x_i)^{-2s} / (2s) off
-    the end nodes; for k = 0 (s > 1/2), B = c_+ right + c_- left and
-    c0 = sum(R), plus the cross-tail constant if the signs differ; for
-    k >= 1, c0 = 0.
-    Difference stencils act in exactly representable units and h^-k is
-    applied after the stencil, so pure phases +-1 have exactly zero energy
-    and gradient for every k and grid.
+    ``params`` (``EnergyParams``) fixes the functional: k, s, the kernel
+    scale delta and the coefficients 1/eps and eps^{2(k+s)-1}, both 1 in the
+    rescaled form (eps = 1); ``kspec`` None is the constant kernel 1.  The
+    exterior term on g = D_k u, sum_i (R_i g_i - 2 B_i) g_i + c0, has
+    gradient 2 (R g - B) in g; it is held as (R, B, c0), with B = None for
+    k >= 1, where B is zero.  Without ``tail_signs``, R and c0 are zero, and
+    so is B for k = 0.  ``tail_signs`` = (left, right) fills it with the
+    ordered-pair interactions with the +-1 exterior beyond a grid on
+    (-T_out, T_out): R = c_+ + c_- with c_+-,i = 2 h rho(x_i)
+    (T_out -+ x_i)^{-2s} / (2s) off the end nodes; for k = 0 (s > 1/2),
+    B = c_+ right + c_- left and c0 = sum(R), plus the cross-tail constant
+    if the signs differ; for k >= 1, c0 = 0.  Difference stencils act in
+    exactly representable units and h^-k is applied after the stencil, so
+    pure phases +-1 have exactly zero energy and gradient for every k and
+    grid.
     """
 
-    def __init__(self, grid: UniformGrid, k: int, s: float, well: DoubleWell,
-                 kspec: KernelSpec | None = None, kernel_scale: float = 1.0,
-                 well_coef: float = 1.0, nonlocal_coef: float = 1.0,
-                 tail_signs=None):
-        if k not in SUPPORTED_ORDERS:
-            raise ValueError(f"k must be one of {SUPPORTED_ORDERS}, got {k}")
+    def __init__(self, grid: UniformGrid, params: EnergyParams, well: DoubleWell,
+                 kspec: KernelSpec | None = None, tail_signs=None):
+        k, s, scale = int(params.k), params.s, params.delta
         _check_nodes(grid, k)
-        self.grid, self._h = grid, grid.h
-        self.k = int(k)
-        self.s = float(s)
-        self.well = well
-        self.well_coef = float(well_coef)
-        self.nonlocal_coef = float(nonlocal_coef)
+        self.grid, self._h, self.params, self.k, self.well = grid, grid.h, params, k, well
+        self.well_coef, self.nonlocal_coef = params.well_coef, params.nonlocal_coef
         self._trap = np.full(grid.n_nodes, grid.h * self.well_coef)  # trapezoid weights
         self._trap[[0, -1]] *= 0.5
         self._h_k = grid.h ** -self.k
         x = grid.nodes()
         self._weights = _pair_weights(grid, s)
         kspec = kspec or KernelSpec.constant(1.0)
-        self._kernel = (kspec, x, kernel_scale)
-        self._form = _PairForm(self._weights, kspec, x, kernel_scale)
+        self._kernel = (kspec, x, scale)
+        self._form = _PairForm(self._weights, kspec, x, scale)
         self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
         self._last = (None,)  # u (a private copy), q = 1 - u^2, g = D_k u, gc, product(gc)
 
@@ -379,10 +380,8 @@ class DiscreteEnergy:
                                  f" got ({grid.x_lo}, {T_out})")
             if not set(tail_signs) <= {-1, 1}:
                 raise ValueError(f"tail signs must be +-1, got {tail_signs}")
-            if k == 0 and s <= 0.5:
-                raise ValueError(f"tail correction with k=0 needs s > 1/2, got s={s}")
             xi = x[1:-1]
-            rho = kspec.row_mean(xi, kernel_scale)
+            rho = kspec.row_mean(xi, scale)
             c_right, c_left = np.zeros(x.size), np.zeros(x.size)
             c_right[1:-1] = 2.0 * grid.h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
             c_left[1:-1] = 2.0 * grid.h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
@@ -560,8 +559,4 @@ def eval_F(p: GridProfile, params: EnergyParams, well: DoubleWell,
     """One-shot value of the eps/delta functional on the profile's interval
     (no exterior tail); repeated calls on one grid should reuse a
     ``DiscreteEnergy``."""
-    k, s, eps = params.k, params.s, params.eps
-    return DiscreteEnergy(
-        p.grid, k, s, well, kspec=kspec, kernel_scale=params.delta,
-        well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0),
-    ).energy(p.values)
+    return DiscreteEnergy(p.grid, params, well, kspec).energy(p.values)

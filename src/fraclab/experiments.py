@@ -182,9 +182,7 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             q = _smoothstep((x[sel] - ctr + w_ramp) / (2.0 * w_ramp))
             init[sel] = s_j * (2.0 * q - 1.0)
 
-        EnergyParams(k, s, eps, delta)  # rejects excluded exponent/scale combinations
-        model = DiscreteEnergy(grid, k, s, well, kspec=kernel, kernel_scale=delta,
-                               well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
+        model = DiscreteEnergy(grid, EnergyParams(k, s, eps, delta), well, kernel)
         res = _window_solve(model, init, windows.any(axis=0), opts, minimize)
         _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
         points.append(SweepPoint(eps=eps, delta=delta, min_energy=res.energy, result=res))
@@ -284,7 +282,7 @@ def flatten_tail(p: GridProfile, c_dprime: float, c_prime: float, N: int,
             " flattening window"
         )
 
-    model = DiscreteEnergy(p.grid, k, s, well, kspec=kspec, kernel_scale=kernel_scale)
+    model = DiscreteEnergy(p.grid, EnergyParams(k, s, 1.0, kernel_scale), well, kspec)
     base = model.energy(u)
     width = (c_prime - c_dprime) / N
     best_vals, best_energy = None, math.inf
@@ -336,7 +334,7 @@ def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int
         cross = _PairForm(w, kernel, x, delta).value(g)
         for m0, m1 in blocks:
             cross -= _PairForm(w[:m1 - m0], kernel, x[m0:m1], delta).value(g[m0:m1])
-        values.append(eps ** (2.0 * (k + s) - 1.0) * cross)
+        values.append(EnergyParams(k, s, eps, delta).nonlocal_coef * cross)
     slope = fit_loglog_slope(eps_list, values) if len(values) >= 2 else math.nan
     return values, slope
 
@@ -370,9 +368,10 @@ def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
     if max(T_list) >= grid.x_hi:
         raise ValueError(f"T values must stay below the master half-length {grid.x_hi}")
 
+    params = EnergyParams(k, s, 1.0, kernel_scale)
+
     def phi(sub_grid, values, signs=None):
-        return DiscreteEnergy(sub_grid, k, s, well, kspec=kspec, kernel_scale=kernel_scale,
-                              tail_signs=signs).energy(values)
+        return DiscreteEnergy(sub_grid, params, well, kspec, signs).energy(values)
 
     phi_full = phi(grid, p.values, tail_signs)
     h = grid.h

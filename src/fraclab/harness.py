@@ -39,6 +39,7 @@ from .profiles import (
     TransitionProblem,
     _curve_problems,
     predicted_limit,
+    scaling_exponent,
     transition_energy,
     transition_energy_curve,
 )
@@ -197,7 +198,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,
                                k=raw["k"], s=float(raw["s"]), raw=raw)
-        # the grids and transition problems the run sets up, checked before it solves any
+        # the solver options, grids and transition problems of the run, checked before any solve
+        _check(violations, "grad_tol, max_iters", cfg.opt_options)
         if command in ("sweep", "recovery"):
             _check(violations, "n_cells", lambda: _check_nodes(grid, cfg.k))
         _check(violations, "transition problem", {
@@ -377,7 +379,7 @@ def _selftest_checks(inject_gradient_bug: bool):
     # gradient vs central differences, all supported orders
     for k, s in ((0, 0.75), (1, 0.5), (2, 0.3)):
         grid = make_grid(-4.0, 4.0, 96)
-        model = DiscreteEnergy(grid, k, s, well, kspec=kern, kernel_scale=1.0)
+        model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.0), well, kern)
         vals = np.tanh(grid.nodes()) + 0.1 * rng.standard_normal(grid.n_nodes)
         p = GridProfile(grid, vals)
         grad_fn = model.gradient
@@ -389,13 +391,13 @@ def _selftest_checks(inject_gradient_bug: bool):
     # exact constant-kernel scaling identity
     c = 16.0
     k, s = 0, 0.75
-    lam = c ** (1.0 / (2.0 * (k + s)))
+    lam = c ** scaling_exponent(k, s)
+    rescaled = EnergyParams(k, s, 1.0, 1.0)
     grid = make_grid(-6.0, 6.0, 256)
     v = GridProfile(grid, np.tanh(grid.nodes()))
-    lhs = DiscreteEnergy(grid, k, s, well, kspec=KernelSpec.constant(c)).energy(v.values)
+    lhs = DiscreteEnergy(grid, rescaled, well, KernelSpec.constant(c)).energy(v.values)
     small = resample_scaled(v, lam)
-    rhs = c ** (1.0 / (2.0 * (k + s))) * DiscreteEnergy(
-        small.grid, k, s, well).energy(small.values)
+    rhs = lam * DiscreteEnergy(small.grid, rescaled, well).energy(small.values)
     rel = abs(lhs - rhs) / lhs
     checks.append(("scaling identity", rel <= 1e-12, f"rel err {rel:.3e}"))
 

@@ -43,7 +43,12 @@ class NumericalFailure(RuntimeError):
 class MinimizeOptions:
     grad_tol: float = 1e-7
     max_iters: int = 50_000
-    initial_step: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +98,14 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
     d = P^-1 g.  P^-1 is not rescaled at each iteration (Nocedal and
     Wright's s.y / y.y), since in the P metric that would apply it twice:
     the energy's spectral preconditioner carries the Hessian's scale, the
-    identity does not.  The first trial step is ``opts.initial_step`` on
-    the first iteration and 1 after it.  A trial u - t d passes Armijo's test
-    E(trial) <= E - c t g.d, except where |E(trial) - E| <= 1e-10 |E| and
-    energy differences are rounding noise: there it passes on its slope,
-    -g(trial).d <= (1 - 2c) g.d, Armijo's condition for a quadratic model
-    along -d (Hager and Zhang's approximate Wolfe test, SIAM J. Optim. 16,
-    2005).  Accepted energies thus never rise by more than 1e-10 |E|.  A
-    trial equal to u bit for bit is never accepted.
+    identity does not.  The first trial step is t = 1, halved on each
+    backtrack.  A trial u - t d passes Armijo's test E(trial) <= E - c t g.d,
+    except where |E(trial) - E| <= 1e-10 |E| and energy differences are
+    rounding noise: there it passes on its slope, -g(trial).d <= (1 - 2c) g.d,
+    Armijo's condition for a quadratic model along -d (Hager and Zhang's
+    approximate Wolfe test, SIAM J. Optim. 16, 2005).  Accepted energies thus
+    never rise by more than 1e-10 |E|.  A trial equal to u bit for bit is
+    never accepted.
     """
     free = np.asarray(free, dtype=bool)
     if free.shape != initial.values.shape:
@@ -128,7 +133,6 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
     g = projected_grad(u)
     pairs = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y), oldest first
     stop_reason = "max_iters"
-    iterations = 0
     for iterations in range(opts.max_iters + 1):
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm <= opts.grad_tol:
@@ -140,7 +144,7 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
         d = _direction(g, pairs, apply_p)
         gd = float(g @ d)
         flat = _FLAT_RTOL * abs(energy)
-        t = opts.initial_step if iterations == 0 else 1.0
+        t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = u - t * d

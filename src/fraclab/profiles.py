@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import DiscreteEnergy, DoubleWell, KernelSpec, _check_nodes
+from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec, _check_nodes
 from .grid import _REACH, GridProfile, make_grid
 from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 
@@ -74,32 +74,29 @@ class TransitionProblem:
             )
         if self.mode == "lambda" and not (self.lam > 0 and np.isfinite(self.lam)):
             raise ValueError(f"lambda mode needs lam > 0, got {self.lam}")
-        if self.k == 0 and self.s <= 0.5:
-            raise ValueError(f"(k, s) = (0, {self.s}) is excluded; need s > 1/2 when k = 0")
-        # the grid and clamp the solve sets up, checked before it starts
+        # the functional, grid and clamp the solve sets up, checked before it starts
+        self.effective_kernel()
         grid = make_grid(-self.T_out, self.T_out, self.n_cells)
         _check_nodes(grid, self.k)
         if not _start(self, grid)[1].any():
             raise ValueError(f"no node lies inside |x| < T = {self.T} at n_cells = {self.n_cells}")
 
-    def effective_kernel(self):
-        """(kernel-or-None, coordinate scale) actually entering the energy."""
+    def effective_kernel(self) -> tuple[KernelSpec | None, EnergyParams]:
+        """(kernel-or-None, parameters) of the rescaled energy the solve
+        minimizes: eps = 1, and delta = lam in lambda mode, 1 otherwise."""
+        params = EnergyParams(self.k, self.s, 1.0, self.lam if self.mode == "lambda" else 1.0)
         if self.mode == "homogeneous":
-            return None, 1.0
+            return None, params
         if self.mode == "lambda":
-            return self.kernel, self.lam
-        if self.mode == "supercritical":
-            return KernelSpec.constant(self.kernel.a_bar), 1.0
-        return KernelSpec.constant(self.kernel.a_inf), 1.0
+            return self.kernel, params
+        stat = self.kernel.a_bar if self.mode == "supercritical" else self.kernel.a_inf
+        return KernelSpec.constant(stat), params
 
 
 def _assemble(tp: TransitionProblem) -> DiscreteEnergy:
     grid = make_grid(-tp.T_out, tp.T_out, tp.n_cells)
-    kspec, scale = tp.effective_kernel()
-    return DiscreteEnergy(
-        grid, tp.k, tp.s, tp.well, kspec=kspec, kernel_scale=scale,
-        tail_signs=(-tp.omega, tp.omega),
-    )
+    kspec, params = tp.effective_kernel()
+    return DiscreteEnergy(grid, params, tp.well, kspec, tail_signs=(-tp.omega, tp.omega))
 
 
 def _start(tp: TransitionProblem, grid) -> tuple[np.ndarray, np.ndarray]:

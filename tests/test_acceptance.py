@@ -37,6 +37,7 @@ from fraclab import (
     transition_energy,
     transition_energy_curve,
 )
+from fraclab.energy import _PairForm, _pair_weights
 
 WELL0 = DoubleWell(0.0)
 COSSUM = KernelSpec.cos_sum(2.5, 1.0)
@@ -66,10 +67,11 @@ def test_criterion_01_scaling_identity():
     g = make_grid(-6.0, 6.0, 512)
     rng = np.random.default_rng(1)
     v = GridProfile(g, np.tanh(g.nodes()) + 0.05 * rng.standard_normal(g.n_nodes))
-    lhs = DiscreteEnergy(g, k, s, WELL0, kspec=KernelSpec.constant(c)).energy(v.values)
+    rescaled = EnergyParams(k, s, 1.0, 1.0)
+    lhs = DiscreteEnergy(g, rescaled, WELL0, KernelSpec.constant(c)).energy(v.values)
     small = resample_scaled(v, lam)
     rhs = c ** scaling_exponent(k, s) * DiscreteEnergy(
-        small.grid, k, s, WELL0).energy(small.values)
+        small.grid, rescaled, WELL0).energy(small.values)
     rel = abs(lhs - rhs) / abs(lhs)
     elapsed = time.monotonic() - t0
     assert report(1, rel <= 1e-12 and elapsed < 1.0,
@@ -191,8 +193,7 @@ def test_criterion_06_gradient_checks():
     worst = 0.0
     for k, s in ((0, 0.75), (1, 0.5), (2, 0.3)):
         grid = make_grid(-4.0, 4.0, 256)
-        model = DiscreteEnergy(grid, k, s, DoubleWell(0.25), kspec=COSSUM,
-                               kernel_scale=1.0)
+        model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.0), DoubleWell(0.25), COSSUM)
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             vals = np.tanh(grid.nodes()) + 0.2 * rng.standard_normal(grid.n_nodes)
@@ -269,7 +270,7 @@ def test_criterion_08_regime_separation():
        sub < super at every eps.
 
     Each factor fails for a fault of its own: a sweep that drops
-    kernel_scale breaks 2, a subcritical rule with the critical or the
+    delta breaks 2, a subcritical rule with the critical or the
     supercritical delta breaks 3, and a constant kernel that scales wrongly
     breaks 1.
 
@@ -484,7 +485,7 @@ def test_criterion_12_quadrature_consistency():
     for n in ns:
         g = make_grid(-4.0, 4.0, n)
         p = GridProfile(g, np.tanh(4.0 * g.nodes()))
-        vals.append(DiscreteEnergy(g, 0, s, WELL0, well_coef=0.0).energy(p.values))
+        vals.append(_PairForm(_pair_weights(g, s), None, g.nodes(), 1.0).value(p.values))
     r = 2.0 ** (2.0 - 2.0 * s)
     corrected = [b + (b - a) / (r - 1.0) for a, b in zip(vals, vals[1:])]
     errs = [abs(c - GAGLIARDO_TANH_REFERENCE) for c in corrected]

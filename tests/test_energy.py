@@ -15,6 +15,7 @@ from fraclab import (
     GridProfile,
     KernelSpec,
     MinimizeOptions,
+    TransitionProblem,
     eval_F,
     kth_difference,
     make_grid,
@@ -30,19 +31,30 @@ from fraclab.grid import _REACH
 F_TANH_REFERENCE = 31.470057189929
 
 
-def _phi(p, k, s, kspec, well, **kw):
+class _NoWell:
+    """A zero potential in a ``DoubleWell``'s place: the energy is then its
+    nonlocal and exterior terms alone."""
+
+    def _value(self, z, q):
+        return np.zeros_like(z)
+
+    _deriv = _value
+
+
+def _phi(p, k, s, kspec, well, scale=1.0):
     """The rescaled energy (unit coefficients) of a profile."""
-    return DiscreteEnergy(p.grid, k, s, well, kspec=kspec, **kw).energy(p.values)
+    return DiscreteEnergy(p.grid, EnergyParams(k, s, 1.0, scale), well, kspec).energy(p.values)
 
 
 def _gagliardo(p, k, s, kspec=None, scale=1.0):
     """The kernel-weighted nonlocal sum alone: the rescaled energy with no well."""
-    return _phi(p, k, s, kspec, DoubleWell(0.0), kernel_scale=scale, well_coef=0.0)
+    return _phi(p, k, s, kspec, _NoWell(), scale)
 
 
 def _tail(p, k, s, tail_signs, kspec=None):
     """The exterior tail term alone, over ordered pairs."""
-    model = DiscreteEnergy(p.grid, k, s, DoubleWell(0.0), kspec=kspec, tail_signs=tail_signs)
+    model = DiscreteEnergy(p.grid, EnergyParams(k, s, 1.0, 1.0), DoubleWell(0.0), kspec,
+                           tail_signs)
     return model._exterior_energy(model._difference(p.values))
 
 
@@ -173,6 +185,20 @@ def test_energy_params_excluded_cases():
         EnergyParams(0, 0.4, 0.1, 0.1)
     with pytest.raises(ValueError):
         EnergyParams(1, 0.5, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("k,s", [(3, 0.75), (1, 1.5), (1, -0.2), (0, 0.5)],
+                         ids=["k=3", "s=1.5", "s=-0.2", "k=0,s=0.5"])
+def test_inadmissible_exponents_rejected_at_construction(k, s):
+    # EnergyParams holds the rule; the evaluator and the transition problem
+    # go through it, so none of them gets as far as a solve
+    with pytest.raises(ValueError):
+        EnergyParams(k, s, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        DiscreteEnergy(make_grid(-4.0, 4.0, 64), EnergyParams(k, s, 1.0, 1.0), DoubleWell(0.0))
+    with pytest.raises(ValueError, match="excluded|must"):
+        TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1, T=2.0,
+                          T_out=6.0, n_cells=96, well=DoubleWell(0.0), k=k, s=s)
 
 
 def test_build_weights_values_and_symmetry():
@@ -359,12 +385,12 @@ def test_grad_F_and_grad_Phi_match_finite_differences():
     for k, s in ((0, 0.75), (1, 0.5), (2, 0.3)):
         eps, delta = 0.2, 0.3
         p = GridProfile(g, np.tanh(4 * (g.nodes() - 0.5)) + 0.1 * rng.standard_normal(g.n_nodes))
-        F = DiscreteEnergy(g, k, s, well, kspec=kern, kernel_scale=delta, well_coef=1.0 / eps,
-                           nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
-        assert F.energy(p.values) == eval_F(p, EnergyParams(k, s, eps, delta), well, kern)
+        params = EnergyParams(k, s, eps, delta)
+        F = DiscreteEnergy(g, params, well, kern)
+        assert F.energy(p.values) == eval_F(p, params, well, kern)
         err_f = check_gradient(F.energy, F.gradient, p)
         assert err_f <= 1e-6
-        phi = DiscreteEnergy(g, k, s, well, kspec=kern)
+        phi = DiscreteEnergy(g, EnergyParams(k, s, 1.0, 1.0), well, kern)
         err_phi = check_gradient(phi.energy, phi.gradient, p)
         assert err_phi <= 1e-6
 
@@ -383,8 +409,8 @@ def test_gradient_zero_at_clamped_pure_phase(lo, hi, n_cells, k):
     well = DoubleWell(0.4)
     for phase in (1.0, -1.0):
         tail = (phase, phase) if lo == -hi else None
-        model = DiscreteEnergy(g, k, 0.75, well, kspec=KernelSpec.cos_sum(2.5, 1.0),
-                               kernel_scale=0.3, tail_signs=tail)
+        model = DiscreteEnergy(g, EnergyParams(k, 0.75, 1.0, 0.3), well,
+                               KernelSpec.cos_sum(2.5, 1.0), tail)
         pure = np.full(g.n_nodes, phase)
         assert model.energy(pure) == 0.0
         assert np.all(model.gradient(pure) == 0.0)
@@ -394,12 +420,12 @@ REUSE_KERNELS = [None, KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
                  KernelSpec.cos_prod(2.0, 0.7)]
 
 
-def _reuse_case(k, kspec, tail_signs=None, chi=0.0, **kw):
+def _reuse_case(k, kspec, tail_signs=None, chi=0.0, well=None):
     g = make_grid(-3.0, 3.0, 60)
 
     def model():
-        return DiscreteEnergy(g, k, 0.75, DoubleWell(chi), kspec=kspec, kernel_scale=0.3,
-                              tail_signs=tail_signs, **kw)
+        return DiscreteEnergy(g, EnergyParams(k, 0.75, 1.0, 0.3), well or DoubleWell(chi), kspec,
+                              tail_signs)
     rng = np.random.default_rng(7 * k + 3)
     u = np.tanh(2.0 * g.nodes()) + 0.1 * rng.standard_normal(g.n_nodes)
     u[0], u[-1] = -1.0, 1.0
@@ -466,7 +492,7 @@ def test_pure_phase_and_constants_exactly_zero_through_reuse(k, kspec, monkeypat
             assert len(calls) == 1
     # the nonlocal term alone, on constants whose stencil sums and mean are
     # exact in floating point
-    make, u = _reuse_case(k, kspec, well_coef=0.0)
+    make, u = _reuse_case(k, kspec, well=_NoWell())
     model = make()
     calls = _count_points(monkeypatch, model)
     consts = (-1.0, 0.0, 0.5, 3.0)
@@ -486,7 +512,7 @@ def test_discrete_energy_matches_op_functions_with_tail():
     x = g.nodes()
     u = np.tanh(2 * x)
     u[0], u[-1] = -1.0, 1.0
-    model = DiscreteEnergy(g, k, s, well, kspec=kern, kernel_scale=1.0, tail_signs=(-1, 1))
+    model = DiscreteEnergy(g, EnergyParams(k, s, 1.0, 1.0), well, kern, (-1, 1))
     # the closed-form tail over ordered pairs, written out
     xi, h, rho = x[1:-1], g.h, kern.row_mean(x[1:-1])
     c_right = 2.0 * h * rho * (4.0 - xi) ** -1.5 / 1.5
@@ -496,21 +522,20 @@ def test_discrete_energy_matches_op_functions_with_tail():
     expect = _phi(GridProfile(g, u), k, s, kern, well) + tail
     assert model.energy(u) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError, match="symmetric"):
-        DiscreteEnergy(make_grid(-4.0, 5.0, 80), k, s, well, tail_signs=(-1, 1))
+        DiscreteEnergy(make_grid(-4.0, 5.0, 80), EnergyParams(k, s, 1.0, 1.0), well,
+                       tail_signs=(-1, 1))
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("s,k", [(s, k) for s in (0.3, 0.5, 0.75) for k in (0, 1, 2)
+                                 if k + s > 0.5])
 def test_gradient_fd_across_exponent_table(k, s):
     # every supported (k, s) with k + s > 1/2, small N
-    if k == 0 and s <= 0.5:
-        pytest.skip("excluded exponent range")
     from fraclab import check_gradient
 
     rng = np.random.default_rng(k * 10 + int(10 * s))
     g = make_grid(-2.0, 2.0, 64)
-    model = DiscreteEnergy(g, k, s, DoubleWell(0.2), kspec=KernelSpec.cos_prod(2.0, 0.7),
-                           kernel_scale=0.5)
+    model = DiscreteEnergy(g, EnergyParams(k, s, 1.0, 0.5), DoubleWell(0.2),
+                           KernelSpec.cos_prod(2.0, 0.7))
     p = GridProfile(g, np.tanh(3 * g.nodes()) + 0.15 * rng.standard_normal(g.n_nodes))
     assert check_gradient(model.energy, model.gradient, p) <= 1e-6
 
@@ -583,8 +608,7 @@ def _transition_case(k):
     s = 0.75 if k == 0 else 0.5
     kspec = KernelSpec.cos_sum(2.5, 1.0)
     grid = make_grid(-6.0, 6.0, 96)
-    model = DiscreteEnergy(grid, k, s, DoubleWell(0.0), kspec=kspec, kernel_scale=1.3,
-                           tail_signs=(-1, 1))
+    model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.3), DoubleWell(0.0), kspec, (-1, 1))
     return model, kspec, 1.3, np.abs(grid.nodes()) < 2.0
 
 
@@ -593,8 +617,7 @@ def _sweep_case(k):
     s, eps, delta = (0.75 if k == 0 else 0.5), 2.0 ** -4, 2.0 ** -6
     kspec = KernelSpec.cos_prod(2.0, 0.7)
     grid = make_grid(0.0, 1.0, 160)
-    model = DiscreteEnergy(grid, k, s, DoubleWell(0.0), kspec=kspec, kernel_scale=delta,
-                           well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
+    model = DiscreteEnergy(grid, EnergyParams(k, s, eps, delta), DoubleWell(0.0), kspec)
     x = grid.nodes()
     return model, kspec, delta, (np.abs(x - 0.3) < 0.1) | (np.abs(x - 0.7) < 0.15)
 
@@ -605,7 +628,7 @@ def _dense_inverse_preconditioner(model, kspec, scale, free):
     second differences at the two clamped neighbours, inverted densely."""
     grid, k = model.grid, model.k
     n, h, x = grid.n_nodes, grid.h, grid.nodes()
-    w = _pair_weights(grid, model.s)
+    w = _pair_weights(grid, model.params.s)
     diff = np.column_stack([kth_difference(GridProfile(grid, e), k).values for e in np.eye(n)])
     out = np.zeros((n, n))
     for a, b in _blocks(free):
@@ -685,8 +708,7 @@ def _window_case(k, kspec, n_cells=2000, margin=None, ends=(-1.0, 1.0)):
     s, eps = (0.75 if k == 0 else 0.5), 2.0 ** -7
     grid = make_grid(0.0, 1.0, n_cells)
     x = grid.nodes()
-    model = DiscreteEnergy(grid, k, s, DoubleWell(0.3), kspec=kspec, kernel_scale=eps ** 0.5,
-                           well_coef=1.0 / eps, nonlocal_coef=eps ** (2.0 * (k + s) - 1.0))
+    model = DiscreteEnergy(grid, EnergyParams(k, s, eps, eps ** 0.5), DoubleWell(0.3), kspec)
     free = np.abs(x - 0.5) < 0.125
     left, right = ends
     u = np.where(x >= 0.5, right, left)
@@ -754,8 +776,7 @@ def test_block_of_a_tail_energy_matches_the_full_energy(k, kspec, signs):
     s = 0.75 if k == 0 else 0.5
     grid = make_grid(-6.0, 6.0, 240)
     x = grid.nodes()
-    model = DiscreteEnergy(grid, k, s, DoubleWell(0.3), kspec=kspec, kernel_scale=1.3,
-                           tail_signs=signs)
+    model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.3), DoubleWell(0.3), kspec, signs)
     free = np.abs(x) < 2.0
     u = np.where(x >= 0.0, float(signs[1]), float(signs[0]))
     u[free] = np.interp(x[free], [-2.0, 2.0], signs)

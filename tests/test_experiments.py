@@ -188,12 +188,13 @@ def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profile):
         n_cells=512, T_profile=2.0)
     assert all(v > 0 for v in values)
     # cross term is a restriction of the full nonlocal sum
-    from fraclab import DiscreteEnergy
+    from fraclab.energy import _PairForm, _pair_weights
 
     grid = make_grid(0.0, 1.0, 512)
     rec = build_recovery(target, homogeneous_profile, 0.02, 0.02 ** 2,
                          "supercritical", grid, 2.0)
-    total = 0.02 ** 0.5 * DiscreteEnergy(grid, 0, 0.75, WELL, well_coef=0.0).energy(rec.values)
+    pairs = _PairForm(_pair_weights(grid, 0.75), None, grid.nodes(), 1.0)
+    total = 0.02 ** 0.5 * pairs.value(rec.values)
     assert values[1] <= total + 1e-12
 
 

@@ -328,12 +328,17 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(SWEEP_MIN, kernel={"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
          jumps=[[0.25, 1], [0.5, -1]], rule="subcritical", eps_list=[2.0 ** -7], n_cells=10,
          window_factor=1),
+    dict(PROFILE_CFG, grad_tol="abc"),
+    dict(SWEEP_MIN, grad_tol=-1),
+    dict(RECOVERY_MIN, grad_tol=float("nan")),
+    dict(PROFILE_CFG, max_iters=-3),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
         "jump-sign-fraction", "left_value-fraction", "profile-one-cell",
         "profile-too-few-nodes", "profile-no-free-node", "sweep-one-cell", "sweep-empty-window",
         "recovery-one-cell", "recovery-reference-one-cell", "recovery-too-few-nodes",
-        "sweep-one-window-empty"])
+        "sweep-one-window-empty", "grad_tol-string", "grad_tol-negative", "grad_tol-nan",
+        "max_iters-negative"])
 def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     def unused(tp, opts):
         raise AssertionError("a bad config must be rejected before any solve")

@@ -211,23 +211,29 @@ def test_minimize_reports_stop_reason_and_counts():
         calls["grad"] += 1
         return grad(u)
 
+    # the unit first step along g = 2 (u - 1) lands on 2 - u, as high as u:
+    # one backtrack halves it onto the minimum
     init = GridProfile(g, np.zeros(g.n_nodes))
     res = minimize(counted_energy, counted_grad, init, np.ones(g.n_nodes, dtype=bool),
-                   MinimizeOptions(grad_tol=1e-9, initial_step=4.0))
+                   MinimizeOptions(grad_tol=1e-9))
     assert res.stop_reason == "grad_tol"
     assert (res.energy_evals, res.grad_evals) == (calls["energy"], calls["grad"])
     # every backtrack costs one energy evaluation on top of one per accepted step
     assert res.energy_evals >= res.iterations + res.backtracks + 2
     assert res.backtracks >= res.iterations > 0
 
+    # a quartic is not solved in one step
+    energy, grad = quartic_chain(np.linspace(-1.0, 2.0, g.n_nodes))
     capped = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool),
-                      MinimizeOptions(grad_tol=1e-9, max_iters=1, initial_step=0.1))
+                      MinimizeOptions(grad_tol=1e-9, max_iters=1))
     assert capped.stop_reason == "max_iters"
     assert not capped.converged
     assert capped.iterations == 1
 
 
 def test_minimize_backtracks_from_non_finite_trial_energies():
+    # the unit first step from 0 along g = 2 (u - 1.5) lands on u = 3, where
+    # the energy is -inf
     g = make_grid(0.0, 1.0, 4)
 
     def energy(u):
@@ -236,21 +242,19 @@ def test_minimize_backtracks_from_non_finite_trial_energies():
     def grad(u):
         return 2.0 * (u - 1.5)
 
-    res = minimize(energy, grad, GridProfile(g, np.zeros(5)), np.ones(5, dtype=bool),
-                   MinimizeOptions(initial_step=10.0))
+    res = minimize(energy, grad, GridProfile(g, np.zeros(5)), np.ones(5, dtype=bool))
     assert res.converged and np.isfinite(res.energy)
     assert res.backtracks > 0
     np.testing.assert_allclose(res.profile.values, 1.5, atol=1e-6)
 
 
-def test_minimize_with_negative_max_iters_returns_the_initial_profile():
-    g = make_grid(0.0, 1.0, 8)
-    energy, grad = quadratic_target(1.0)
-    init = GridProfile(g, np.zeros(g.n_nodes))
-    res = minimize(energy, grad, init, np.ones(g.n_nodes, dtype=bool),
-                   MinimizeOptions(max_iters=-1))
-    assert (res.iterations, res.stop_reason, res.converged) == (0, "max_iters", False)
-    np.testing.assert_array_equal(res.profile.values, init.values)
+def test_minimize_options_reject_bad_values():
+    for bad in (dict(grad_tol=-1.0), dict(grad_tol=float("nan")), dict(grad_tol=float("inf")),
+                dict(max_iters=0), dict(max_iters=-1)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            MinimizeOptions(**bad)
+    # the edges are admissible: a zero tolerance, one step
+    assert MinimizeOptions(grad_tol=0.0, max_iters=1).max_iters == 1
 
 
 def test_minimize_with_inverse_hessian_preconditioner_takes_one_step():
@@ -317,8 +321,8 @@ def quartic_chain(target, coupling=1.0):
 
 @pytest.mark.parametrize("preconditioned", [False, True])
 def test_minimize_first_trial_is_the_initial_step_along_p_inverse_g(preconditioned):
-    # with no stored pair the direction is exactly P^-1 g, which
-    # initial_step scales
+    # with no stored pair the direction is exactly P^-1 g, and the first
+    # trial step is 1
     g = make_grid(0.0, 1.0, 16)
     free = np.ones(g.n_nodes, dtype=bool)
     free[[0, -1]] = False
@@ -332,11 +336,11 @@ def test_minimize_first_trial_is_the_initial_step_along_p_inverse_g(precondition
         return energy(u)
 
     init = GridProfile(g, np.zeros(g.n_nodes))
-    minimize(recording, grad, init, free, MinimizeOptions(max_iters=1, initial_step=0.3),
+    minimize(recording, grad, init, free, MinimizeOptions(max_iters=1),
              precondition=precondition)
     g0 = np.where(free, grad(init.values), 0.0)
     d0 = g0 if precondition is None else precondition(g0)
-    np.testing.assert_array_equal(trials[1], init.values - 0.3 * d0)
+    np.testing.assert_array_equal(trials[1], init.values - d0)
 
 
 def test_minimize_skips_a_step_with_negative_curvature_and_converges():
