@@ -6,6 +6,9 @@ are checked up front, every violation collected into one error.  Each runner
 returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
 Each mode gets one ascending reference solve behind ``predicted`` and the
 pasted recovery profiles; a descending jump uses its reflection x -> -x.
+A converged reference solve is kept in a bounded table for every later
+config of the process; an unconverged one is not kept.  The CLI runs one
+config per process, so only in-process drivers of ``run_experiment`` gain.
 Results are written atomically (temp file + rename).  Failures map to exit
 codes: 2 config, 3 numerical, 4 I/O.
 """
@@ -16,6 +19,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -171,6 +175,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     kernel = _check(violations, "kernel", lambda: _build_kernel(raw["kernel"]))
     well = _check(violations, "well", lambda: DoubleWell(float(raw["chi"])))
     _check(violations, "exponents", lambda: EnergyParams(raw["k"], raw["s"], 1.0, 1.0))
+    if "lam" in raw:
+        _check(violations, "lam", lambda: _positive(raw["lam"], "lam"))
 
     if command == "curve" and not (isinstance(raw.get("T_list"), list) and len(raw["T_list"]) > 1):
         violations.append("curve needs T_list with at least two ascending values")
@@ -241,9 +247,27 @@ def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
                                n_cells=cfg.raw["reference_n_cells"])
 
 
+_REFERENCE_CAP = 16
+_REFERENCES: dict = {}  # (problem, options) -> converged result, oldest first
+_REFERENCES_LOCK = threading.Lock()
+
+
 def _reference(cfg: ExperimentConfig, mode: str) -> MinimizeResult:
-    """The ascending reference solve of ``mode``; a descending jump is its reflection."""
-    return transition_energy(_reference_problem(cfg, mode), cfg.opt_options())
+    """The ascending reference solve of ``mode``; a descending jump is its
+    reflection.  A converged one is kept for every later config of the
+    process, the oldest of ``_REFERENCE_CAP`` evicted; an unconverged one is
+    re-solved, and warns, each time."""
+    key = (_reference_problem(cfg, mode), cfg.opt_options())
+    with _REFERENCES_LOCK:
+        res = _REFERENCES.get(key)
+    if res is None:
+        res = transition_energy(*key)
+        if res.converged:
+            with _REFERENCES_LOCK:
+                _REFERENCES[key] = res
+                if len(_REFERENCES) > _REFERENCE_CAP:
+                    del _REFERENCES[next(iter(_REFERENCES))]
+    return res
 
 
 def _predicted(cfg: ExperimentConfig, target: BVTarget, mode: str,

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -412,6 +414,29 @@ def test_cli_bad_window_factor_exits_config_before_sweeping(tmp_path, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", [-5.0, 0, float("nan"), float("inf")],
+                         ids=["negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize("command, raw", [
+    ("profile", PROFILE_CFG),
+    ("sweep", dict(SWEEP_MIN, rule="supercritical", eps_list=[0.0625], n_cells=256,
+                   T_profile=1.0, reference_n_cells=128, grad_tol=1e-4)),
+], ids=["profile-homogeneous", "sweep-supercritical"])
+def test_cli_bad_lam_exits_config_where_no_problem_reads_it(tmp_path, monkeypatch, lam,
+                                                            command, raw):
+    # no lambda-mode problem reads lam here, and both once ran to exit 0
+    def unused(*args, **kwargs):
+        raise AssertionError("a bad lam must be rejected before any solve")
+
+    monkeypatch.setattr(harness, "transition_energy", unused)
+    monkeypatch.setattr(harness, "regime_sweep", unused)
+    cfg = write_config(tmp_path, "bad.json", dict(raw, lam=lam))
+    out = tmp_path / "x.csv"
+    res = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "lam: lam must be positive and finite" in res.output
+    assert not out.exists()
+
+
 def test_integral_floats_read_as_integers(tmp_path):
     outs = []
     for name, raw in (("int", dict(PROFILE_CFG, omega=-1)),
@@ -459,8 +484,10 @@ RECOVERY_SMALL = dict(RECOVERY_MIN, T_profile=2.0, n_cells=512, reference_n_cell
 
 
 def count_solves(monkeypatch) -> list:
-    """Record the problem of every transition solve the harness starts."""
+    """Record the problem of every transition solve the harness starts, from
+    an empty table of kept reference solves."""
     solved = []
+    monkeypatch.setattr(harness, "_REFERENCES", {})
 
     def counting(tp, opts, _solve=harness.transition_energy):
         solved.append(tp)
@@ -534,3 +561,78 @@ def test_reference_profiles_are_read_only(tmp_path):
     assert not values.flags.writeable
     with pytest.raises(ValueError):
         values[0] = 0.0
+
+
+def test_recovery_configs_of_one_process_share_their_reference_solves(tmp_path, monkeypatch):
+    # 4 eps x {lambda, supercritical}: the lambda, supercritical and
+    # homogeneous problems, each solved once
+    configs = [small_recovery(tmp_path, mode=mode, eps=2.0 ** -e)
+               for mode in ("lambda", "supercritical") for e in (5, 6, 7, 8)]
+    solved = count_solves(monkeypatch)
+    shared = []
+    for i, cfg in enumerate(configs):
+        run_experiment(cfg, tmp_path / f"shared{i}.csv")
+        shared.append((tmp_path / f"shared{i}.csv").read_bytes())
+    assert sorted(p.mode for p in solved) == ["homogeneous", "lambda", "supercritical"]
+    for i, cfg in enumerate(configs):
+        monkeypatch.setattr(harness, "_REFERENCES", {})
+        run_experiment(cfg, tmp_path / f"alone{i}.csv")
+        assert (tmp_path / f"alone{i}.csv").read_bytes() == shared[i]
+
+
+def test_unconverged_reference_is_not_kept(tmp_path, monkeypatch):
+    configs = [small_recovery(tmp_path, max_iters=3, eps=eps) for eps in (2.0 ** -5, 2.0 ** -6)]
+    solved = count_solves(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="stopped on max_iters") as record:
+        for i, cfg in enumerate(configs):
+            run_experiment(cfg, tmp_path / f"r{i}.csv")
+    assert [p.mode for p in solved] == ["lambda", "lambda"]
+    assert len(record) == 2
+    assert harness._REFERENCES == {}
+
+
+def stub_converged_solves(monkeypatch):
+    """Empty the reference table and make every solve return one converged stub."""
+    converged = harness.MinimizeResult(None, 1.0, 0, 0.0, True, "grad_tol", 1, 1, 0)
+    monkeypatch.setattr(harness, "_REFERENCES", {})
+    monkeypatch.setattr(harness, "transition_energy", lambda tp, opts: converged)
+    return converged
+
+
+def test_reference_table_keeps_the_newest_up_to_its_cap(tmp_path, monkeypatch):
+    cap = harness._REFERENCE_CAP
+    stub_converged_solves(monkeypatch)
+    sizes = [192 + 2 * i for i in range(cap + 3)]
+    for n in sizes:
+        harness._reference(small_recovery(tmp_path, reference_n_cells=n), "lambda")
+    assert [tp.n_cells for tp, _ in harness._REFERENCES] == sizes[3:]
+
+
+def test_reference_table_survives_concurrent_configs(tmp_path, monkeypatch):
+    # run_experiment may be called from several threads of one process
+    cap = harness._REFERENCE_CAP
+    configs = [small_recovery(tmp_path, reference_n_cells=192 + 2 * i) for i in range(2 * cap)]
+    converged = stub_converged_solves(monkeypatch)
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(20 * len(configs)):
+                assert harness._reference(configs[(i + offset) % len(configs)],
+                                          "lambda") is converged
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * j,)) for j in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(harness._REFERENCES) == cap
