@@ -7,43 +7,31 @@ returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
 Each mode gets one ascending reference solve behind ``predicted`` and the
 pasted recovery profiles; a descending jump uses its reflection x -> -x.
 A converged reference solve is kept in a bounded table for every later
-config of the process; an unconverged one is not kept.  The CLI runs one
-config per process, so only in-process drivers of ``run_experiment`` gain.
+config of the process, such as the other configs of one ``fraclab``
+invocation; an unconverged one is not kept.
 Results are written atomically (temp file + rename).  Failures map to exit
 codes: 2 config, 3 numerical, 4 I/O.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import tempfile
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .energy import (
-    DiscreteEnergy,
-    DoubleWell,
-    EnergyParams,
-    KernelSpec,
-    _PairForm,
-    _check_nodes,
-    _pair_weights,
-    eval_F,
-)
+from .energy import DoubleWell, EnergyParams, KernelSpec, _check_nodes, eval_F
 from .experiments import (_check_recovery_geometry, _check_sweep_eps, _check_sweep_geometry,
                           build_recovery, delta_rule, regime_sweep)
-from .grid import BVTarget, GridProfile, make_bv_target, make_grid, resample_scaled
-from .optimize import MinimizeOptions, MinimizeResult, NumericalFailure, check_gradient
+from .grid import BVTarget, make_bv_target, make_grid
+from .optimize import MinimizeOptions, MinimizeResult, NumericalFailure
 from .profiles import (
     TransitionProblem,
     _curve_problems,
     predicted_limit,
-    scaling_exponent,
     transition_energy,
     transition_energy_curve,
 )
@@ -54,7 +42,6 @@ __all__ = [
     "load_config",
     "run_experiment",
     "emit_csv",
-    "selftest",
     "EXIT_OK",
     "EXIT_CONFIG",
     "EXIT_NUMERICAL",
@@ -247,27 +234,30 @@ def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
                                n_cells=cfg.raw["reference_n_cells"])
 
 
-_REFERENCE_CAP = 16
-_REFERENCES: dict = {}  # (problem, options) -> converged result, oldest first
-_REFERENCES_LOCK = threading.Lock()
+class _Unconverged(Exception):
+    """Carries an unconverged reference solve past the table, which keeps none."""
+
+    def __init__(self, result: MinimizeResult):
+        self.result = result
+
+
+@functools.lru_cache(maxsize=16)
+def _converged_reference(problem: TransitionProblem, opts: MinimizeOptions) -> MinimizeResult:
+    res = transition_energy(problem, opts)
+    if not res.converged:
+        raise _Unconverged(res)
+    return res
 
 
 def _reference(cfg: ExperimentConfig, mode: str) -> MinimizeResult:
     """The ascending reference solve of ``mode``; a descending jump is its
-    reflection.  A converged one is kept for every later config of the
-    process, the oldest of ``_REFERENCE_CAP`` evicted; an unconverged one is
-    re-solved, and warns, each time."""
-    key = (_reference_problem(cfg, mode), cfg.opt_options())
-    with _REFERENCES_LOCK:
-        res = _REFERENCES.get(key)
-    if res is None:
-        res = transition_energy(*key)
-        if res.converged:
-            with _REFERENCES_LOCK:
-                _REFERENCES[key] = res
-                if len(_REFERENCES) > _REFERENCE_CAP:
-                    del _REFERENCES[next(iter(_REFERENCES))]
-    return res
+    reflection.  A converged solve is kept for every later config of the
+    process (the least recently used of 16 dropped); an unconverged one is
+    solved again, and warns, each time."""
+    try:
+        return _converged_reference(_reference_problem(cfg, mode), cfg.opt_options())
+    except _Unconverged as exc:
+        return exc.result
 
 
 def _predicted(cfg: ExperimentConfig, target: BVTarget, mode: str,
@@ -389,87 +379,3 @@ def run_experiment(cfg: ExperimentConfig, out_path, workers: int = 1) -> None:
             rec["rel_gap"] = (energy - rec["predicted"]) / rec["predicted"]
     emit_csv([[rec[col] for col in schema] for rec in records], schema, out_path)
 
-
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def _selftest_checks(inject_gradient_bug: bool):
-    rng = np.random.default_rng(20240811)
-    well = DoubleWell(0.2)
-    kern = KernelSpec.cos_sum(2.5, 1.0)
-    checks = []
-
-    # gradient vs central differences, all supported orders
-    for k, s in ((0, 0.75), (1, 0.5), (2, 0.3)):
-        grid = make_grid(-4.0, 4.0, 96)
-        model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.0), well, kern)
-        vals = np.tanh(grid.nodes()) + 0.1 * rng.standard_normal(grid.n_nodes)
-        p = GridProfile(grid, vals)
-        grad_fn = model.gradient
-        if inject_gradient_bug:
-            grad_fn = lambda v, _g=model.gradient: 2.0 * _g(v)  # noqa: E731
-        err = check_gradient(model.energy, grad_fn, p)
-        checks.append((f"gradient k={k} s={s}", err <= 1e-6, f"max rel err {err:.3e}"))
-
-    # exact constant-kernel scaling identity
-    c = 16.0
-    k, s = 0, 0.75
-    lam = c ** scaling_exponent(k, s)
-    rescaled = EnergyParams(k, s, 1.0, 1.0)
-    grid = make_grid(-6.0, 6.0, 256)
-    v = GridProfile(grid, np.tanh(grid.nodes()))
-    lhs = DiscreteEnergy(grid, rescaled, well, KernelSpec.constant(c)).energy(v.values)
-    small = resample_scaled(v, lam)
-    rhs = lam * DiscreteEnergy(small.grid, rescaled, well).energy(small.values)
-    rel = abs(lhs - rhs) / lhs
-    checks.append(("scaling identity", rel <= 1e-12, f"rel err {rel:.3e}"))
-
-    # monotone T-curve, homogeneous kernel, small N
-    tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
-                           T=2.0, T_out=6.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
-    pts = transition_energy_curve(tp, [2.0, 4.0], MinimizeOptions(grad_tol=1e-5))
-    mono = pts[1].m_hat <= pts[0].m_hat + 1e-6
-    checks.append(("T-monotonicity", mono,
-                   f"m({pts[0].T})={pts[0].m_hat:.6f} m({pts[1].T})={pts[1].m_hat:.6f}"))
-
-    # jump-direction symmetry for a tilted well, by the reflection x -> -x
-    tp_sym = TransitionProblem(kernel=kern, mode="lambda", lam=1.0, omega=1, T=2.0,
-                               T_out=6.0, n_cells=192, well=well, k=0, s=0.75)
-    opts = MinimizeOptions(grad_tol=1e-5)
-    m_up = transition_energy(tp_sym, opts).energy
-    m_dn = transition_energy(replace(tp_sym, omega=-1), opts).energy
-    gap = abs(m_up - m_dn) / m_up
-    checks.append(("jump symmetry", gap <= 1e-10,
-                   f"m+={m_up:.8f} m-={m_dn:.8f} rel gap {gap:.1e}"))
-
-    # sandwich bounds against the homogeneous problem at the same grid
-    tp_hom = replace(tp_sym, mode="homogeneous")
-    m_hom = transition_energy(tp_hom, opts).energy
-    lo = min(kern.alpha_a, 1.0) * m_hom - 1e-6
-    hi = max(kern.beta_a, 1.0) * m_hom + 1e-6
-    inside = (lo <= m_up <= hi) and m_up > 0
-    checks.append(("positivity and sandwich", inside,
-                   f"{lo:.6f} <= {m_up:.6f} <= {hi:.6f}"))
-
-    # matrix-free pair operator against the explicit O(N^2) sum, row by row
-    grid = make_grid(-1.0, 1.0, 96)
-    x, w, g = grid.nodes(), _pair_weights(grid, 0.75), np.sin(3.0 * grid.nodes())
-    for kspec in (KernelSpec.constant(2.0), kern, KernelSpec.cos_prod(2.0, 0.7)):
-        fast = _PairForm(w, kspec, x, 0.3).apply(g)
-        ref = np.array([w[abs(i - np.arange(x.size))] * kspec.eval(xi / 0.3, x / 0.3) @ g
-                        for i, xi in enumerate(x)])
-        rel = float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
-        checks.append((f"matrix-free {kspec.kind}", rel <= 1e-13, f"rel err {rel:.3e}"))
-    return checks
-
-
-def selftest(inject_gradient_bug: bool = False) -> tuple[bool, str]:
-    """Run the invariant suite at small N; returns (all_passed, report)."""
-    checks = _selftest_checks(inject_gradient_bug)
-    width = max(len(name) for name, _, _ in checks)
-    lines = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}"
-             for name, ok, detail in checks]
-    passed = all(ok for _, ok, _ in checks)
-    lines.append(f"{'overall':<{width}}  {'PASS' if passed else 'FAIL'}")
-    return passed, "\n".join(lines) + "\n"

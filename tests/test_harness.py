@@ -1,7 +1,6 @@
+import functools
 import json
 import re
-import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,8 +18,8 @@ from fraclab.harness import (
     emit_csv,
     load_config,
     run_experiment,
-    selftest,
 )
+from fraclab.selftest import selftest
 
 
 def write_config(tmp_path, name, payload):
@@ -483,11 +482,18 @@ RECOVERY_SMALL = dict(RECOVERY_MIN, T_profile=2.0, n_cells=512, reference_n_cell
                       grad_tol=1e-4)
 
 
+def empty_reference_table(monkeypatch):
+    """Give the test a table of kept reference solves of its own, empty."""
+    table = harness._converged_reference
+    monkeypatch.setattr(harness, "_converged_reference",
+                        functools.lru_cache(**table.cache_parameters())(table.__wrapped__))
+
+
 def count_solves(monkeypatch) -> list:
     """Record the problem of every transition solve the harness starts, from
     an empty table of kept reference solves."""
     solved = []
-    monkeypatch.setattr(harness, "_REFERENCES", {})
+    empty_reference_table(monkeypatch)
 
     def counting(tp, opts, _solve=harness.transition_energy):
         solved.append(tp)
@@ -563,21 +569,54 @@ def test_reference_profiles_are_read_only(tmp_path):
         values[0] = 0.0
 
 
-def test_recovery_configs_of_one_process_share_their_reference_solves(tmp_path, monkeypatch):
+def test_cli_configs_of_one_invocation_share_their_reference_solves(tmp_path, monkeypatch):
     # 4 eps x {lambda, supercritical}: the lambda, supercritical and
     # homogeneous problems, each solved once
-    configs = [small_recovery(tmp_path, mode=mode, eps=2.0 ** -e)
-               for mode in ("lambda", "supercritical") for e in (5, 6, 7, 8)]
+    paths = [str(write_config(tmp_path, f"{mode}{e}.json",
+                              dict(RECOVERY_SMALL, mode=mode, eps=2.0 ** -e)))
+             for mode in ("lambda", "supercritical") for e in (5, 6, 7, 8)]
+    monkeypatch.chdir(tmp_path)
     solved = count_solves(monkeypatch)
-    shared = []
-    for i, cfg in enumerate(configs):
-        run_experiment(cfg, tmp_path / f"shared{i}.csv")
-        shared.append((tmp_path / f"shared{i}.csv").read_bytes())
+    res = CliRunner().invoke(main, ["recovery", *paths])
+    assert res.exit_code == 0, res.output
     assert sorted(p.mode for p in solved) == ["homogeneous", "lambda", "supercritical"]
-    for i, cfg in enumerate(configs):
-        monkeypatch.setattr(harness, "_REFERENCES", {})
-        run_experiment(cfg, tmp_path / f"alone{i}.csv")
-        assert (tmp_path / f"alone{i}.csv").read_bytes() == shared[i]
+    for path in paths:
+        empty_reference_table(monkeypatch)
+        alone = tmp_path / "alone.csv"
+        res = CliRunner().invoke(main, ["recovery", path, "--out", str(alone)])
+        assert res.exit_code == 0, res.output
+        assert Path(path).with_suffix(".csv").read_bytes() == alone.read_bytes()
+
+
+def test_cli_validates_every_config_before_running_any(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("a bad config must be rejected before any solve")
+
+    monkeypatch.setattr(harness, "transition_energy", unused)
+    monkeypatch.chdir(tmp_path)
+    good = str(write_config(tmp_path, "good.json", RECOVERY_SMALL))
+    bad = str(write_config(tmp_path, "bad.json", dict(RECOVERY_SMALL, eps=-1.0)))
+    res = CliRunner().invoke(main, ["recovery", good, bad])
+    assert res.exit_code == EXIT_CONFIG
+    assert f"{bad}: eps: eps must be positive and finite" in res.output
+    assert good not in res.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["a/r.json", "b/r.json"], "several configs would write r.csv"),
+    (["a/r.json", "b/s.json", "--out", "x.csv"], "--out takes a single config"),
+], ids=["one-stem", "out"])
+def test_cli_several_configs_need_distinct_stems_and_no_out(tmp_path, monkeypatch, args,
+                                                            message):
+    monkeypatch.chdir(tmp_path)
+    for path in args[:2]:
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        write_config(tmp_path, path, RECOVERY_SMALL)
+    res = CliRunner().invoke(main, ["recovery", *args])
+    assert res.exit_code == EXIT_CONFIG
+    assert message in res.output
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unconverged_reference_is_not_kept(tmp_path, monkeypatch):
@@ -588,51 +627,23 @@ def test_unconverged_reference_is_not_kept(tmp_path, monkeypatch):
             run_experiment(cfg, tmp_path / f"r{i}.csv")
     assert [p.mode for p in solved] == ["lambda", "lambda"]
     assert len(record) == 2
-    assert harness._REFERENCES == {}
-
-
-def stub_converged_solves(monkeypatch):
-    """Empty the reference table and make every solve return one converged stub."""
-    converged = harness.MinimizeResult(None, 1.0, 0, 0.0, True, "grad_tol", 1, 1, 0)
-    monkeypatch.setattr(harness, "_REFERENCES", {})
-    monkeypatch.setattr(harness, "transition_energy", lambda tp, opts: converged)
-    return converged
+    assert harness._converged_reference.cache_info().currsize == 0
 
 
 def test_reference_table_keeps_the_newest_up_to_its_cap(tmp_path, monkeypatch):
-    cap = harness._REFERENCE_CAP
-    stub_converged_solves(monkeypatch)
+    cap = harness._converged_reference.cache_info().maxsize
+    empty_reference_table(monkeypatch)
+    converged = harness.MinimizeResult(None, 1.0, 0, 0.0, True, "grad_tol", 1, 1, 0)
+    solved = []
+
+    def stub(tp, opts):
+        solved.append(tp.n_cells)
+        return converged
+
+    monkeypatch.setattr(harness, "transition_energy", stub)
     sizes = [192 + 2 * i for i in range(cap + 3)]
-    for n in sizes:
-        harness._reference(small_recovery(tmp_path, reference_n_cells=n), "lambda")
-    assert [tp.n_cells for tp, _ in harness._REFERENCES] == sizes[3:]
-
-
-def test_reference_table_survives_concurrent_configs(tmp_path, monkeypatch):
-    # run_experiment may be called from several threads of one process
-    cap = harness._REFERENCE_CAP
-    configs = [small_recovery(tmp_path, reference_n_cells=192 + 2 * i) for i in range(2 * cap)]
-    converged = stub_converged_solves(monkeypatch)
-    errors = []
-
-    def worker(offset):
-        try:
-            for i in range(20 * len(configs)):
-                assert harness._reference(configs[(i + offset) % len(configs)],
-                                          "lambda") is converged
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(7 * j,)) for j in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(harness._REFERENCES) == cap
+    configs = [small_recovery(tmp_path, reference_n_cells=n) for n in sizes]
+    for cfg in configs + configs[3:]:  # the newest cap are asked again
+        assert harness._reference(cfg, "lambda") is converged
+    assert harness._converged_reference.cache_info().currsize == cap
+    assert solved == sizes
