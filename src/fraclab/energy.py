@@ -11,7 +11,11 @@ functional is the case eps = 1, where both coefficients are exactly 1.  The
 nonlocal term is the nodal double sum over ordered pairs i != j of
 ``a_ij * h^2 |x_i - x_j|^{-(1+2s)} * (g_i - g_j)^2`` with ``g`` the k-th
 finite difference of the profile, applied by FFT in O(N log N) time and
-O(N) memory (``_PairForm``).  The exterior term adds the pairs with a node
+O(N) memory (``_PairForm``).  The operator's kernel-free part, the weights
+with their circulant symbol and row sums, depends on (N, h, s) alone and is
+built once per process (``_pair_table``), so an energy at a new eps or delta
+pays only for its kernel part: t = cos(2 pi x / delta) and, for the cosine
+kernels, one product W t.  The exterior term adds the pairs with a node
 off the grid, in both orders like the pair sum: the closed-form tail of the
 +-1 exterior beyond a symmetric grid, the pinned rest of a larger grid
 (``block``), or zero.  All gradients are exact derivatives of the
@@ -22,7 +26,9 @@ product.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy >= 2 would load it lazily, inside the first energy call
@@ -217,61 +223,86 @@ class EnergyParams:
         return self.eps ** (2.0 * (self.k + self.s) - 1.0)
 
 
-def _pair_weights(grid: UniformGrid, s: float) -> np.ndarray:
-    """Kernel-free pair weights h^2 |x_i - x_j|^{-(1+2s)} by offset |i - j|.
+class _PairTable(NamedTuple):
+    """The kernel-free part of the pair operator on n nodes at spacing h:
+    the offset weights h^2 |x_i - x_j|^{-(1+2s)} by |i - j| (entry 0, the
+    excluded diagonal, zero), the real symbol of their circulant embedding
+    of length L = 2^a, 3 2^a or 5 2^a >= 2n - 2 (lag n - 1 occurs only
+    once), and the row sums W 1.  Every array is read-only, so threads
+    share a table."""
 
-    On a uniform grid the weight depends only on the offset, so one read-only
-    row is returned; entry 0, the excluded diagonal, is zero.
-    """
+    weights: np.ndarray
+    symbol: np.ndarray
+    length: int
+    ones: np.ndarray  # W 1
+
+    def product(self, g: np.ndarray) -> np.ndarray:
+        """W g, the head of a circular convolution with the symbol; rows of
+        a 2-d ``g`` in one batched FFT."""
+        spectrum = np.fft.rfft(g, self.length) * self.symbol
+        return np.fft.irfft(spectrum, self.length)[..., :self.weights.size]
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_table(n: int, h: float, s: float) -> _PairTable:
+    """The ``_PairTable`` of (n, h, s), built once per process; the least
+    recently used of 8 is dropped.  A table holds 3 n to 3.25 n floats
+    (3.1 MB at n = 128,001), so the cache holds at most 8 times the largest
+    table in use: 25 MB if every one had 128,001 nodes."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    h = grid.h
-    d = np.arange(grid.n_nodes, dtype=float)
+    n = int(n)  # a numpy integer has no bit_length
+    d = np.arange(n, dtype=float)
     d[0] = 1.0  # placeholder; the diagonal is excluded everywhere
     w = h * h * (d * h) ** (-(1.0 + 2.0 * s))
     w[0] = 0.0
-    w.flags.writeable = False
-    return w
+    length = min(p << ((2 * n - 3) // p).bit_length() for p in (1, 3, 5))
+    col = np.zeros(length)
+    col[:n] = w
+    col[length - n + 1:] = w[:0:-1]
+    symbol = np.fft.rfft(col).real.copy()  # symmetric column: real symbol
+    table = _PairTable(w, symbol, length, None)
+    ones = table.product(np.ones(n))
+    for a in (w, symbol, ones):
+        a.flags.writeable = False
+    return table._replace(ones=ones)
 
 
 class _PairForm:
     """Quadratic form  g -> sum_{i != j} A_ij (g_i - g_j)^2  with
     A_ij = W_|i-j| a(x_i / scale, x_j / scale), applied without forming A.
 
-    W g is the head of a circular convolution with W's circulant symbol, of
-    length L = 2^a, 3 2^a or 5 2^a >= 2N - 2 (lag N - 1 occurs only once).
-    With t = cos(2 pi x / scale), constant: A g = c0 W g;  cos_sum: c0 W g +
+    W g is the ``_PairTable``'s product, which the form shares with every
+    other form of its (n, h, s); the form adds only its kernel part.  With
+    t = cos(2 pi x / scale), constant: A g = c0 W g;  cos_sum: c0 W g +
     c1 (t o W g + W (t o g));  cos_prod: c0 W g + c1 t o W (t o g), with one
-    batched FFT over [g, t o g].  With g' = g - mean(g), the value is
-    2 g' . (diag(row) - A) g' and its gradient 4 (row o g' - A g'), both
-    exactly zero wherever g' is, as on every pure +-1 phase.
+    batched FFT over [g, t o g].  So its row A 1 costs cos_sum and cos_prod
+    one product W t and the constant kernel none.  With g' = g - mean(g),
+    the value is 2 g' . (diag(row) - A) g' and its gradient
+    4 (row o g' - A g'), both exactly zero wherever g' is, as on every pure
+    +-1 phase.
     """
 
-    def __init__(self, offset_weights: np.ndarray, kspec: KernelSpec | None,
+    def __init__(self, table: _PairTable, kspec: KernelSpec | None,
                  x: np.ndarray, scale: float):
-        n = offset_weights.size
-        self._n, self._len = n, min(p << ((2 * n - 3) // p).bit_length() for p in (1, 3, 5))
-        col = np.zeros(self._len)
-        col[:n] = offset_weights
-        col[self._len - n + 1:] = offset_weights[:0:-1]
-        self._symbol = np.fft.rfft(col).real  # symmetric column: real symbol
+        self._table = table
         self._kspec = kspec or KernelSpec.constant(1.0)
-        if self._kspec.kind != "constant":
-            self._t = np.cos(2 * np.pi * x / scale)
-        self.row = self.apply(np.ones(n))
-
-    def _w_product(self, g: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft(g, self._len) * self._symbol
-        return np.fft.irfft(spectrum, self._len)[..., :self._n]
+        c0, c1, w1 = self._kspec.c0, self._kspec.c1, table.ones
+        if self._kspec.kind == "constant":
+            self.row = c0 * w1
+            return
+        t = self._t = np.cos(2 * np.pi * x / scale)
+        wt = table.product(t)
+        self.row = c0 * w1 + c1 * (t * w1 + wt if self._kspec.kind == "cos_sum" else t * wt)
 
     def product(self, g: np.ndarray) -> np.ndarray:
         """The value's FFT product: W g for cos_sum, A g otherwise."""
         c0, c1 = self._kspec.c0, self._kspec.c1
         if self._kspec.kind == "cos_sum":
-            return self._w_product(g)
+            return self._table.product(g)
         if self._kspec.kind == "constant":
-            return c0 * self._w_product(g)
-        wg, wtg = self._w_product(np.stack([g, self._t * g]))
+            return c0 * self._table.product(g)
+        wg, wtg = self._table.product(np.stack([g, self._t * g]))
         return c0 * wg + c1 * (self._t * wtg)
 
     def apply(self, g: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
@@ -282,7 +313,7 @@ class _PairForm:
         if self._kspec.kind != "cos_sum":
             return prod
         t = self._t
-        return self._kspec.c0 * prod + self._kspec.c1 * (t * prod + self._w_product(t * g))
+        return self._kspec.c0 * prod + self._kspec.c1 * (t * prod + self._table.product(t * g))
 
     def value(self, g: np.ndarray) -> float:
         gc = g - g.mean()
@@ -329,8 +360,9 @@ def _check_nodes(grid: UniformGrid, k: int) -> None:
 class DiscreteEnergy:
     """Energy/gradient evaluator for repeated calls on one grid.
 
-    Precomputes the matrix-free pair operator, the trapezoid weights and
-    the exterior term.  ``energy`` evaluates each point afresh
+    Precomputes the kernel part of the matrix-free pair operator, on the
+    grid's shared ``_pair_table``, the trapezoid weights and the exterior
+    term.  ``energy`` evaluates each point afresh
     with one O(N log N) FFT product and keeps what the gradient shares, which
     ``gradient`` at an equal point reuses (cos_sum adds one single-row product).
     So an instance holds per-point state and must not be shared across threads
@@ -365,10 +397,11 @@ class DiscreteEnergy:
         self._trap[[0, -1]] *= 0.5
         self._h_k = grid.h ** -self.k
         x = grid.nodes()
-        self._weights = _pair_weights(grid, s)
+        table = _pair_table(grid.n_nodes, grid.h, s)
+        self._weights = table.weights  # the preconditioner's; a block keeps the grid's
         kspec = kspec or KernelSpec.constant(1.0)
         self._kernel = (kspec, x, scale)
-        self._form = _PairForm(self._weights, kspec, x, scale)
+        self._form = _PairForm(table, kspec, x, scale)
         self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
         self._last = (None,)  # u (a private copy), q = 1 - u^2, g = D_k u, gc, product(gc)
 
@@ -448,12 +481,14 @@ class DiscreteEnergy:
         nodes do not move: the pinned-pinned pairs, the pinned rest's
         2 A_ij u_j^2 (i on the block, j off it) and the exterior rows of the
         pinned nodes.  The block keeps the full grid's h, trapezoid weights
-        and preconditioner symbol.
+        and preconditioner symbol; its pair weights are the prefix of the
+        grid's, under the grid's h (the block grid's own h can differ in its
+        last bits).
         """
         kspec, x, scale = self._kernel
         out = copy.copy(self)
         out.grid = make_grid(x[lo], x[hi - 1], hi - lo - 1)
-        out._form = _PairForm(self._weights[:hi - lo], kspec, x[lo:hi], scale)
+        out._form = _PairForm(_pair_table(hi - lo, self._h, self.params.s), kspec, x[lo:hi], scale)
         out._trap, out._row, out._last = self._trap[lo:hi], self._row[lo:hi], (None,)
         R, B = self._exterior[:2]
         R = 2.0 * (self._form.row[lo:hi] - out._form.row) + R[lo:hi]
@@ -557,6 +592,7 @@ class DiscreteEnergy:
 def eval_F(p: GridProfile, params: EnergyParams, well: DoubleWell,
            kspec: KernelSpec | None) -> float:
     """One-shot value of the eps/delta functional on the profile's interval
-    (no exterior tail); repeated calls on one grid should reuse a
-    ``DiscreteEnergy``."""
+    (no exterior tail).  The grid's pair table is kept for the process, so
+    a repeated call on one grid pays only for its kernel part and one
+    energy evaluation."""
     return DiscreteEnergy(p.grid, params, well, kspec).energy(p.values)

@@ -22,7 +22,7 @@ from .energy import (
     EnergyParams,
     KernelSpec,
     _PairForm,
-    _pair_weights,
+    _pair_table,
 )
 from .grid import (BVTarget, GridProfile, UniformGrid, kth_difference, make_grid,
                    sample_bv_target)
@@ -322,7 +322,7 @@ def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int
     blocks = [(int(np.searchsorted(idx, j, side="left")),
                int(np.searchsorted(idx, j, side="right"))) for j in range(n_jumps)]
 
-    w = _pair_weights(grid, s)
+    table = _pair_table(grid.n_nodes, grid.h, s)
     values = []
     for eps in eps_list:
         delta = lam * eps
@@ -331,9 +331,10 @@ def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int
         g = kth_difference(rec, k).values
         # ordered pairs in distinct blocks: the total minus each block's own
         # sum, whose weights are W's leading Toeplitz block
-        cross = _PairForm(w, kernel, x, delta).value(g)
+        cross = _PairForm(table, kernel, x, delta).value(g)
         for m0, m1 in blocks:
-            cross -= _PairForm(w[:m1 - m0], kernel, x[m0:m1], delta).value(g[m0:m1])
+            block = _pair_table(m1 - m0, grid.h, s)
+            cross -= _PairForm(block, kernel, x[m0:m1], delta).value(g[m0:m1])
         values.append(EnergyParams(k, s, eps, delta).nonlocal_coef * cross)
     slope = fit_loglog_slope(eps_list, values) if len(values) >= 2 else math.nan
     return values, slope

@@ -162,8 +162,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     kernel = _check(violations, "kernel", lambda: _build_kernel(raw["kernel"]))
     well = _check(violations, "well", lambda: DoubleWell(float(raw["chi"])))
     _check(violations, "exponents", lambda: EnergyParams(raw["k"], raw["s"], 1.0, 1.0))
-    if "lam" in raw:
-        _check(violations, "lam", lambda: _positive(raw["lam"], "lam"))
+    lam = _check(violations, "lam", lambda: _positive(raw["lam"], "lam")) if "lam" in raw else None
 
     if command == "curve" and not (isinstance(raw.get("T_list"), list) and len(raw["T_list"]) > 1):
         violations.append("curve needs T_list with at least two ascending values")
@@ -174,7 +173,8 @@ def _validate(raw: dict) -> ExperimentConfig:
         if raw.get(key) not in tuple(names):
             violations.append(f"{command} {key} must be one of {tuple(names)},"
                               f" got {raw.get(key)!r}")
-        elif target is not None and command == "recovery":
+        elif target is not None and command == "recovery" and (lam is not None or "delta" in raw):
+            # without delta, the regime rule reads lam, whose fault is listed already
             _check(violations, "eps", lambda: _check_recovery_geometry(
                 target, _positive(raw["eps"], "eps"), _delta(raw), float(raw["T_profile"])))
         if command == "sweep":

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from .energy import (DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec, _PairForm,
-                     _pair_weights)
+                     _pair_table)
 from .grid import GridProfile, make_grid, resample_scaled
 from .optimize import MinimizeOptions, check_gradient
 from .profiles import (TransitionProblem, scaling_exponent, transition_energy,
@@ -76,9 +76,10 @@ def _selftest_checks(inject_gradient_bug: bool):
 
     # matrix-free pair operator against the explicit O(N^2) sum, row by row
     grid = make_grid(-1.0, 1.0, 96)
-    x, w, g = grid.nodes(), _pair_weights(grid, 0.75), np.sin(3.0 * grid.nodes())
+    table = _pair_table(grid.n_nodes, grid.h, 0.75)
+    x, w, g = grid.nodes(), table.weights, np.sin(3.0 * grid.nodes())
     for kspec in (KernelSpec.constant(2.0), kern, KernelSpec.cos_prod(2.0, 0.7)):
-        fast = _PairForm(w, kspec, x, 0.3).apply(g)
+        fast = _PairForm(table, kspec, x, 0.3).apply(g)
         ref = np.array([w[abs(i - np.arange(x.size))] * kspec.eval(xi / 0.3, x / 0.3) @ g
                         for i, xi in enumerate(x)])
         rel = float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))

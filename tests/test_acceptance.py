@@ -37,7 +37,7 @@ from fraclab import (
     transition_energy,
     transition_energy_curve,
 )
-from fraclab.energy import _PairForm, _pair_weights
+from fraclab.energy import _PairForm, _pair_table
 
 WELL0 = DoubleWell(0.0)
 COSSUM = KernelSpec.cos_sum(2.5, 1.0)
@@ -485,7 +485,8 @@ def test_criterion_12_quadrature_consistency():
     for n in ns:
         g = make_grid(-4.0, 4.0, n)
         p = GridProfile(g, np.tanh(4.0 * g.nodes()))
-        vals.append(_PairForm(_pair_weights(g, s), None, g.nodes(), 1.0).value(p.values))
+        pairs = _PairForm(_pair_table(g.n_nodes, g.h, s), None, g.nodes(), 1.0)
+        vals.append(pairs.value(p.values))
     r = 2.0 ** (2.0 - 2.0 * s)
     corrected = [b + (b - a) / (r - 1.0) for a, b in zip(vals, vals[1:])]
     errs = [abs(c - GAGLIARDO_TANH_REFERENCE) for c in corrected]

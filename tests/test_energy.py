@@ -1,13 +1,17 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fraclab
+import fraclab.energy as energy_module
+import fraclab.harness as harness
 from fraclab import (
     DiscreteEnergy,
     DoubleWell,
@@ -22,7 +26,7 @@ from fraclab import (
     minimize,
     resample_scaled,
 )
-from fraclab.energy import _PairForm, _cross_tail_constant, _dst1, _pair_weights
+from fraclab.energy import _PairForm, _cross_tail_constant, _dst1, _pair_table
 from fraclab.grid import _REACH
 
 # Dense-grid reference for F on u = tanh((x-0.5)/0.1), k=0, s=0.75, eps=0.1,
@@ -204,13 +208,13 @@ def test_inadmissible_exponents_rejected_at_construction(k, s):
 def test_build_weights_values_and_symmetry():
     # one row by offset |i - j|, symmetric by construction
     g = make_grid(0.0, 1.0, 2)
-    w = _pair_weights(g, 0.75)
+    w = _pair_table(g.n_nodes, g.h, 0.75).weights
     assert w[2] == pytest.approx(0.25)
     assert w[1] == pytest.approx(0.25 * 0.5 ** -2.5)
     assert w[1] == pytest.approx(1.4142135623730951)
     assert w[0] == 0.0 and not w.flags.writeable
     with pytest.raises(ValueError):
-        _pair_weights(g, 1.0)
+        _pair_table(g.n_nodes, g.h, 1.0)
 
 
 def test_eval_gagliardo_frozen_example():
@@ -550,19 +554,125 @@ OPERATOR_KERNELS = [KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
 def test_pair_operator_matches_explicit_dense_product(n_nodes, kspec):
     grid = make_grid(-1.0, 2.0, n_nodes - 1)
     x = grid.nodes()
-    w = _pair_weights(grid, 0.75)
+    table = _pair_table(n_nodes, grid.h, 0.75)
+    w = table.weights
     scale = 0.37
     idx = np.arange(n_nodes)
     dense = w[np.abs(idx[:, None] - idx[None, :])] * kspec.eval(
         x[:, None] / scale, x[None, :] / scale)
     g = np.random.default_rng(n_nodes).standard_normal(n_nodes)
-    form = _PairForm(w, kspec, x, scale)
+    form = _PairForm(table, kspec, x, scale)
     for vec, expect in ((g, dense @ g), (np.ones(n_nodes), dense.sum(axis=1))):
         got = form.apply(vec)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
     np.testing.assert_array_equal(form.row, form.apply(np.ones(n_nodes)))
     pairs = float(np.sum(dense * (g[:, None] - g[None, :]) ** 2))
     assert form.value(g) == pytest.approx(pairs, rel=1e-13)
+
+
+# the kernel-free pair table: one per (n, h, s), shared by every energy on it
+
+
+def fresh_pair_tables(monkeypatch, builds=None):
+    """Give the test an empty table cache of its own; ``builds`` records the
+    key of every table it builds."""
+    cached = energy_module._pair_table
+
+    def build(n, h, s):
+        if builds is not None:
+            builds.append((n, h, s))
+        return cached.__wrapped__(n, h, s)
+
+    monkeypatch.setattr(energy_module, "_pair_table",
+                        functools.lru_cache(**cached.cache_parameters())(build))
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_energy_from_a_warm_pair_table_equals_one_from_a_cold_table(monkeypatch, k, kspec):
+    s = 0.75 if k == 0 else 0.5
+    grid = make_grid(-3.0, 3.0, 300)
+    x = grid.nodes()
+    u, free = np.tanh(2.0 * x) + 0.05 * np.sin(7.0 * x), np.abs(x) < 2.0
+
+    def evaluate():
+        model = DiscreteEnergy(grid, EnergyParams(k, s, 2.0 ** -3, 0.3), DoubleWell(0.3), kspec)
+        return (model.energy(u), model.gradient(u), model._form.row,
+                model.preconditioner(free)(np.where(free, u, 0.0)))
+
+    fresh_pair_tables(monkeypatch)
+    cold = evaluate()
+    # warmed by an energy of another kernel, eps and delta on the same grid
+    fresh_pair_tables(monkeypatch)
+    DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.7), DoubleWell(0.0),
+                   KernelSpec.cos_prod(3.0, 1.0)).energy(u)
+    warm = evaluate()
+    info = energy_module._pair_table.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_block_pair_weights_are_the_grid_prefix(k):
+    # under the grid's h: the block grid's own h can differ in its last bits
+    model, block, lo, hi = _window_case(k, KernelSpec.cos_sum(2.5, 1.0))[:4]
+    table = block._form._table
+    assert table is energy_module._pair_table(hi - lo, model.grid.h, model.params.s)
+    assert np.array_equal(table.weights, model._weights[:hi - lo])
+
+
+def test_pair_table_arrays_are_read_only():
+    table = _pair_table(9, 0.125, 0.75)
+    for a in (table.weights, table.symbol, table.ones):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_threads_share_a_pair_table(monkeypatch):
+    # energies at eight deltas on one grid, built and evaluated by four threads
+    # at once from an empty cache, read one table and match a serial run
+    grid = make_grid(0.0, 1.0, 512)
+    u = np.tanh((grid.nodes() - 0.5) / 0.05)
+
+    def energy(delta):
+        return DiscreteEnergy(grid, EnergyParams(0, 0.75, 2.0 ** -5, delta), DoubleWell(0.3),
+                              KernelSpec.cos_sum(2.5, 1.0)).energy(u)
+
+    deltas = [2.0 ** -j for j in range(3, 11)]
+    fresh_pair_tables(monkeypatch)
+    serial = [energy(d) for d in deltas]
+    fresh_pair_tables(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(energy, d) for d in deltas]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert energy_module._pair_table.cache_info().currsize == 1
+
+
+def test_recoveries_of_one_process_build_one_pair_table_per_grid(tmp_path, monkeypatch):
+    # 4 eps x {lambda, supercritical}: every recovery energy and reference
+    # solve shares the tables of its (n, h, s), whatever its kernel scale
+    builds = []
+    fresh_pair_tables(monkeypatch, builds)
+    table = harness._converged_reference
+    monkeypatch.setattr(harness, "_converged_reference",
+                        functools.lru_cache(**table.cache_parameters())(table.__wrapped__))
+    raw = {"command": "recovery", "kernel": {"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
+           "jumps": [[0.5, 1]], "T_profile": 2.0, "n_cells": 512, "reference_n_cells": 192,
+           "grad_tol": 1e-4}
+    for mode in ("lambda", "supercritical"):
+        for e in (5, 6, 7, 8):
+            path = tmp_path / f"{mode}{e}.json"
+            path.write_text(json.dumps(dict(raw, mode=mode, eps=2.0 ** -e)))
+            harness.run_experiment(harness.load_config(path), path.with_suffix(".csv"))
+    assert len(builds) == len(set(builds))
+    assert 513 in {n for n, _, _ in builds}
 
 
 _THREAD_SCRIPT = """
@@ -628,7 +738,7 @@ def _dense_inverse_preconditioner(model, kspec, scale, free):
     second differences at the two clamped neighbours, inverted densely."""
     grid, k = model.grid, model.k
     n, h, x = grid.n_nodes, grid.h, grid.nodes()
-    w = _pair_weights(grid, model.params.s)
+    w = _pair_table(n, h, model.params.s).weights
     diff = np.column_stack([kth_difference(GridProfile(grid, e), k).values for e in np.eye(n)])
     out = np.zeros((n, n))
     for a, b in _blocks(free):
@@ -759,7 +869,7 @@ def test_block_constant_is_the_pinned_pair_sum(kspec):
     x, scale = model.grid.nodes(), 2.0 ** -3.5
     pinned = np.r_[0:lo, hi:x.size]
     xp, up = x[pinned], u[pinned]
-    w = _pair_weights(model.grid, 0.75)[np.abs(pinned[:, None] - pinned[None, :])]
+    w = _pair_table(x.size, model.grid.h, 0.75).weights[np.abs(pinned[:, None] - pinned[None, :])]
     direct = float(np.sum(w * kspec.eval(xp[:, None] / scale, xp[None, :] / scale)
                           * (up[:, None] - up[None, :]) ** 2))
     R, _, c0 = block._exterior

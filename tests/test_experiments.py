@@ -188,12 +188,12 @@ def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profile):
         n_cells=512, T_profile=2.0)
     assert all(v > 0 for v in values)
     # cross term is a restriction of the full nonlocal sum
-    from fraclab.energy import _PairForm, _pair_weights
+    from fraclab.energy import _PairForm, _pair_table
 
     grid = make_grid(0.0, 1.0, 512)
     rec = build_recovery(target, homogeneous_profile, 0.02, 0.02 ** 2,
                          "supercritical", grid, 2.0)
-    pairs = _PairForm(_pair_weights(grid, 0.75), None, grid.nodes(), 1.0)
+    pairs = _PairForm(_pair_table(grid.n_nodes, grid.h, 0.75), None, grid.nodes(), 1.0)
     total = 0.02 ** 0.5 * pairs.value(rec.values)
     assert values[1] <= total + 1e-12
 
@@ -216,12 +216,12 @@ def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
                                  T_profile=2.0, kernel=kernel, mode="lambda")
 
     from fraclab import kth_difference
-    from fraclab.energy import _pair_weights
+    from fraclab.energy import _pair_table
 
     grid = make_grid(0.0, 1.0, 512)
     x = grid.nodes()
     idx = np.arange(x.size)
-    w = _pair_weights(grid, s)[np.abs(idx[:, None] - idx[None, :])]
+    w = _pair_table(x.size, grid.h, s).weights[np.abs(idx[:, None] - idx[None, :])]
     across = (x[:, None] < 0.5) != (x[None, :] < 0.5)
     for eps, value in zip(eps_list, values):
         rec = build_recovery(target, profile, eps, eps, "lambda", grid, 2.0)

@@ -436,6 +436,13 @@ def test_cli_bad_lam_exits_config_where_no_problem_reads_it(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_recovery_bad_lam_is_listed_once(tmp_path):
+    # the eps check derives delta from lam, and once listed its fault again under eps
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, "bad.json", dict(RECOVERY_MIN, lam="abc")))
+    assert err.value.violations == ["lam: could not convert string to float: 'abc'"]
+
+
 def test_integral_floats_read_as_integers(tmp_path):
     outs = []
     for name, raw in (("int", dict(PROFILE_CFG, omega=-1)),
