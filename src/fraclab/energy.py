@@ -368,7 +368,8 @@ class DiscreteEnergy:
     So an instance holds per-point state and must not be shared across threads
     (the curve's thread pool builds one per T).  ``preconditioner`` returns the
     inverse of the energy's constant-coefficient Hessian at a pure phase,
-    applied by fast sine transforms on the free nodes.
+    applied by fast sine transforms on the free nodes (for k = 0, cos_sum and
+    eps < delta, scaled by the kernel's local diagonal).
 
     ``params`` (``EnergyParams``) fixes the functional: k, s, the kernel
     scale delta and the coefficients 1/eps and eps^{2(k+s)-1}, both 1 in the
@@ -518,21 +519,47 @@ class DiscreteEnergy:
         sum over j is one rfft of w folded modulo 2(m+1), so the set-up
         costs O(N + m log m) and each application two DST-Is per block.  For
         k = 2, P also carries the block's boundary rows (``_block_solve``).
-        P is symmetric positive definite on the free nodes.
+        For k = 0 with a cos_sum kernel and eps < delta the callable applies
+        S P^-1 S, with S the kernel's local diagonal scaling
+        (``_local_scale``); every other case keeps a_bar alone.  P is
+        symmetric positive definite on the free nodes.
         """
         free = np.asarray(free_mask, dtype=bool)
         edges = np.flatnonzero(np.diff(np.concatenate(([False], free, [False])).astype(np.int8)))
         blocks = list(zip(edges[::2], edges[1::2]))
         inverse = {m: self._inverse_symbol(m) for m in {b - a for a, b in blocks}}
         solves = [(a, b, self._block_solve(a, b, inverse[b - a])) for a, b in blocks]
+        local = self._local_scale()
 
         def apply(g: np.ndarray) -> np.ndarray:
             d = np.zeros_like(g)
+            if local is not None:
+                g = local * g
             for a, b, solve in solves:
                 d[a:b] = solve(g[a:b])
+            if local is not None:
+                d *= local
             return d
 
         return apply
+
+    def _local_scale(self) -> np.ndarray | None:
+        """S = (a_loc / a_bar)^(-1/2) at the nodes, or None where P keeps a_bar.
+
+        With eps < delta the transition sees the kernel's diagonal near each
+        node rather than its mean: a_loc = a_bar + sigma (a(x/delta, x/delta)
+        - a_bar) is that diagonal averaged over one transition length eps,
+        sigma = sinc(eps/delta) = sin(pi eps/delta) / (pi eps/delta).  Only
+        k = 0 with a cos_sum kernel is scaled; for k >= 1 a diagonal scaling
+        of u does not commute with D_k.
+        """
+        kspec, _, delta = self._kernel
+        ratio = self.params.eps / delta
+        if self.k or kspec.kind != "cos_sum" or ratio >= 1.0:
+            return None
+        t = self.grid.nodes() / delta
+        a_loc = kspec.a_bar + np.sinc(ratio) * (kspec.eval(t, t) - kspec.a_bar)
+        return (a_loc / kspec.a_bar) ** -0.5
 
     def _block_solve(self, a: int, b: int, inverse: np.ndarray):
         """P^-1 on the free block [a, b).

@@ -147,11 +147,13 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     of the (0, 1) grid is pinned, and its pairs enter as the block's
     exterior term, so ``min_energy`` is the full-grid energy, minimized on
     the block.  Each solve is preconditioned with the energy's spectral
-    preconditioner, and one that stops short of ``grad_tol`` emits a
-    RuntimeWarning.  Where delta falls below 2h (the supercritical rule at
-    n_cells = 2000 does so from eps = 2^-5 on), the nodes sample the
-    kernel's oscillation below its Nyquist rate, so the minimized energy is
-    that of an aliased kernel.
+    preconditioner, which for k = 0, a cos_sum kernel and delta > eps (every
+    subcritical point) is scaled by the kernel's local diagonal
+    (``DiscreteEnergy.preconditioner``); a solve that stops short of
+    ``grad_tol`` emits a RuntimeWarning.  Where delta falls below 2h (the
+    supercritical rule at n_cells = 2000 does so from eps = 2^-5 on), the
+    nodes sample the kernel's oscillation below its Nyquist rate, so the
+    minimized energy is that of an aliased kernel.
     """
     if rule not in _REGIME_RULES:
         raise ValueError(f"rule must be one of {_REGIME_RULES}, got {rule!r}")

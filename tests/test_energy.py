@@ -713,13 +713,13 @@ def _blocks(free):
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _transition_case(k):
-    """One free block: a clamped transition problem with its exterior tail."""
+def _transition_case(k, kspec=KernelSpec.cos_sum(2.5, 1.0), delta=1.3):
+    """One free block: a clamped transition problem with its exterior tail
+    at eps = 1 (delta = 1.3 by default, so delta > eps)."""
     s = 0.75 if k == 0 else 0.5
-    kspec = KernelSpec.cos_sum(2.5, 1.0)
     grid = make_grid(-6.0, 6.0, 96)
-    model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.3), DoubleWell(0.0), kspec, (-1, 1))
-    return model, kspec, 1.3, np.abs(grid.nodes()) < 2.0
+    model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, delta), DoubleWell(0.0), kspec, (-1, 1))
+    return model, kspec, delta, np.abs(grid.nodes()) < 2.0
 
 
 def _sweep_case(k):
@@ -732,12 +732,22 @@ def _sweep_case(k):
     return model, kspec, delta, (np.abs(x - 0.3) < 0.1) | (np.abs(x - 0.7) < 0.15)
 
 
-def _dense_inverse_preconditioner(model, kspec, scale, free):
-    """P^-1 from its definition: per block, S diag(lam) S 2/(m+1) with the
-    symbol summed term by term, plus for k = 2 the rank-one terms of the
-    second differences at the two clamped neighbours, inverted densely."""
+def _dense_inverse_preconditioner(model, kspec, scale, free, local=True):
+    """P^-1 from its definition: per block, Q diag(lam) Q 2/(m+1) with Q the
+    sine matrix and the symbol summed term by term, plus for k = 2 the
+    rank-one terms of the second differences at the two clamped neighbours,
+    inverted densely.  With ``local`` and k = 0, a cos_sum kernel and
+    eps < delta, the inverse is scaled on both sides by
+    S = (a_loc / a_bar)^(-1/2), a_loc = a_bar + sinc(eps/delta) (a(x/delta,
+    x/delta) - a_bar)."""
     grid, k = model.grid, model.k
     n, h, x = grid.n_nodes, grid.h, grid.nodes()
+    ratio = model.params.eps / scale
+    S = np.ones(n)
+    if local and k == 0 and kspec.kind == "cos_sum" and ratio < 1.0:
+        sigma = np.sin(np.pi * ratio) / (np.pi * ratio)
+        a_loc = kspec.a_bar + sigma * (kspec.eval(x / scale, x / scale) - kspec.a_bar)
+        S = np.sqrt(kspec.a_bar / a_loc)
     w = _pair_table(n, h, model.params.s).weights
     diff = np.column_stack([kth_difference(GridProfile(grid, e), k).values for e in np.eye(n)])
     out = np.zeros((n, n))
@@ -756,7 +766,7 @@ def _dense_inverse_preconditioner(model, kspec, scale, free):
                 others = np.arange(n) != q
                 row = w[np.abs(np.arange(n) - q)][others] @ kspec.eval(x[q] / scale, x[others] / scale)
                 p += 4.0 * model.nonlocal_coef * row * np.outer(diff[q, a:b], diff[q, a:b])
-        out[a:b, a:b] = np.linalg.inv(p)
+        out[a:b, a:b] = S[a:b, None] * np.linalg.inv(p) * S[None, a:b]
     return out
 
 
@@ -771,6 +781,19 @@ def test_preconditioner_matches_dense_sine_form(case, k):
     assert len(_blocks(free)) == (1 if case is _transition_case else 2)
     got = _as_matrix(model.preconditioner(free), model.grid.n_nodes)
     expect = _dense_inverse_preconditioner(model, kspec, scale, free)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-11 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("k, kspec, delta", [
+    (1, KernelSpec.cos_sum(2.5, 1.0), 1.3), (2, KernelSpec.cos_sum(2.5, 1.0), 1.3),
+    (0, KernelSpec.constant(2.5), 1.3), (0, KernelSpec.cos_prod(2.0, 0.7), 1.3),
+    (0, KernelSpec.cos_sum(2.5, 1.0), 1.0), (0, KernelSpec.cos_sum(2.5, 1.0), 0.8),
+], ids=["k1", "k2", "constant", "cos_prod", "delta=eps", "delta<eps"])
+def test_preconditioner_keeps_the_mean_kernel_off_the_local_scaling_rule(k, kspec, delta):
+    # only k = 0 with a cos_sum kernel and eps < delta is scaled by the local diagonal
+    model, kspec, scale, free = _transition_case(k, kspec, delta)
+    got = _as_matrix(model.preconditioner(free), model.grid.n_nodes)
+    expect = _dense_inverse_preconditioner(model, kspec, scale, free, local=False)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-11 * np.abs(expect).max())
 
 

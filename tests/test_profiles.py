@@ -223,6 +223,24 @@ def test_k1_profile_iterations_bounded_under_lam_rounding():
         assert res.converged and res.iterations <= 100, (j, res.iterations)
 
 
+# The k = 0, s = 0.75 cos_sum(2.5, 1) transition at lam = 4 (eps/delta = 1/4),
+# T = 8, h = 1/32: its energy as frozen under the mean-kernel preconditioner,
+# whose solve took 20 iterations, and the iterations of the solve
+# preconditioned by the kernel's local diagonal.
+LAMBDA_4_TRANSITION = (24.80945125421514, 10)
+
+
+def test_lambda_4_transition_keeps_its_energy_in_half_the_iterations():
+    tp = TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=4.0,
+                           omega=1, T=8.0, T_out=24.0, n_cells=1536, well=DoubleWell(0.0),
+                           k=0, s=0.75)
+    energy, iterations = LAMBDA_4_TRANSITION
+    res = transition_energy(tp, MinimizeOptions(grad_tol=1e-6))
+    assert res.converged
+    assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+    assert res.iterations == iterations
+
+
 def test_unconverged_transition_solve_warns():
     tp = small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda")
     with pytest.warns(RuntimeWarning, match=r"stopped on max_iters with gradient norm \S+ after 3"):
