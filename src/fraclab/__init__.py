@@ -20,7 +20,6 @@ from .experiments import (
     cross_term_probe,
     delta_rule,
     fit_loglog_slope,
-    flatten_tail,
     jump_half_separation,
     regime_sweep,
     tail_decay_probe,

@@ -92,8 +92,6 @@ class DoubleWell:
         return -4.0 * z * q * (1.0 + self.chi * np.sin(0.5 * np.pi * z)) \
             + q * q * self.chi * 0.5 * np.pi * np.cos(0.5 * np.pi * z)
 
-    __call__ = value
-
 
 _KERNEL_KINDS = ("constant", "cos_sum", "cos_prod")
 

@@ -1,5 +1,5 @@
 """Desk-scale experiments: regime sweeps over the eps/delta functional,
-explicit recovery constructions, tail flattening, and decay probes.
+explicit recovery constructions and decay probes.
 
 The sweep minimizes the eps/delta energy over profiles pinned to a
 piecewise +-1 target outside shrinking windows around its jumps, one solve
@@ -34,7 +34,6 @@ __all__ = [
     "regime_sweep",
     "delta_rule",
     "build_recovery",
-    "flatten_tail",
     "cross_term_probe",
     "tail_decay_probe",
     "fit_loglog_slope",
@@ -251,56 +250,6 @@ def build_recovery(target: BVTarget, profile: GridProfile, eps: float, delta: fl
 def _smoothstep(q: np.ndarray) -> np.ndarray:
     q = np.clip(q, 0.0, 1.0)
     return q * q * q * (q * (6.0 * q - 15.0) + 10.0)
-
-
-def flatten_tail(p: GridProfile, c_dprime: float, c_prime: float, N: int,
-                 side: str, target_sign: int, *, k: int, s: float,
-                 well: DoubleWell, kspec: KernelSpec | None = None,
-                 kernel_scale: float = 1.0, eta: float = 0.5):
-    """Best-of-N smooth cutoff replacing near-well values by the exact well value.
-
-    Splits (c_dprime, c_prime) into N equal pieces, builds cutoffs phi_j that
-    drop from 1 to 0 across the j-th piece, forms v_j = phi_j p +
-    (1 - phi_j) target_sign, and returns the lowest-energy candidate together
-    with its energy ratio against the input.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if target_sign not in (-1, 1):
-        raise ValueError(f"target_sign must be +-1, got {target_sign}")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if c_prime - c_dprime < 1.0:
-        raise ValueError(
-            f"flattening window must have length >= 1, got {c_prime - c_dprime}"
-        )
-    x = p.grid.nodes()
-    u = p.values
-    window = x >= c_dprime if side == "right" else x <= -c_dprime
-    worst = float(np.max(np.abs(u[window] - target_sign))) if window.any() else 0.0
-    if worst > eta:
-        raise ValueError(
-            f"profile strays {worst:.3g} > eta={eta} from {target_sign:+d} on the"
-            " flattening window"
-        )
-
-    model = DiscreteEnergy(p.grid, EnergyParams(k, s, 1.0, kernel_scale), well, kspec)
-    base = model.energy(u)
-    width = (c_prime - c_dprime) / N
-    best_vals, best_energy = None, math.inf
-    for j in range(1, N + 1):
-        t_lo = c_dprime + (j - 1) * width
-        if side == "right":
-            phi = 1.0 - _smoothstep((x - t_lo) / width)
-        else:
-            phi = 1.0 - _smoothstep((-x - t_lo) / width)
-        # u + (1-phi)(t - u) is exact both where phi == 1 and where u == t
-        vals = u + (1.0 - phi) * (target_sign - u)
-        e = model.energy(vals)
-        if e < best_energy:
-            best_vals, best_energy = vals, e
-    ratio = best_energy / base if base > 0.0 else 1.0
-    return GridProfile(p.grid, best_vals), ratio
 
 
 def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int,

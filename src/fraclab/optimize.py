@@ -3,11 +3,11 @@
 Limited-memory BFGS with a backtracking line search: the gradient is zeroed
 on clamped nodes, and the search direction d = H g comes from the two-loop
 recursion over the last few accepted steps, with a caller-supplied
-preconditioner P^-1 (the identity by default) as its initial inverse
-Hessian.  P^-1 is zero on clamped nodes, so d is too, and clamped values
-pass through untouched.  A trial u - t d is accepted on Armijo's sufficient
-decrease E - c t g.d while energy differences are resolvable, and on its
-slope once the energy is flat to rounding (see ``minimize``).
+preconditioner P^-1 as its initial inverse Hessian.  P^-1 is zero on clamped
+nodes, so d is too, and clamped values pass through untouched.  A trial
+u - t d is accepted on Armijo's sufficient decrease E - c t g.d while energy
+differences are resolvable, and on its slope once the energy is flat to
+rounding (see ``minimize``).
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ _MEMORY = 8
 
 
 def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
-             opts: MinimizeOptions = MinimizeOptions(),
-             precondition=None) -> MinimizeResult:
+             opts: MinimizeOptions = MinimizeOptions(), *,
+             precondition) -> MinimizeResult:
     """Minimize ``energy_fn`` over the nodes of ``initial`` that the boolean
     mask ``free`` (1-d, one entry per node, at least one true) marks; the
     others keep their values in ``initial``.
@@ -86,7 +86,6 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
     nodal value arrays.  ``precondition(g) -> ndarray`` applies P^-1 to a
     projected gradient; P^-1 must be symmetric positive definite on the free
     nodes and zero on the others (``DiscreteEnergy.preconditioner``).
-    None means the identity, an unpreconditioned L-BFGS.
 
     Stops on ``grad_tol`` (infinity norm of the free-node gradient, not of
     the direction), after ``max_iters`` accepted steps, or when no step is
@@ -129,7 +128,6 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
     energy = float(energy_fn(u))
     if not np.isfinite(energy):
         raise NumericalFailure("energy not finite at the initial profile", initial, None)
-    apply_p = (lambda vec: vec) if precondition is None else precondition
     g = projected_grad(u)
     pairs = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y), oldest first
     stop_reason = "max_iters"
@@ -141,7 +139,7 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
         if iterations == opts.max_iters:
             break
 
-        d = _direction(g, pairs, apply_p)
+        d = _direction(g, pairs, precondition)
         gd = float(g @ d)
         flat = _FLAT_RTOL * abs(energy)
         t = 1.0

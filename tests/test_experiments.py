@@ -14,7 +14,6 @@ from fraclab import (
     cross_term_probe,
     delta_rule,
     fit_loglog_slope,
-    flatten_tail,
     jump_half_separation,
     make_bv_target,
     make_grid,
@@ -123,53 +122,6 @@ def test_build_recovery_descending_jump_pastes_reflection(homogeneous_profile):
     expect = np.interp((x - t_shift) / eps, down.grid.nodes(), down.values)
     np.testing.assert_allclose(rec.values, expect, rtol=0, atol=1e-12)
     assert rec.values[0] == 1.0 and rec.values[-1] == -1.0
-
-
-def test_flatten_tail_identity_on_already_flat():
-    g = make_grid(-6.0, 6.0, 240)
-    x = g.nodes()
-    u = np.where(x < 2.0, np.tanh(2 * x), 1.0)
-    u[x >= 2.0] = 1.0
-    p = GridProfile(g, u)
-    out, ratio = flatten_tail(p, 2.0, 4.0, 4, "right", +1, k=0, s=0.75, well=WELL)
-    np.testing.assert_array_equal(out.values, p.values)
-    assert ratio == 1.0
-
-
-def test_flatten_tail_flattens_beyond_c_prime():
-    g = make_grid(-6.0, 6.0, 360)
-    x = g.nodes()
-    p = GridProfile(g, np.tanh(1.5 * x))
-    out, ratio = flatten_tail(p, 2.0, 5.0, 6, "right", +1, k=0, s=0.75, well=WELL)
-    assert np.all(out.values[x >= 5.0] == 1.0)
-    # untouched to the left of the window
-    np.testing.assert_array_equal(out.values[x < 2.0], p.values[x < 2.0])
-    assert ratio >= 1.0  # flattening trades tail energy for cutoff energy
-
-
-def test_flatten_tail_ratio_trend_toward_one():
-    g = make_grid(-8.0, 8.0, 320)
-    p = GridProfile(g, np.tanh(2.0 * g.nodes()))
-    _, crude = flatten_tail(p, 2.0, 3.5, 2, "right", +1, k=0, s=0.75, well=WELL)
-    _, fine = flatten_tail(p, 2.0, 7.0, 8, "right", +1, k=0, s=0.75, well=WELL)
-    assert fine <= crude
-    assert fine == pytest.approx(1.0, abs=0.05)
-
-
-def test_flatten_tail_rejects_far_profile():
-    g = make_grid(-6.0, 6.0, 120)
-    p = GridProfile(g, np.tanh(0.2 * g.nodes()))  # far from +-1 on the window
-    with pytest.raises(ValueError, match="eta"):
-        flatten_tail(p, 2.0, 4.0, 4, "right", +1, k=0, s=0.75, well=WELL, eta=0.3)
-
-
-def test_flatten_tail_left_side():
-    g = make_grid(-6.0, 6.0, 240)
-    x = g.nodes()
-    p = GridProfile(g, np.tanh(2.0 * x))
-    out, _ = flatten_tail(p, 2.0, 5.0, 4, "left", -1, k=0, s=0.75, well=WELL)
-    assert np.all(out.values[x <= -5.0] == -1.0)
-    np.testing.assert_array_equal(out.values[x > -2.0], p.values[x > -2.0])
 
 
 def test_cross_term_probe_single_jump_is_zero(homogeneous_profile):
