@@ -24,8 +24,7 @@ from .energy import (
     _PairForm,
     _pair_table,
 )
-from .grid import (BVTarget, GridProfile, UniformGrid, kth_difference, make_grid,
-                   sample_bv_target)
+from .grid import BVTarget, GridProfile, UniformGrid, kth_difference, make_grid
 from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 from .profiles import _window_solve
 
@@ -197,11 +196,14 @@ def _jump_shift(t_j: float, delta: float, mode: str, diag_shift: float) -> float
 
 
 def _check_recovery_geometry(target: BVTarget, eps: float, delta: float, T_profile: float):
-    """Raises ValueError unless eps * T_profile + delta stays below tau, so
-    the pasted profiles' transition layers keep apart (targets with jumps)."""
+    """Raises ValueError unless the target has a jump and eps * T_profile +
+    delta stays below tau, so the pasted profiles' transition layers keep
+    apart."""
+    if not target.jump_locations:
+        raise ValueError("recovery needs a target with at least one jump")
     tau = jump_half_separation(target)
     tau_eps = eps * T_profile + delta
-    if target.jump_locations and tau_eps >= tau:
+    if tau_eps >= tau:
         pts = [0.0, *target.jump_locations, 1.0]
         i = int(np.argmin(np.diff(pts)))
         raise ValueError(
@@ -233,9 +235,6 @@ def build_recovery(target: BVTarget, profile: GridProfile, eps: float, delta: fl
     if mode not in ("lambda", "supercritical", "subcritical"):
         raise ValueError(f"mode must be lambda/supercritical/subcritical, got {mode!r}")
     _check_recovery_geometry(target, eps, delta, T_profile)
-    if not target.jump_locations:
-        return sample_bv_target(target, grid)
-
     scale = lam / delta if mode == "lambda" else 1.0 / eps
     x, nodes = grid.nodes(), profile.grid.nodes()
     idx = _jump_intervals(target, x)
@@ -254,10 +253,9 @@ def _smoothstep(q: np.ndarray) -> np.ndarray:
 
 def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int,
                      s: float, n_cells: int, T_profile: float,
-                     kernel: KernelSpec | None = None, mode: str = "supercritical",
-                     lam: float = 1.0, diag_shift: float = 0.0):
+                     kernel: KernelSpec | None = None, mode: str = "supercritical"):
     """Cross-interval interaction energy of the recovery profile per eps,
-    with delta = lam * eps, pasted from ``profile`` as in ``build_recovery``.
+    with delta = eps, pasted from ``profile`` as in ``build_recovery``.
 
     Sums the eps-scaled nonlocal energy over node pairs lying in distinct
     jump intervals I_i x I_j and fits a log-log slope against eps (the
@@ -276,26 +274,24 @@ def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int
     table = _pair_table(grid.n_nodes, grid.h, s)
     values = []
     for eps in eps_list:
-        delta = lam * eps
-        rec = build_recovery(target, profile, eps, delta, mode, grid, T_profile,
-                             lam=lam, diag_shift=diag_shift)
+        rec = build_recovery(target, profile, eps, eps, mode, grid, T_profile)
         g = kth_difference(rec, k).values
         # ordered pairs in distinct blocks: the total minus each block's own
         # sum, whose weights are W's leading Toeplitz block
-        cross = _PairForm(table, kernel, x, delta).value(g)
+        cross = _PairForm(table, kernel, x, eps).value(g)
         for m0, m1 in blocks:
             block = _pair_table(m1 - m0, grid.h, s)
-            cross -= _PairForm(block, kernel, x[m0:m1], delta).value(g[m0:m1])
-        values.append(EnergyParams(k, s, eps, delta).nonlocal_coef * cross)
+            cross -= _PairForm(block, kernel, x[m0:m1], eps).value(g[m0:m1])
+        values.append(EnergyParams(k, s, eps, eps).nonlocal_coef * cross)
     slope = fit_loglog_slope(eps_list, values) if len(values) >= 2 else math.nan
     return values, slope
 
 
 def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
                      well: DoubleWell, c_prime: float, c_dprime: float,
-                     tail_signs, kspec: KernelSpec | None = None,
-                     kernel_scale: float = 1.0):
-    """Truncation-tail differences Phi(v) - Phi_T(v) against T.
+                     tail_signs):
+    """Truncation-tail differences Phi(v) - Phi_T(v) against T, for the
+    constant kernel 1 at scale 1.
 
     ``p`` must be clamped to the tail signs outside (-c_prime, c_prime) on a
     symmetric master grid; the full-line energy is the master grid's with its
@@ -320,10 +316,10 @@ def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
     if max(T_list) >= grid.x_hi:
         raise ValueError(f"T values must stay below the master half-length {grid.x_hi}")
 
-    params = EnergyParams(k, s, 1.0, kernel_scale)
+    params = EnergyParams(k, s, 1.0, 1.0)
 
     def phi(sub_grid, values, signs=None):
-        return DiscreteEnergy(sub_grid, params, well, kspec, signs).energy(values)
+        return DiscreteEnergy(sub_grid, params, well, tail_signs=signs).energy(values)
 
     phi_full = phi(grid, p.values, tail_signs)
     h = grid.h

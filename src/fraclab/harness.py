@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .energy import DoubleWell, EnergyParams, KernelSpec, _check_nodes, eval_F
+from .energy import _KERNEL_KINDS, DoubleWell, EnergyParams, KernelSpec, _check_nodes, eval_F
 from .experiments import (_check_recovery_geometry, _check_sweep_eps, _check_sweep_geometry,
                           build_recovery, delta_rule, regime_sweep)
 from .grid import BVTarget, make_bv_target, make_grid
@@ -64,8 +64,7 @@ CSV_SCHEMAS = {
 # Every key a config may set: "command", "kernel", the defaults of its
 # command (merged into the config once) and the keys that have no default.
 _COMMON = dict(chi=0.0, k=0, s=0.75, grad_tol=1e-6, max_iters=MinimizeOptions.max_iters)
-_PROBLEM = dict(_COMMON, mode="homogeneous", lam=1.0, omega=1, T=4.0, t_out_factor=3.0,
-                n_cells=768)
+_PROBLEM = dict(_COMMON, mode="homogeneous", lam=1.0, omega=1, T=4.0, n_cells=768)
 _TARGET = dict(_COMMON, lam=1.0, T_profile=4.0, n_cells=2048, reference_n_cells=768)
 _DEFAULTS = {"profile": _PROBLEM, "curve": _PROBLEM,
              "sweep": dict(_TARGET, window_factor=2.0), "recovery": _TARGET}
@@ -103,12 +102,13 @@ class ExperimentConfig:
 
 
 def _build_kernel(entry) -> KernelSpec:
-    variants = ("constant", "cos_sum", "cos_prod")
-    if not isinstance(entry, dict) or entry.get("variant") not in variants:
-        raise ValueError(f"must be an object whose variant is one of {variants}")
-    if entry["variant"] == "constant":
-        return KernelSpec.constant(entry["c"])
-    return getattr(KernelSpec, entry["variant"])(entry["c0"], entry["c1"])
+    if not isinstance(entry, dict) or entry.get("variant") not in _KERNEL_KINDS:
+        raise ValueError(f"must be an object whose variant is one of {_KERNEL_KINDS}")
+    coefs = ("c",) if entry["variant"] == "constant" else ("c0", "c1")
+    unknown = sorted(set(entry) - {"variant", *coefs})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} for the {entry['variant']} kernel")
+    return getattr(KernelSpec, entry["variant"])(*(entry[c] for c in coefs))
 
 
 def _integer(value) -> int:
@@ -195,7 +195,9 @@ def _validate(raw: dict) -> ExperimentConfig:
         _check(violations, "grad_tol, max_iters", cfg.opt_options)
         if command in ("sweep", "recovery"):
             _check(violations, "n_cells", lambda: _check_nodes(grid, cfg.k))
-        _check(violations, "transition problem", {
+        label = ("transition problem" if command in ("profile", "curve")
+                 else "reference problem (T = T_profile, n_cells = reference_n_cells)")
+        _check(violations, label, {
             "profile": lambda: _transition_problem(cfg),
             "curve": lambda: _curve_problems(_transition_problem(cfg), raw["T_list"]),
             "sweep": lambda: _reference_problem(cfg, _RULE_MODE[raw["rule"]]),
@@ -220,17 +222,15 @@ def _delta(raw: dict) -> float:
 
 def _transition_problem(cfg: ExperimentConfig, **overrides) -> TransitionProblem:
     raw = {**cfg.raw, **overrides}
-    T = float(raw["T"])
     return TransitionProblem(
         kernel=cfg.kernel, mode=raw["mode"], lam=float(raw["lam"]), omega=raw["omega"],
-        T=T, T_out=float(raw["t_out_factor"]) * T, n_cells=raw["n_cells"],
-        well=cfg.well, k=cfg.k, s=cfg.s,
+        T=float(raw["T"]), n_cells=raw["n_cells"], well=cfg.well, k=cfg.k, s=cfg.s,
     )
 
 
 def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
-    """Behind ``predicted``: omega = +1, T = T_profile, T_out = 3 T, reference_n_cells."""
-    return _transition_problem(cfg, mode=mode, omega=1, T=cfg.raw["T_profile"], t_out_factor=3.0,
+    """Behind ``predicted``: omega = +1, T = T_profile, reference_n_cells."""
+    return _transition_problem(cfg, mode=mode, omega=1, T=cfg.raw["T_profile"],
                                n_cells=cfg.raw["reference_n_cells"])
 
 

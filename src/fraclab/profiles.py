@@ -1,7 +1,7 @@
 """Optimal-profile transition energies at finite clamp length.
 
 A transition problem minimizes the rescaled energy over profiles pinned to
-``omega * sgn(x)`` for |x| >= T, on a grid spanning (-T_out, T_out), with the
+``omega * sgn(x)`` for |x| >= T, on a grid spanning (-3T, 3T), with the
 closed-form tail correction standing in for the interactions beyond the grid.
 Only |x| < T is free, so each solve runs on that window and a few clamped
 nodes per side, the clamped rest of the grid and the tail entering as the
@@ -53,7 +53,6 @@ class TransitionProblem:
     mode: str
     omega: int
     T: float
-    T_out: float
     n_cells: int
     well: DoubleWell
     k: int
@@ -65,13 +64,9 @@ class TransitionProblem:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.omega not in (-1, 1):
             raise ValueError(f"omega must be +-1, got {self.omega}")
-        if not (self.T > 0 and np.isfinite(self.T)):
-            raise ValueError(f"T must be positive, got {self.T}")
-        if self.T_out < max(self.T, 3.0) or self.T_out <= self.T:
-            raise ValueError(
-                f"T_out must satisfy T_out > T and T_out >= max(T, 3), got"
-                f" T={self.T}, T_out={self.T_out}"
-            )
+        if not (self.T >= 1.0 and np.isfinite(self.T)):
+            raise ValueError(f"T must be finite and at least 1: the grid spans (-3T, 3T),"
+                             f" got T={self.T}")
         if self.mode == "lambda" and not (self.lam > 0 and np.isfinite(self.lam)):
             raise ValueError(f"lambda mode needs lam > 0, got {self.lam}")
         # the functional, grid and clamp the solve sets up, checked before it starts
@@ -80,6 +75,11 @@ class TransitionProblem:
         _check_nodes(grid, self.k)
         if not _start(self, grid)[1].any():
             raise ValueError(f"no node lies inside |x| < T = {self.T} at n_cells = {self.n_cells}")
+
+    @property
+    def T_out(self) -> float:
+        """Half-length of the grid, which spans (-3T, 3T)."""
+        return 3.0 * self.T
 
     def effective_kernel(self) -> tuple[KernelSpec | None, EnergyParams]:
         """(kernel-or-None, parameters) of the rescaled energy the solve
@@ -135,7 +135,7 @@ def transition_energy(tp: TransitionProblem,
     to omega * sgn(x) for |x| >= T, by descent preconditioned with the
     energy's spectral preconditioner.  The solve runs on the free nodes
     |x| < T and ``_REACH[k]`` clamped nodes per side (one for k = 0); the
-    rest of the (-T_out, T_out) grid and the tail beyond it enter as the
+    rest of the (-3T, 3T) grid and the tail beyond it enter as the
     block's exterior term, and the returned profile spans the whole grid.
     The returned energy is an upper estimate of the infimum; a solve that
     stops short of ``grad_tol`` emits a RuntimeWarning naming its stop
@@ -149,10 +149,9 @@ def transition_energy(tp: TransitionProblem,
 
 
 def _at_length(tp: TransitionProblem, T: float) -> TransitionProblem:
-    """The template at clamp half-length T, keeping its T_out/T ratio and
-    grid spacing (n_cells scales with T)."""
-    return replace(tp, T=T, T_out=tp.T_out / tp.T * T,
-                   n_cells=max(int(round(tp.n_cells * T / tp.T)), 8))
+    """The template at clamp half-length T, keeping its grid spacing
+    (n_cells scales with T)."""
+    return replace(tp, T=T, n_cells=max(int(round(tp.n_cells * T / tp.T)), 8))
 
 
 @dataclass(frozen=True)
@@ -174,8 +173,8 @@ def transition_energy_curve(tp: TransitionProblem, T_list,
                             opts: MinimizeOptions = MinimizeOptions(), workers: int = 1):
     """m-hat as a function of the clamp half-length T.
 
-    Each T keeps the template's T_out/T ratio and grid spacing (n_cells
-    scales with T), solved on up to ``workers`` threads.
+    Each T keeps the template's grid spacing (n_cells scales with T), solved
+    on up to ``workers`` threads.
     """
     # only a curve needs the pool; importing it loads logging (about 0.3 MiB of RSS)
     from concurrent.futures import ThreadPoolExecutor

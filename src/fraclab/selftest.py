@@ -16,7 +16,7 @@ from .profiles import (TransitionProblem, scaling_exponent, transition_energy,
 __all__ = ["selftest"]
 
 
-def _selftest_checks(inject_gradient_bug: bool):
+def _selftest_checks():
     rng = np.random.default_rng(20240811)
     well = DoubleWell(0.2)
     kern = KernelSpec.cos_sum(2.5, 1.0)
@@ -27,11 +27,7 @@ def _selftest_checks(inject_gradient_bug: bool):
         grid = make_grid(-4.0, 4.0, 96)
         model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.0), well, kern)
         vals = np.tanh(grid.nodes()) + 0.1 * rng.standard_normal(grid.n_nodes)
-        p = GridProfile(grid, vals)
-        grad_fn = model.gradient
-        if inject_gradient_bug:
-            grad_fn = lambda v, _g=model.gradient: 2.0 * _g(v)  # noqa: E731
-        err = check_gradient(model.energy, grad_fn, p)
+        err = check_gradient(model.energy, model.gradient, GridProfile(grid, vals))
         checks.append((f"gradient k={k} s={s}", err <= 1e-6, f"max rel err {err:.3e}"))
 
     # exact constant-kernel scaling identity
@@ -49,7 +45,7 @@ def _selftest_checks(inject_gradient_bug: bool):
 
     # monotone T-curve, homogeneous kernel, small N
     tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
-                           T=2.0, T_out=6.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
+                           T=2.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
     pts = transition_energy_curve(tp, [2.0, 4.0], MinimizeOptions(grad_tol=1e-5))
     mono = pts[1].m_hat <= pts[0].m_hat + 1e-6
     checks.append(("T-monotonicity", mono,
@@ -57,7 +53,7 @@ def _selftest_checks(inject_gradient_bug: bool):
 
     # jump-direction symmetry for a tilted well, by the reflection x -> -x
     tp_sym = TransitionProblem(kernel=kern, mode="lambda", lam=1.0, omega=1, T=2.0,
-                               T_out=6.0, n_cells=192, well=well, k=0, s=0.75)
+                               n_cells=192, well=well, k=0, s=0.75)
     opts = MinimizeOptions(grad_tol=1e-5)
     m_up = transition_energy(tp_sym, opts).energy
     m_dn = transition_energy(replace(tp_sym, omega=-1), opts).energy
@@ -87,9 +83,9 @@ def _selftest_checks(inject_gradient_bug: bool):
     return checks
 
 
-def selftest(inject_gradient_bug: bool = False) -> tuple[bool, str]:
+def selftest() -> tuple[bool, str]:
     """Run the invariant suite at small N; returns (all_passed, report)."""
-    checks = _selftest_checks(inject_gradient_bug)
+    checks = _selftest_checks()
     width = max(len(name) for name, _, _ in checks)
     lines = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}"
              for name, ok, detail in checks]

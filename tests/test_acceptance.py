@@ -96,13 +96,13 @@ def test_criterion_02_scaling_law():
     details = []
     for k, s in ((0, 0.75), (1, 0.5)):
         base = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                                 omega=1, T=2.0, T_out=6.0, n_cells=1024,
+                                 omega=1, T=2.0, n_cells=1024,
                                  well=WELL0, k=k, s=s)
         m1 = transition_energy(base, opts).energy
         for c in (4.0, 16.0):
             lam = c ** scaling_exponent(k, s)
             scaled = TransitionProblem(kernel=KernelSpec.constant(c), mode="lambda",
-                                       omega=1, T=2.0 * lam, T_out=6.0 * lam,
+                                       omega=1, T=2.0 * lam,
                                        n_cells=1024, well=WELL0, k=k, s=s)
             mc = transition_energy(scaled, opts).energy
             rel = abs(mc / m1 - lam) / lam
@@ -123,7 +123,7 @@ def t_curves():
     opts = MinimizeOptions(grad_tol=1e-6)
     T_list = [2.0, 4.0, 8.0, 16.0]
     hom = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                            omega=1, T=4.0, T_out=12.0, n_cells=768,
+                            omega=1, T=4.0, n_cells=768,
                             well=WELL0, k=0, s=0.75)
     osc = replace(hom, kernel=COSSUM, mode="lambda", lam=1.0)
     pts_hom = transition_energy_curve(hom, T_list, opts)
@@ -167,7 +167,7 @@ def test_criterion_05_jump_direction_symmetry():
     the reflection x -> -x maps one direction onto the other for every chi."""
     opts = MinimizeOptions(grad_tol=1e-6)
     tp = TransitionProblem(kernel=COSSUM, mode="lambda", lam=1.0, omega=1,
-                           T=4.0, T_out=12.0, n_cells=768, well=WELL0, k=0, s=0.75)
+                           T=4.0, n_cells=768, well=WELL0, k=0, s=0.75)
     m_up = transition_energy(tp, opts).energy
     m_dn = transition_energy(replace(tp, omega=-1), opts).energy
     rel = abs(m_up - m_dn) / m_up
@@ -223,7 +223,7 @@ def test_criterion_07_regime_convergence_critical():
                        window_factor=8.0, lam=1.0, opts=opts)
     # reference at the resolution of the smallest eps: h_xi = (1/2048)/2^-6 = 1/32
     ref_tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                               omega=1, T=16.0, T_out=48.0, n_cells=3072,
+                               omega=1, T=16.0, n_cells=3072,
                                well=WELL0, k=k, s=s)
     m_ref = transition_energy(ref_tp, opts).energy
     gaps = [abs(p.min_energy - m_ref) / m_ref for p in pts]
@@ -348,7 +348,7 @@ def test_regime_separation_constant_kernel_formulas():
     for name, const in (("inf", COSSUM.a_inf), ("bar", COSSUM.a_bar)):
         lam = const ** gamma
         tp = TransitionProblem(kernel=KernelSpec.constant(const), mode="lambda",
-                               omega=1, T=2.0 * lam, T_out=6.0 * lam,
+                               omega=1, T=2.0 * lam,
                                n_cells=768, well=WELL0, k=k, s=s)
         m[name] = transition_energy(tp, opts).energy
     ratio = m["inf"] / m["bar"]
@@ -366,7 +366,7 @@ def recovery_setup():
     k, s, T = 0, 0.75, 4.0
     m1 = transition_energy(
         TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                          omega=1, T=T, T_out=3 * T, n_cells=1024,
+                          omega=1, T=T, n_cells=1024,
                           well=WELL0, k=k, s=s), opts).energy
     grid = make_grid(0.0, 1.0, 2000)
     return opts, k, s, T, m1, grid
@@ -387,7 +387,7 @@ def test_criterion_09_recovery_limsup(recovery_setup, mode):
     kern = COSSUM if mode != "subcritical" else KernelSpec.cos_sum(2.5, 0.15)
 
     tp = TransitionProblem(kernel=kern, mode=mode, lam=1.0, omega=1, T=T,
-                           T_out=3 * T, n_cells=1024, well=WELL0, k=k, s=s)
+                           n_cells=1024, well=WELL0, k=k, s=s)
     # one ascending solve; a descending jump pastes its reflection
     res = transition_energy(tp, opts)
 
@@ -428,7 +428,7 @@ def test_criterion_10_decay_probes():
     # cross-interval interactions of the recovery profile, k = 1
     k, s = 1, 0.5
     tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                           omega=1, T=2.0, T_out=6.0, n_cells=768,
+                           omega=1, T=2.0, n_cells=768,
                            well=WELL0, k=k, s=s)
     up = transition_energy(tp, opts).profile
     target = make_bv_target([(0.25, +1), (0.75, -1)], left_value=-1)
@@ -441,7 +441,7 @@ def test_criterion_10_decay_probes():
     # truncation-tail decay for a clamped transition profile
     for kk, ss, slope_target in ((1, 0.5, -1.0), (0, 0.75, -0.5)):
         tpp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                                omega=1, T=2.0, T_out=6.0, n_cells=384,
+                                omega=1, T=2.0, n_cells=384,
                                 well=WELL0, k=kk, s=ss)
         r = transition_energy(tpp, opts)
         gb = make_grid(-64.0, 64.0, 4096)
@@ -463,7 +463,7 @@ def test_criterion_10_decay_probes():
 def test_criterion_11_lambda_continuity():
     """CosSum(2.5,1), lam = 1 +- 5 percent: m-hat spread <= 5 percent."""
     tp = TransitionProblem(kernel=COSSUM, mode="lambda", lam=1.0, omega=1,
-                           T=4.0, T_out=12.0, n_cells=768, well=WELL0, k=0, s=0.75)
+                           T=4.0, n_cells=768, well=WELL0, k=0, s=0.75)
     a, b, c = lambda_continuity_probe(tp, 0.05, MinimizeOptions(grad_tol=1e-6))
     spread = (max(a, b, c) - min(a, b, c)) / a
     ok = spread <= 0.05 and min(a, b, c) > 0

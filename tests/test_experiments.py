@@ -26,7 +26,7 @@ from fraclab import (
 WELL = DoubleWell(0.0)
 OPTS = MinimizeOptions(grad_tol=1e-5)
 HOMOGENEOUS_TP = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                                   omega=1, T=2.0, T_out=6.0, n_cells=240, well=WELL,
+                                   omega=1, T=2.0, n_cells=240, well=WELL,
                                    k=0, s=0.75)
 
 

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import fraclab.cli as cli
 import fraclab.harness as harness
+import fraclab.selftest
 from fraclab.cli import main
 from fraclab.harness import (
     EXIT_CONFIG,
@@ -214,8 +215,13 @@ def test_selftest_passes_and_is_deterministic():
     assert report1 == report2
 
 
-def test_selftest_injected_gradient_bug_fails():
-    ok, report = selftest(inject_gradient_bug=True)
+def test_selftest_injected_gradient_bug_fails(monkeypatch):
+    class DoubledGradient(fraclab.selftest.DiscreteEnergy):
+        def gradient(self, values):
+            return 2.0 * super().gradient(values)
+
+    monkeypatch.setattr(fraclab.selftest, "DiscreteEnergy", DoubledGradient)
+    ok, report = selftest()
     assert not ok
     assert "FAIL" in report
 
@@ -333,13 +339,18 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(SWEEP_MIN, grad_tol=-1),
     dict(RECOVERY_MIN, grad_tol=float("nan")),
     dict(PROFILE_CFG, max_iters=-3),
+    dict(RECOVERY_MIN, jumps=[], left_value=1),
+    dict(PROFILE_CFG, kernel={"variant": "constant", "c": 2.5, "c1": 1.0}),
+    dict(PROFILE_CFG, kernel={"variant": "cos_sum", "c0": 2.5, "c1": 1.0, "c": 1.0}),
+    dict(SWEEP_MIN, T_profile=0.5),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
         "jump-sign-fraction", "left_value-fraction", "profile-one-cell",
         "profile-too-few-nodes", "profile-no-free-node", "sweep-one-cell", "sweep-empty-window",
         "recovery-one-cell", "recovery-reference-one-cell", "recovery-too-few-nodes",
         "sweep-one-window-empty", "grad_tol-string", "grad_tol-negative", "grad_tol-nan",
-        "max_iters-negative"])
+        "max_iters-negative", "recovery-no-jump", "kernel-constant-extra-key",
+        "kernel-cos_sum-extra-key", "sweep-T_profile-below-1"])
 def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     def unused(tp, opts):
         raise AssertionError("a bad config must be rejected before any solve")
@@ -455,12 +466,25 @@ def test_integral_floats_read_as_integers(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("key", ["reference_ncells", "armijo_c", "omega"])
-def test_load_config_rejects_unknown_keys(tmp_path, key):
-    path = write_config(tmp_path, "s.json", dict(SWEEP_MIN, **{key: 1}))
+@pytest.mark.parametrize("raw, key", [
+    (SWEEP_MIN, "reference_ncells"), (SWEEP_MIN, "armijo_c"), (SWEEP_MIN, "omega"),
+    (PROFILE_CFG, "t_out_factor"),
+], ids=["reference_ncells", "armijo_c", "omega", "t_out_factor"])
+def test_load_config_rejects_unknown_keys(tmp_path, raw, key):
+    path = write_config(tmp_path, "s.json", dict(raw, **{key: 1}))
     with pytest.raises(ConfigError) as err:
         load_config(path)
-    assert err.value.violations == [f"unknown key {key!r} for sweep"]
+    assert err.value.violations == [f"unknown key {key!r} for {raw['command']}"]
+
+
+def test_schema_field_tables_name_every_accepted_key():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "schemas.md").read_text()
+    tables = re.findall(r"^\| field \|.*\n\|[-|]+\|\n((?:\|.*\n)+)", text, re.M)
+    documented = {name for table in tables for row in table.splitlines()
+                  for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    accepted = {key for command in harness._DEFAULTS
+                for key in (*harness._DEFAULTS[command], *harness._NO_DEFAULT[command])}
+    assert documented == accepted
 
 
 @pytest.mark.parametrize("doc", ["README.md", "docs/schemas.md"])

@@ -25,7 +25,7 @@ OPTS = MinimizeOptions(grad_tol=1e-5)
 
 def small_problem(**kw):
     base = dict(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
-                T=2.0, T_out=6.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
+                T=2.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
     base.update(kw)
     return TransitionProblem(**base)
 
@@ -41,7 +41,7 @@ def test_transition_energy_positive_and_clamped():
 
 def test_transition_problem_validation():
     with pytest.raises(ValueError):
-        small_problem(T_out=2.5)  # below max(T, 3)
+        small_problem(T=0.5)  # the grid (-3T, 3T) needs T >= 1
     with pytest.raises(ValueError):
         small_problem(mode="nonsense")
     with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ def test_constant_kernel_scaling_law_small():
     tp1 = small_problem()
     m1 = transition_energy(tp1, OPTS).energy
     tpc = small_problem(kernel=KernelSpec.constant(c), mode="lambda",
-                        T=2.0 * lam, T_out=6.0 * lam)
+                        T=2.0 * lam)
     mc = transition_energy(tpc, OPTS).energy
     assert mc / m1 == pytest.approx(lam, rel=1e-3)
 
@@ -77,7 +77,7 @@ def test_argmin_invariance_under_kernel_scaling():
     tp1 = small_problem()
     r1 = transition_energy(tp1, OPTS)
     tpc = small_problem(kernel=KernelSpec.constant(c), mode="lambda",
-                        T=2.0 * lam, T_out=6.0 * lam)
+                        T=2.0 * lam)
     rc = transition_energy(tpc, OPTS)
     np.testing.assert_allclose(rc.profile.values, r1.profile.values, atol=2e-4)
 
@@ -210,7 +210,7 @@ def test_windowed_transition_matches_the_full_grid_solve(k, mode):
 def _workload_problem(k, lam=1.0):
     """The k >= 1 cos_sum profile at N = 769, as the profile benchmark runs it."""
     return TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=lam,
-                             omega=1, T=4.0, T_out=12.0, n_cells=768, well=DoubleWell(0.0),
+                             omega=1, T=4.0, n_cells=768, well=DoubleWell(0.0),
                              k=k, s=0.5)
 
 
@@ -237,7 +237,7 @@ LAMBDA_4_TRANSITION = (24.80945125421514, 10)
 
 def test_lambda_4_transition_keeps_its_energy_in_half_the_iterations():
     tp = TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=4.0,
-                           omega=1, T=8.0, T_out=24.0, n_cells=1536, well=DoubleWell(0.0),
+                           omega=1, T=8.0, n_cells=1536, well=DoubleWell(0.0),
                            k=0, s=0.75)
     energy, iterations = LAMBDA_4_TRANSITION
     res = transition_energy(tp, MinimizeOptions(grad_tol=1e-6))
