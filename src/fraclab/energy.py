@@ -281,10 +281,9 @@ class _PairForm:
     +-1 phase.
     """
 
-    def __init__(self, table: _PairTable, kspec: KernelSpec | None,
-                 x: np.ndarray, scale: float):
+    def __init__(self, table: _PairTable, kspec: KernelSpec, x: np.ndarray, scale: float):
         self._table = table
-        self._kspec = kspec or KernelSpec.constant(1.0)
+        self._kspec = kspec
         c0, c1, w1 = self._kspec.c0, self._kspec.c1, table.ones
         if self._kspec.kind == "constant":
             self.row = c0 * w1
@@ -339,14 +338,13 @@ def _dst1(x: np.ndarray, ext: np.ndarray | None = None) -> np.ndarray:
     return -0.5 * np.fft.rfft(ext)[1:m + 1].imag
 
 
-def _cross_tail_constant(kspec: KernelSpec | None, s: float, T_out: float) -> float:
+def _cross_tail_constant(kspec: KernelSpec, s: float, T_out: float) -> float:
     """Closed-form interaction of the two opposite-sign exterior tails over
     ordered pairs: 8 * a_bar * (2 T_out)^{1-2s} / (2s (2s - 1)).  Requires
     s > 1/2."""
     if s <= 0.5:
         raise ValueError(f"the cross-tail integral needs s > 1/2, got s={s}")
-    a_bar = (kspec or KernelSpec.constant(1.0)).a_bar
-    return 8.0 * a_bar * (2.0 * T_out) ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
+    return 8.0 * kspec.a_bar * (2.0 * T_out) ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
 
 
 def _check_nodes(grid: UniformGrid, k: int) -> None:
@@ -371,11 +369,11 @@ class DiscreteEnergy:
 
     ``params`` (``EnergyParams``) fixes the functional: k, s, the kernel
     scale delta and the coefficients 1/eps and eps^{2(k+s)-1}, both 1 in the
-    rescaled form (eps = 1); ``kspec`` None is the constant kernel 1.  The
-    exterior term on g = D_k u, sum_i (R_i g_i - 2 B_i) g_i + c0, has
-    gradient 2 (R g - B) in g; it is held as (R, B, c0), with B = None for
-    k >= 1, where B is zero.  Without ``tail_signs``, R and c0 are zero, and
-    so is B for k = 0.  ``tail_signs`` = (left, right) fills it with the
+    rescaled form (eps = 1); ``kspec`` is the kernel a.  The exterior term
+    on g = D_k u, sum_i (R_i g_i - 2 B_i) g_i + c0, has gradient 2 (R g - B)
+    in g; it is held as (R, B, c0), with B = None for k >= 1, where B is
+    zero.  Without ``tail_signs``, R and c0 are zero, and so is B for
+    k = 0.  ``tail_signs`` = (left, right) fills it with the
     ordered-pair interactions with the +-1 exterior beyond a grid on
     (-T_out, T_out): R = c_+ + c_- with c_+-,i = 2 h rho(x_i)
     (T_out -+ x_i)^{-2s} / (2s) off the end nodes; for k = 0 (s > 1/2),
@@ -387,7 +385,7 @@ class DiscreteEnergy:
     """
 
     def __init__(self, grid: UniformGrid, params: EnergyParams, well: DoubleWell,
-                 kspec: KernelSpec | None = None, tail_signs=None):
+                 kspec: KernelSpec, tail_signs=None):
         k, s, scale = int(params.k), params.s, params.delta
         _check_nodes(grid, k)
         self.grid, self._h, self.params, self.k, self.well = grid, grid.h, params, k, well
@@ -398,7 +396,6 @@ class DiscreteEnergy:
         x = grid.nodes()
         table = _pair_table(grid.n_nodes, grid.h, s)
         self._weights = table.weights  # the preconditioner's; a block keeps the grid's
-        kspec = kspec or KernelSpec.constant(1.0)
         self._kernel = (kspec, x, scale)
         self._form = _PairForm(table, kspec, x, scale)
         self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
@@ -615,7 +612,7 @@ class DiscreteEnergy:
 
 
 def eval_F(p: GridProfile, params: EnergyParams, well: DoubleWell,
-           kspec: KernelSpec | None) -> float:
+           kspec: KernelSpec) -> float:
     """One-shot value of the eps/delta functional on the profile's interval
     (no exterior tail).  The grid's pair table is kept for the process, so
     a repeated call on one grid pays only for its kernel part and one

@@ -85,8 +85,6 @@ def _check_sweep_eps(target: BVTarget, eps_list, T_profile: float) -> list[float
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"eps_list must be non-empty and strictly descending, got {eps_list}")
-    if not target.jump_locations:
-        raise ValueError("regime sweep needs a target with at least one jump")
     tau = jump_half_separation(target)
     if 2.0 * tau < 4.0 * max(eps_list) * T_profile:
         raise ValueError(
@@ -196,11 +194,8 @@ def _jump_shift(t_j: float, delta: float, mode: str, diag_shift: float) -> float
 
 
 def _check_recovery_geometry(target: BVTarget, eps: float, delta: float, T_profile: float):
-    """Raises ValueError unless the target has a jump and eps * T_profile +
-    delta stays below tau, so the pasted profiles' transition layers keep
-    apart."""
-    if not target.jump_locations:
-        raise ValueError("recovery needs a target with at least one jump")
+    """Raises ValueError unless eps * T_profile + delta stays below tau, so
+    the pasted profiles' transition layers keep apart."""
     tau = jump_half_separation(target)
     tau_eps = eps * T_profile + delta
     if tau_eps >= tau:
@@ -253,7 +248,8 @@ def _smoothstep(q: np.ndarray) -> np.ndarray:
 
 def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int,
                      s: float, n_cells: int, T_profile: float,
-                     kernel: KernelSpec | None = None, mode: str = "supercritical"):
+                     kernel: KernelSpec = KernelSpec.constant(1.0),
+                     mode: str = "supercritical"):
     """Cross-interval interaction energy of the recovery profile per eps,
     with delta = eps, pasted from ``profile`` as in ``build_recovery``.
 
@@ -316,10 +312,10 @@ def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
     if max(T_list) >= grid.x_hi:
         raise ValueError(f"T values must stay below the master half-length {grid.x_hi}")
 
-    params = EnergyParams(k, s, 1.0, 1.0)
+    params, unit = EnergyParams(k, s, 1.0, 1.0), KernelSpec.constant(1.0)
 
     def phi(sub_grid, values, signs=None):
-        return DiscreteEnergy(sub_grid, params, well, tail_signs=signs).energy(values)
+        return DiscreteEnergy(sub_grid, params, well, unit, signs).energy(values)
 
     phi_full = phi(grid, p.values, tail_signs)
     h = grid.h

@@ -173,35 +173,35 @@ def resample_scaled(p: GridProfile, lam: float) -> GridProfile:
 
 @dataclass(frozen=True)
 class BVTarget:
-    """Piecewise +-1 target with jumps at ``jump_locations`` in (0, 1).
+    """Piecewise +-1 target given by its jumps, at least one, at
+    ``jump_locations`` in (0, 1).
 
-    ``jump_signs[j]`` is the jump direction sgn(u(t+) - u(t-)); signs must
-    alternate starting from -left_value so the target stays in {-1, +1}.
+    ``jump_signs[j]`` is the jump direction sgn(u(t+) - u(t-)); the signs are
+    +-1 and alternate, so the target stays in {-1, +1}, and the value left of
+    the first jump is -jump_signs[0].
     """
 
     jump_locations: tuple
     jump_signs: tuple
-    left_value: int
 
     def __post_init__(self):
         locs = tuple(float(t) for t in self.jump_locations)
         signs = tuple(int(s) for s in self.jump_signs)
         if len(locs) != len(signs):
             raise ValueError("jump_locations and jump_signs must have equal length")
-        if self.left_value not in (-1, 1):
-            raise ValueError(f"left_value must be +-1, got {self.left_value}")
+        if not locs:
+            raise ValueError("a target needs at least one jump")
         if any(not (0.0 < t < 1.0) for t in locs):
             raise ValueError(f"jump locations must lie strictly inside (0, 1), got {locs}")
         if any(locs[i] >= locs[i + 1] for i in range(len(locs) - 1)):
             raise ValueError(f"jump locations must be strictly increasing, got {locs}")
-        value = self.left_value
-        for t, s in zip(locs, signs):
-            if s != -value:
+        # the value left of each jump: -signs[0], then the previous jump's sign
+        for t, s, left in zip(locs, signs, (-signs[0], *signs)):
+            if s != -left or s not in (-1, 1):
                 raise ValueError(
                     f"jump sign {s:+d} at t={t} is inconsistent: the target would leave"
-                    " {-1, +1} (signs must alternate starting from -left_value)"
+                    " {-1, +1} (signs must be +-1 and alternate)"
                 )
-            value = s
         object.__setattr__(self, "jump_locations", locs)
         object.__setattr__(self, "jump_signs", signs)
 
@@ -209,23 +209,13 @@ class BVTarget:
         """Piecewise-constant value; a point exactly at a jump takes the right limit."""
         x = np.asarray(x, dtype=float)
         count = np.searchsorted(np.asarray(self.jump_locations), x, side="right")
-        return self.left_value * np.where(count % 2 == 0, 1.0, -1.0)
+        return -self.jump_signs[0] * np.where(count % 2 == 0, 1.0, -1.0)
 
 
-def make_bv_target(jumps, left_value: int | None = None) -> BVTarget:
-    """Build a BVTarget from (location, sign) pairs.
-
-    left_value may be omitted when there is at least one jump (it is then
-    forced by the first jump sign).
-    """
+def make_bv_target(jumps) -> BVTarget:
+    """Build a BVTarget from (location, sign) pairs, at least one."""
     jumps = list(jumps)
-    if left_value is None:
-        if not jumps:
-            raise ValueError("left_value is required for a target with no jumps")
-        left_value = -int(jumps[0][1])
-    locs = tuple(t for t, _ in jumps)
-    signs = tuple(int(s) for _, s in jumps)
-    return BVTarget(locs, signs, int(left_value))
+    return BVTarget(tuple(t for t, _ in jumps), tuple(s for _, s in jumps))
 
 
 def sample_bv_target(target: BVTarget, grid: UniformGrid) -> GridProfile:

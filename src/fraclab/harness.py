@@ -69,10 +69,10 @@ _TARGET = dict(_COMMON, lam=1.0, T_profile=4.0, n_cells=2048, reference_n_cells=
 _DEFAULTS = {"profile": _PROBLEM, "curve": _PROBLEM,
              "sweep": dict(_TARGET, window_factor=2.0), "recovery": _TARGET}
 _NO_DEFAULT = {"profile": (), "curve": ("T_list",),
-               "sweep": ("jumps", "left_value", "rule", "eps_list"),
-               "recovery": ("jumps", "left_value", "mode", "eps", "delta")}
+               "sweep": ("jumps", "rule", "eps_list"),
+               "recovery": ("jumps", "mode", "eps", "delta")}
 # keys whose value must be an integral number; 768.0 reads as 768
-_INTEGER_KEYS = ("k", "omega", "n_cells", "reference_n_cells", "max_iters", "left_value")
+_INTEGER_KEYS = ("k", "omega", "n_cells", "reference_n_cells", "max_iters")
 
 # a sweep's regime rule -> the kernel mode of its prediction (and of a recovery)
 _RULE_MODE = {"critical": "lambda", "supercritical": "supercritical", "subcritical": "subcritical"}
@@ -209,8 +209,7 @@ def _validate(raw: dict) -> ExperimentConfig:
 
 
 def _target(raw: dict) -> BVTarget:
-    jumps = [(float(t), _integer(sg)) for t, sg in raw["jumps"]]
-    return make_bv_target(jumps, raw.get("left_value"))
+    return make_bv_target((float(t), _integer(sg)) for t, sg in raw["jumps"])
 
 
 def _delta(raw: dict) -> float:

@@ -58,7 +58,7 @@ class MinimizeResult:
     iterations: int
     final_grad_norm: float
     converged: bool
-    stop_reason: str  # grad_tol, max_iters or line_search_underflow
+    stop_reason: str  # grad_tol, max_iters, line_search_underflow or rounding_floor
     energy_evals: int
     grad_evals: int
     backtracks: int
@@ -88,8 +88,11 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
     nodes and zero on the others (``DiscreteEnergy.preconditioner``).
 
     Stops on ``grad_tol`` (infinity norm of the free-node gradient, not of
-    the direction), after ``max_iters`` accepted steps, or when no step is
-    acceptable.  The direction d = H g is the L-BFGS two-loop recursion
+    the direction), after ``max_iters`` accepted steps, when no step is
+    acceptable, or on the rounding floor (not converged): ``_MEMORY``
+    iterations in a row whose decrement g.d is at most 2^-52 |E|, a change
+    the energy cannot resolve, and whose gradient norm sets no new low.
+    The direction d = H g is the L-BFGS two-loop recursion
     (Nocedal and Wright, *Numerical Optimization*, 2nd ed., Algorithm 7.4)
     with initial inverse Hessian P^-1, over the last ``_MEMORY`` accepted
     steps s = u_new - u and gradient changes y whose curvature s.y is
@@ -131,6 +134,7 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
     g = projected_grad(u)
     pairs = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y), oldest first
     stop_reason = "max_iters"
+    stalled, lowest = 0, np.inf  # iterations on the rounding floor; least gradient norm
     for iterations in range(opts.max_iters + 1):
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm <= opts.grad_tol:
@@ -141,6 +145,11 @@ def minimize(energy_fn, grad_fn, initial: GridProfile, free: np.ndarray,
 
         d = _direction(g, pairs, precondition)
         gd = float(g @ d)
+        stalled = stalled + 1 if gd <= 2.0 ** -52 * abs(energy) and grad_norm >= lowest else 0
+        lowest = min(lowest, grad_norm)
+        if stalled == _MEMORY:
+            stop_reason = "rounding_floor"
+            break
         flat = _FLAT_RTOL * abs(energy)
         t = 1.0
         accepted = False

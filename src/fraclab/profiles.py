@@ -60,8 +60,6 @@ class TransitionProblem:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.omega not in (-1, 1):
             raise ValueError(f"omega must be +-1, got {self.omega}")
         if not (self.T >= 1.0 and np.isfinite(self.T)):
@@ -69,7 +67,7 @@ class TransitionProblem:
                              f" got T={self.T}")
         if self.mode == "lambda" and not (self.lam > 0 and np.isfinite(self.lam)):
             raise ValueError(f"lambda mode needs lam > 0, got {self.lam}")
-        # the functional, grid and clamp the solve sets up, checked before it starts
+        # the mode, functional, grid and clamp the solve sets up, checked before it starts
         self.effective_kernel()
         grid = make_grid(-self.T_out, self.T_out, self.n_cells)
         _check_nodes(grid, self.k)
@@ -81,16 +79,22 @@ class TransitionProblem:
         """Half-length of the grid, which spans (-3T, 3T)."""
         return 3.0 * self.T
 
-    def effective_kernel(self) -> tuple[KernelSpec | None, EnergyParams]:
-        """(kernel-or-None, parameters) of the rescaled energy the solve
+    def effective_kernel(self) -> tuple[KernelSpec, EnergyParams]:
+        """(``_mode_kernel``, parameters) of the rescaled energy the solve
         minimizes: eps = 1, and delta = lam in lambda mode, 1 otherwise."""
         params = EnergyParams(self.k, self.s, 1.0, self.lam if self.mode == "lambda" else 1.0)
-        if self.mode == "homogeneous":
-            return None, params
-        if self.mode == "lambda":
-            return self.kernel, params
-        stat = self.kernel.a_bar if self.mode == "supercritical" else self.kernel.a_inf
-        return KernelSpec.constant(stat), params
+        return _mode_kernel(self.kernel, self.mode), params
+
+
+def _mode_kernel(kernel: KernelSpec, mode: str) -> KernelSpec:
+    """The kernel of a ``mode`` solve: ``kernel`` in lambda mode, else the
+    constant 1, a_bar or a_inf (homogeneous, supercritical, subcritical)."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "lambda":
+        return kernel
+    return KernelSpec.constant({"homogeneous": 1.0, "supercritical": kernel.a_bar,
+                                "subcritical": kernel.a_inf}[mode])
 
 
 def _assemble(tp: TransitionProblem) -> DiscreteEnergy:
@@ -188,16 +192,13 @@ def predicted_limit(kernel: KernelSpec, mode: str, k: int, s: float,
                     n_jumps: int, m_hat: float) -> float:
     """Sharp-interface limit for a target with ``n_jumps`` jumps, each charged
     one transition energy whatever its direction (a descending transition is
-    the ascending one reflected): ``m_hat`` in ``lambda`` and ``homogeneous``
-    modes, the homogeneous ``m_hat`` scaled by the kernel mean or diagonal
-    infimum raised to 1/(2(k+s)) in the supercritical and subcritical modes.
+    the ascending one reflected): ``m_hat`` in ``lambda`` mode, otherwise the
+    homogeneous ``m_hat`` scaled by c^{1/(2(k+s))}, c the mode's constant
+    kernel (``_mode_kernel``: 1, the kernel mean or its diagonal infimum).
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode in ("lambda", "homogeneous"):
+    if mode == "lambda":
         return m_hat * n_jumps
-    stat = kernel.a_bar if mode == "supercritical" else kernel.a_inf
-    return stat ** scaling_exponent(k, s) * m_hat * n_jumps
+    return _mode_kernel(kernel, mode).c0 ** scaling_exponent(k, s) * m_hat * n_jumps
 
 
 def lambda_continuity_probe(tp: TransitionProblem, rel_perturbation: float,

@@ -39,7 +39,8 @@ def _selftest_checks():
     v = GridProfile(grid, np.tanh(grid.nodes()))
     lhs = DiscreteEnergy(grid, rescaled, well, KernelSpec.constant(c)).energy(v.values)
     small = resample_scaled(v, lam)
-    rhs = lam * DiscreteEnergy(small.grid, rescaled, well).energy(small.values)
+    rhs = lam * DiscreteEnergy(small.grid, rescaled, well,
+                               KernelSpec.constant(1.0)).energy(small.values)
     rel = abs(lhs - rhs) / lhs
     checks.append(("scaling identity", rel <= 1e-12, f"rel err {rel:.3e}"))
 

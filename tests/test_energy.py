@@ -33,6 +33,7 @@ from fraclab.grid import _REACH
 # delta=0.25, CosSum(2.5, 1), chi=0.3: W term by adaptive quadrature, nonlocal
 # by direct double sums under h-halving with leading-order (2-2s) Richardson.
 F_TANH_REFERENCE = 31.470057189929
+UNIT = KernelSpec.constant(1.0)  # the homogeneous problem's kernel
 
 
 class _NoWell:
@@ -50,12 +51,12 @@ def _phi(p, k, s, kspec, well, scale=1.0):
     return DiscreteEnergy(p.grid, EnergyParams(k, s, 1.0, scale), well, kspec).energy(p.values)
 
 
-def _gagliardo(p, k, s, kspec=None, scale=1.0):
+def _gagliardo(p, k, s, kspec=UNIT, scale=1.0):
     """The kernel-weighted nonlocal sum alone: the rescaled energy with no well."""
     return _phi(p, k, s, kspec, _NoWell(), scale)
 
 
-def _tail(p, k, s, tail_signs, kspec=None):
+def _tail(p, k, s, tail_signs, kspec=UNIT):
     """The exterior tail term alone, over ordered pairs."""
     model = DiscreteEnergy(p.grid, EnergyParams(k, s, 1.0, 1.0), DoubleWell(0.0), kspec,
                            tail_signs)
@@ -199,7 +200,8 @@ def test_inadmissible_exponents_rejected_at_construction(k, s):
     with pytest.raises(ValueError):
         EnergyParams(k, s, 1.0, 1.0)
     with pytest.raises(ValueError):
-        DiscreteEnergy(make_grid(-4.0, 4.0, 64), EnergyParams(k, s, 1.0, 1.0), DoubleWell(0.0))
+        DiscreteEnergy(make_grid(-4.0, 4.0, 64), EnergyParams(k, s, 1.0, 1.0), DoubleWell(0.0),
+                       UNIT)
     with pytest.raises(ValueError, match="excluded|must"):
         TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1, T=2.0,
                           n_cells=96, well=DoubleWell(0.0), k=k, s=s)
@@ -283,16 +285,16 @@ def test_phi_examples_and_kernel_linearity():
     s = 0.75
     well = DoubleWell(0.0)
     ones = GridProfile(g, np.ones(g.n_nodes))
-    assert _phi(ones, 0, s, None, well) == 0.0
+    assert _phi(ones, 0, s, UNIT, well) == 0.0
     zeros = GridProfile(g, np.zeros(g.n_nodes))
-    assert _phi(zeros, 0, s, None, well) == pytest.approx(2.0, rel=1e-12)
+    assert _phi(zeros, 0, s, UNIT, well) == pytest.approx(2.0, rel=1e-12)
 
     rng = np.random.default_rng(9)
     p = GridProfile(g, rng.standard_normal(g.n_nodes))
     c = 3.5
     whole = _phi(p, 0, s, KernelSpec.constant(c), well)
     nl_unit = _gagliardo(p, 0, s)
-    dw = _phi(p, 0, s, None, well) - nl_unit
+    dw = _phi(p, 0, s, UNIT, well) - nl_unit
     assert whole == pytest.approx(dw + c * nl_unit, rel=1e-12)
 
 
@@ -322,17 +324,17 @@ def test_discrete_scaling_identity_exact():
         well = DoubleWell(0.3)
         lhs = _phi(v, k, s, KernelSpec.constant(c), well)
         small = resample_scaled(v, lam)
-        rhs = c ** (1.0 / (2.0 * (k + s))) * _phi(small, k, s, None, well)
+        rhs = c ** (1.0 / (2.0 * (k + s))) * _phi(small, k, s, UNIT, well)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_cross_tail_constant_frozen_example():
     # ordered pairs: twice the once-counted 1.8856180831641267
-    val = _cross_tail_constant(None, 0.75, 4.0)
+    val = _cross_tail_constant(UNIT, 0.75, 4.0)
     assert val == pytest.approx(3.7712361663282534, rel=1e-12)
     assert val == pytest.approx(8.0 * 8.0 ** -0.5 / (1.5 * 0.5), rel=1e-12)
     with pytest.raises(ValueError):
-        _cross_tail_constant(None, 0.5, 4.0)
+        _cross_tail_constant(UNIT, 0.5, 4.0)
 
 
 def test_tail_correction_matched_sign_constant_is_zero():
@@ -347,7 +349,7 @@ def test_tail_correction_step_profile_cross_term():
     x = g.nodes()
     p = GridProfile(g, np.where(x >= 0, 1.0, -1.0))
     val = _tail(p, 0, 0.75, (-1, 1))
-    sides = val - _cross_tail_constant(None, 0.75, 4.0)
+    sides = val - _cross_tail_constant(UNIT, 0.75, 4.0)
     # one-sided sums: |u - (+-1)|^2 = 4 on the opposing half (u(0) = +1,
     # the right limit, so the node at zero opposes only the left tail),
     # each pair counted in both orders
@@ -420,8 +422,9 @@ def test_gradient_zero_at_clamped_pure_phase(lo, hi, n_cells, k):
         assert np.all(model.gradient(pure) == 0.0)
 
 
-REUSE_KERNELS = [None, KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
+REUSE_KERNELS = [UNIT, KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
                  KernelSpec.cos_prod(2.0, 0.7)]
+REUSE_IDS = ["none", "constant", "cos_sum", "cos_prod"]  # "none": no weighting, the unit kernel
 
 
 def _reuse_case(k, kspec, tail_signs=None, chi=0.0, well=None):
@@ -445,7 +448,7 @@ def _count_points(monkeypatch, model):
 
 
 @pytest.mark.parametrize("tail", [False, True], ids=["no_tail", "tail"])
-@pytest.mark.parametrize("kspec", REUSE_KERNELS, ids=lambda k: k.kind if k else "none")
+@pytest.mark.parametrize("kspec", REUSE_KERNELS, ids=REUSE_IDS)
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("chi", [0.0, 0.3])
 def test_gradient_reuse_matches_fresh_instance(chi, k, kspec, tail, monkeypatch):
@@ -482,7 +485,7 @@ def test_gradient_reuse_follows_the_content(monkeypatch):
     assert len(calls) == 5
 
 
-@pytest.mark.parametrize("kspec", REUSE_KERNELS, ids=lambda k: k.kind if k else "none")
+@pytest.mark.parametrize("kspec", REUSE_KERNELS, ids=REUSE_IDS)
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_pure_phase_and_constants_exactly_zero_through_reuse(k, kspec, monkeypatch):
     for phase in (1.0, -1.0):
@@ -526,7 +529,7 @@ def test_discrete_energy_matches_op_functions_with_tail():
     expect = _phi(GridProfile(g, u), k, s, kern, well) + tail
     assert model.energy(u) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError, match="symmetric"):
-        DiscreteEnergy(make_grid(-4.0, 5.0, 80), EnergyParams(k, s, 1.0, 1.0), well,
+        DiscreteEnergy(make_grid(-4.0, 5.0, 80), EnergyParams(k, s, 1.0, 1.0), well, kern,
                        tail_signs=(-1, 1))
 
 

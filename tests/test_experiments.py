@@ -45,7 +45,7 @@ def test_delta_rule_values():
 
 
 def test_jump_half_separation():
-    t = make_bv_target([(0.25, +1), (0.75, -1)], left_value=-1)
+    t = make_bv_target([(0.25, +1), (0.75, -1)])
     assert jump_half_separation(t) == 0.125
     single = make_bv_target([(0.5, +1)])
     assert jump_half_separation(single) == 0.25
@@ -70,7 +70,7 @@ def test_jump_shift_rules():
 
 
 def test_build_recovery_matches_target_outside_windows(homogeneous_profile):
-    target = make_bv_target([(0.3, +1), (0.7, -1)], left_value=-1)
+    target = make_bv_target([(0.3, +1), (0.7, -1)])
     grid = make_grid(0.0, 1.0, 512)
     eps, delta, T = 0.02, 0.02, 2.0
     rec = build_recovery(target, homogeneous_profile, eps, delta,
@@ -87,7 +87,7 @@ def test_build_recovery_matches_target_outside_windows(homogeneous_profile):
 
 
 def test_build_recovery_rejects_crowded_jumps(homogeneous_profile):
-    target = make_bv_target([(0.48, +1), (0.52, -1)], left_value=-1)
+    target = make_bv_target([(0.48, +1), (0.52, -1)])
     grid = make_grid(0.0, 1.0, 128)
     with pytest.raises(ValueError, match="jump pair"):
         build_recovery(target, homogeneous_profile, 0.05, 0.05,
@@ -133,7 +133,7 @@ def test_cross_term_probe_single_jump_is_zero(homogeneous_profile):
 
 
 def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profile):
-    target = make_bv_target([(0.3, +1), (0.7, -1)], left_value=-1)
+    target = make_bv_target([(0.3, +1), (0.7, -1)])
     eps_list = [0.04, 0.02]
     values, slope = cross_term_probe(
         target, homogeneous_profile, eps_list, k=0, s=0.75,
@@ -145,13 +145,14 @@ def test_cross_term_probe_two_jumps_positive_and_bounded(homogeneous_profile):
     grid = make_grid(0.0, 1.0, 512)
     rec = build_recovery(target, homogeneous_profile, 0.02, 0.02 ** 2,
                          "supercritical", grid, 2.0)
-    pairs = _PairForm(_pair_table(grid.n_nodes, grid.h, 0.75), None, grid.nodes(), 1.0)
+    pairs = _PairForm(_pair_table(grid.n_nodes, grid.h, 0.75), KernelSpec.constant(1.0),
+                      grid.nodes(), 1.0)
     total = 0.02 ** 0.5 * pairs.value(rec.values)
     assert values[1] <= total + 1e-12
 
 
 @pytest.mark.parametrize("k,s", [(0, 0.75), (1, 0.5)])
-@pytest.mark.parametrize("kernel", [None, KernelSpec.cos_sum(2.5, 1.0),
+@pytest.mark.parametrize("kernel", [KernelSpec.constant(1.0), KernelSpec.cos_sum(2.5, 1.0),
                                     KernelSpec.cos_prod(2.0, 0.7)],
                          ids=["none", "cos_sum", "cos_prod"])
 def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
@@ -162,7 +163,7 @@ def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
     pg = make_grid(-3.0, 3.0, 120)
     xp = pg.nodes()
     profile = GridProfile(pg, np.tanh(2 * xp))
-    target = make_bv_target([(0.3, +1), (0.7, -1)], left_value=-1)
+    target = make_bv_target([(0.3, +1), (0.7, -1)])
     eps_list = [0.04, 0.02]
     values, _ = cross_term_probe(target, profile, eps_list, k=k, s=s, n_cells=512,
                                  T_profile=2.0, kernel=kernel, mode="lambda")
@@ -178,7 +179,7 @@ def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
     for eps, value in zip(eps_list, values):
         rec = build_recovery(target, profile, eps, eps, "lambda", grid, 2.0)
         g = kth_difference(rec, k).values
-        a = 1.0 if kernel is None else kernel.eval(x[:, None] / eps, x[None, :] / eps)
+        a = kernel.eval(x[:, None] / eps, x[None, :] / eps)
         pairs = np.sum((w * a * (g[:, None] - g[None, :]) ** 2)[across])
         assert value == pytest.approx(eps ** (2 * (k + s) - 1) * pairs, rel=5e-12)
 

@@ -191,31 +191,32 @@ def test_resample_scaled_roundtrip_and_examples():
 
 
 def test_bv_target_single_jump():
-    t = make_bv_target([(0.5, +1)], left_value=-1)
+    t = make_bv_target([(0.5, +1)])
     g = make_grid(0.0, 1.0, 4)
     np.testing.assert_array_equal(sample_bv_target(t, g).values, [-1, -1, 1, 1, 1])
 
 
-def test_bv_target_no_jumps_constant():
-    t = make_bv_target([], left_value=+1)
-    g = make_grid(0.0, 1.0, 4)
-    np.testing.assert_array_equal(sample_bv_target(t, g).values, np.ones(5))
+def test_bv_target_needs_a_jump():
+    with pytest.raises(ValueError, match="at least one jump"):
+        make_bv_target([])
 
 
 def test_bv_target_rejects_bad_alternation():
     with pytest.raises(ValueError):
-        make_bv_target([(0.3, +1), (0.6, +1)], left_value=-1)
+        make_bv_target([(0.3, +1), (0.6, +1)])
+    with pytest.raises(ValueError):
+        make_bv_target([(0.5, +2)])  # signs are +-1
 
 
 def test_bv_target_rejects_unsorted_or_outside():
     with pytest.raises(ValueError):
-        make_bv_target([(0.6, +1), (0.3, -1)], left_value=-1)
+        make_bv_target([(0.6, +1), (0.3, -1)])
     with pytest.raises(ValueError):
-        make_bv_target([(1.2, +1)], left_value=-1)
+        make_bv_target([(1.2, +1)])
 
 
 def test_bv_target_node_at_jump_takes_right_limit():
-    t = make_bv_target([(0.25, +1), (0.75, -1)], left_value=-1)
+    t = make_bv_target([(0.25, +1), (0.75, -1)])
     assert t.value_at(0.25) == 1.0
     assert t.value_at(0.75) == -1.0
     assert t.value_at(0.74) == 1.0

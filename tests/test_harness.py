@@ -282,10 +282,10 @@ CURVE_CFG = dict(PROFILE_CFG, command="curve", T_list=[2.0, 4.0], n_cells=96, gr
 
 @pytest.mark.parametrize("minimal, written_out", [
     (SWEEP_MIN, {"chi": 0.0, "k": 0, "s": 0.75, "grad_tol": 1e-6, "max_iters": 50000,
-                 "left_value": -1, "n_cells": 2048, "T_profile": 4.0, "window_factor": 2.0,
+                 "n_cells": 2048, "T_profile": 4.0, "window_factor": 2.0,
                  "lam": 1.0, "reference_n_cells": 768}),
     (RECOVERY_MIN, {"chi": 0.0, "k": 0, "s": 0.75, "grad_tol": 1e-6, "max_iters": 50000,
-                    "left_value": -1, "delta": 0.03125, "n_cells": 2048, "T_profile": 4.0,
+                    "delta": 0.03125, "n_cells": 2048, "T_profile": 4.0,
                     "lam": 1.0, "reference_n_cells": 768}),
 ], ids=["sweep", "recovery"])
 def test_written_out_defaults_give_identical_csv(tmp_path, minimal, written_out):
@@ -322,7 +322,6 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(SWEEP_MIN, reference_n_cells=767.5),
     dict(SWEEP_MIN, max_iters=100.5),
     dict(SWEEP_MIN, jumps=[[0.5, 1.5]]),
-    dict(SWEEP_MIN, left_value=-1.5),
     dict(PROFILE_CFG, n_cells=1),
     dict(PROFILE_CFG, k=2, s=0.5, n_cells=4),  # 5 nodes; k = 2 needs 7
     dict(PROFILE_CFG, n_cells=3),  # no node inside |x| < T
@@ -339,13 +338,13 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(SWEEP_MIN, grad_tol=-1),
     dict(RECOVERY_MIN, grad_tol=float("nan")),
     dict(PROFILE_CFG, max_iters=-3),
-    dict(RECOVERY_MIN, jumps=[], left_value=1),
+    dict(RECOVERY_MIN, jumps=[]),
     dict(PROFILE_CFG, kernel={"variant": "constant", "c": 2.5, "c1": 1.0}),
     dict(PROFILE_CFG, kernel={"variant": "cos_sum", "c0": 2.5, "c1": 1.0, "c": 1.0}),
     dict(SWEEP_MIN, T_profile=0.5),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
-        "jump-sign-fraction", "left_value-fraction", "profile-one-cell",
+        "jump-sign-fraction", "profile-one-cell",
         "profile-too-few-nodes", "profile-no-free-node", "sweep-one-cell", "sweep-empty-window",
         "recovery-one-cell", "recovery-reference-one-cell", "recovery-too-few-nodes",
         "sweep-one-window-empty", "grad_tol-string", "grad_tol-negative", "grad_tol-nan",
@@ -370,6 +369,24 @@ def test_sweep_eps_rules_are_checked_next_to_a_bad_grid_and_window_factor(tmp_pa
     assert [v.split(":")[0] for v in err.value.violations] == [
         "n_cells", "window_factor", "eps_list"]
     assert "jumps must be separated by at least" in err.value.violations[2]
+
+
+@pytest.mark.parametrize("minimal", [SWEEP_MIN, RECOVERY_MIN], ids=["sweep", "recovery"])
+def test_target_is_its_jumps(tmp_path, minimal):
+    command, out = minimal["command"], tmp_path / "x.csv"
+    # the first jump's sign fixes the value left of it: left_value is no key
+    cfg = write_config(tmp_path, "left.json", dict(minimal, left_value=-1))
+    res = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert f"unknown key 'left_value' for {command}" in res.output
+    # no jump is one violation, the one-jump rule
+    cfg = write_config(tmp_path, "none.json", dict(minimal, jumps=[]))
+    res = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.violations == ["jumps: a target needs at least one jump"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("raw, key", [

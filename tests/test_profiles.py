@@ -219,6 +219,17 @@ def test_k2_profile_converges_at_769_nodes():
     assert res.stop_reason == "grad_tol"
 
 
+@pytest.mark.parametrize("s, n_cells", [(0.5, 2048), (0.5, 4096), (0.75, 1536)])
+def test_k2_profile_stops_on_the_rounding_floor(s, n_cells):
+    # the gradient's rounding floor lies above grad_tol = 1e-6 here: these
+    # solves ran to max_iters (600 iterations took 0.23 to 0.68 s)
+    tp = replace(_workload_problem(2), s=s, n_cells=n_cells)
+    with pytest.warns(RuntimeWarning, match="stopped on rounding_floor"):
+        res = transition_energy(tp, MinimizeOptions(grad_tol=1e-6))
+    assert (res.stop_reason, res.converged) == ("rounding_floor", False)
+    assert res.iterations < 100 and res.final_grad_norm > 1e-6
+
+
 def test_k1_profile_iterations_bounded_under_lam_rounding():
     # without a preconditioner, a 1e-12 change of lam moved this solve
     # between 7,550 and 10,748 iterations
