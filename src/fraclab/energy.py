@@ -363,9 +363,10 @@ class DiscreteEnergy:
     ``gradient`` at an equal point reuses (cos_sum adds one single-row product).
     So an instance holds per-point state and must not be shared across threads
     (the curve's thread pool builds one per T).  ``preconditioner`` returns the
-    inverse of the energy's constant-coefficient Hessian at a pure phase,
-    applied by fast sine transforms on the free nodes (for k = 0, cos_sum and
-    eps < delta, scaled by the kernel's local diagonal).
+    inverse of the energy's mean-kernel Hessian at a pure phase, applied by
+    fast sine transforms on the free nodes; for k = 0 and 1 with a varying
+    kernel, modes shorter than the kernel period see its local diagonal
+    instead (the two-scale rule).
 
     ``params`` (``EnergyParams``) fixes the functional: k, s, the kernel
     scale delta and the coefficients 1/eps and eps^{2(k+s)-1}, both 1 in the
@@ -500,64 +501,52 @@ class DiscreteEnergy:
     def preconditioner(self, free_mask: np.ndarray):
         """P^-1 as a callable g -> P^-1 g, zero wherever ``free_mask`` is false.
 
-        On each contiguous block of m free nodes, P is diagonal in the sine
-        modes sin(i theta_l), theta_l = l pi/(m+1), with the symbol of the
-        energy's Hessian at a pure phase (kernel replaced by its mean a_bar)
-        as eigenvalues:
+        On each contiguous block of m free nodes, V holds the orthonormal
+        sine modes sin(i theta_l), theta_l = l pi/(m+1), and lambda_l =
+        K_l + 8 h well_coef is the symbol of the energy's Hessian at a pure
+        phase with the kernel replaced by its mean a_bar, K_l = nonlocal_coef
+        8 a_bar sum_j w_j (1 - cos j theta_l) |D_k(theta_l)|^2, where w_j are
+        the pair weights, |D_1|^2 = sin^2 theta / h^2, |D_2|^2 = (2 - 2 cos
+        theta)^2 / h^4, and 8 = W''(+-1) at chi = 0 (the sine-transform form
+        of Chan's circulant preconditioner).  For k = 2, constant kernels and
+        delta < h/2, P^-1 = V diag(1/lambda) V^T, two DST-Is per block; for
+        k = 2 P also carries the block's boundary rows (``_block_solve``).
 
-            nonlocal_coef 8 a_bar sum_j w_j (1 - cos j theta_l) |D_k(theta_l)|^2
-            + 8 h well_coef,
+        Otherwise modes shorter than the kernel period see its local
+        diagonal rather than its mean (the two-scale rule):
 
-        where w_j are the pair weights, |D_1|^2 = sin^2 theta / h^2,
-        |D_2|^2 = (2 - 2 cos theta)^2 / h^4, and 8 = W''(+-1) at chi = 0
-        (the sine-transform form of Chan's circulant preconditioner).  The
-        sum over j is one rfft of w folded modulo 2(m+1), so the set-up
-        costs O(N + m log m) and each application two DST-Is per block.  For
-        k = 2, P also carries the block's boundary rows (``_block_solve``).
-        For k = 0 with a cos_sum kernel and eps < delta the callable applies
-        S P^-1 S, with S the kernel's local diagonal scaling
-        (``_local_scale``); every other case keeps a_bar alone.  P is
-        symmetric positive definite on the free nodes.
+            P^-1 = V diag(phi/lambda) V^T
+                   + V E U^T S U diag((1 - phi)/sigma) U^T S U E V^T,
+
+        phi_l = 1/(1 + (xi_l/(2 kappa))^2), xi_l = theta_l/h, kappa =
+        2 pi/delta, and S = (a(x/delta, x/delta)/a_bar)^(-1/2) on the nodes
+        of g = D_k u.  For k = 0, g = u: U = V, sigma = lambda and E = 1.
+        For k = 1, U holds the cosine modes that the central difference maps
+        the sine modes to, on the block and its two clamped neighbours,
+        orthonormal under node weights 1/2 at both ends and 1 between (as
+        U^T S U sums); sigma_l = K_l/|D_1(theta_l)|^2 and E = diag(sigma/
+        lambda)^(1/2).  S = 1 gives back V diag(1/lambda) V^T.
+        Below delta = h/2 the second part would weigh under 1/65 on every
+        mode and is left out.  P is symmetric positive definite on the free
+        nodes.
         """
         free = np.asarray(free_mask, dtype=bool)
         edges = np.flatnonzero(np.diff(np.concatenate(([False], free, [False])).astype(np.int8)))
         blocks = list(zip(edges[::2], edges[1::2]))
-        inverse = {m: self._inverse_symbol(m) for m in {b - a for a, b in blocks}}
-        solves = [(a, b, self._block_solve(a, b, inverse[b - a])) for a, b in blocks]
-        local = self._local_scale()
+        symbols = {m: self._symbol(m) for m in {b - a for a, b in blocks}}
+        solves = [(a, b, self._block_solve(a, b, *symbols[b - a])) for a, b in blocks]
 
         def apply(g: np.ndarray) -> np.ndarray:
             d = np.zeros_like(g)
-            if local is not None:
-                g = local * g
             for a, b, solve in solves:
                 d[a:b] = solve(g[a:b])
-            if local is not None:
-                d *= local
             return d
 
         return apply
 
-    def _local_scale(self) -> np.ndarray | None:
-        """S = (a_loc / a_bar)^(-1/2) at the nodes, or None where P keeps a_bar.
-
-        With eps < delta the transition sees the kernel's diagonal near each
-        node rather than its mean: a_loc = a_bar + sigma (a(x/delta, x/delta)
-        - a_bar) is that diagonal averaged over one transition length eps,
-        sigma = sinc(eps/delta) = sin(pi eps/delta) / (pi eps/delta).  Only
-        k = 0 with a cos_sum kernel is scaled; for k >= 1 a diagonal scaling
-        of u does not commute with D_k.
-        """
-        kspec, _, delta = self._kernel
-        ratio = self.params.eps / delta
-        if self.k or kspec.kind != "cos_sum" or ratio >= 1.0:
-            return None
-        t = self.grid.nodes() / delta
-        a_loc = kspec.a_bar + np.sinc(ratio) * (kspec.eval(t, t) - kspec.a_bar)
-        return (a_loc / kspec.a_bar) ** -0.5
-
-    def _block_solve(self, a: int, b: int, inverse: np.ndarray):
-        """P^-1 on the free block [a, b).
+    def _block_solve(self, a: int, b: int, lam: np.ndarray, sigma: np.ndarray):
+        """P^-1 on the free block [a, b), from the block's symbol lambda and
+        its kernel part sigma on g (``_symbol``).
 
         For k = 2 the sine basis extends the block oddly about its clamped
         neighbours, where the second difference then vanishes; the energy's
@@ -566,7 +555,11 @@ class DiscreteEnergy:
         P as a low-rank update, inverted by the Sherman-Morrison-Woodbury
         formula; without it P^-1 H keeps two eigenvalues growing like N^2.
         """
+        kspec, _, delta = self._kernel
+        if self.k < 2 and kspec.kind != "constant" and delta >= 0.5 * self._h:
+            return self._two_scale_solve(a, b, lam, sigma)
         ext = np.zeros(2 * (b - a + 1))  # the block's DST-I buffer
+        inverse = 2.0 / ((b - a + 1) * lam)  # the DST-I normalization folded in
 
         def sine_solve(r):
             return _dst1(inverse * _dst1(r, ext), ext)
@@ -595,20 +588,70 @@ class DiscreteEnergy:
 
         return solve
 
-    def _inverse_symbol(self, m: int) -> np.ndarray:
-        """2 / ((m+1) lambda_l), l = 1..m: the DST-I normalization folded in."""
+    def _two_scale_solve(self, a: int, b: int, lam: np.ndarray, sigma: np.ndarray):
+        """The two-scale P^-1 (``preconditioner``) on the free block [a, b):
+        rffts and irffts of length 2(m+1) on odd (sine) or even (cosine)
+        extensions, their scales folded into the mode weights.  For k = 0 the
+        two parts, of r and S r, share one two-row transform each way; for
+        k = 1 they share the first and last, and the second part takes four
+        more."""
+        kspec, _, delta = self._kernel
+        m, k = b - a, self.k
+        L = 2 * (m + 1)
+        theta = np.arange(1, m + 1) * (np.pi / (m + 1))
+        phi = 1.0 / (1.0 + (theta * delta / (4.0 * np.pi * self._h)) ** 2)
+        t = (self.grid.x_lo + self.grid.h * np.arange(a - k, b + k)) / delta
+        S = (kspec.eval(t, t) / kspec.a_bar) ** -0.5
+
+        def pad(v):  # mode weights for l = 0..m+1; modes 0 and m+1 vanish
+            return np.r_[0.0, v, 0.0]
+
+        if not k:
+            coef = np.stack([pad(phi / lam), pad((1.0 - phi) / lam)])
+            ext, spec = np.zeros((2, L)), np.zeros((2, m + 2), dtype=complex)
+
+            def solve(r):
+                ext[0, 1:m + 1] = r
+                np.multiply(S, r, out=ext[1, 1:m + 1])
+                np.negative(ext[:, m:0:-1], out=ext[:, m + 2:])
+                np.multiply(np.fft.rfft(ext).imag, coef, out=spec.imag)
+                low, high = np.fft.irfft(spec, L)[:, 1:m + 1]
+                return low + S * high
+
+            return solve
+        S = np.r_[S, S[-2:0:-1]]  # even extension
+        end = -0.5 * (m + 1) * pad(np.sqrt(sigma / lam))
+        mid = pad(4.0 * (1.0 - phi) / ((m + 1) ** 2 * sigma))
+        low = pad(phi / lam)
+        ext, spec = np.zeros(L), np.zeros(m + 2, dtype=complex)
+
+        def solve(r):
+            ext[1:m + 1] = r
+            np.negative(r[::-1], out=ext[m + 2:])
+            fr = np.fft.rfft(ext).imag
+            y = np.fft.irfft(fr * end, L)
+            y *= S
+            y = np.fft.irfft(np.fft.rfft(y).real * mid, L)
+            y *= S
+            np.multiply(fr, low, out=spec.imag)
+            spec.imag += np.fft.rfft(y).real * end
+            return np.fft.irfft(spec, L)[1:m + 1]
+
+        return solve
+
+    def _symbol(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda_l, sigma_l), l = 1..m: the symbol of P and its kernel part
+        on g = D_k u (``preconditioner``)."""
         period = 2 * (m + 1)
         w = self._weights
         folded = np.bincount(np.arange(w.size) % period, weights=w, minlength=period)
         sym = np.maximum(w.sum() - np.fft.rfft(folded)[1:m + 1].real, 0.0)
         theta = np.arange(1, m + 1) * (np.pi / (m + 1))
         h = self._h
-        if self.k == 1:
-            sym *= np.sin(theta) ** 2 / h ** 2
-        elif self.k == 2:
-            sym *= (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4
-        lam = self.nonlocal_coef * 8.0 * self._kernel[0].a_bar * sym + 8.0 * h * self.well_coef
-        return 2.0 / ((m + 1) * lam)
+        dk2 = {0: 1.0, 1: np.sin(theta) ** 2 / h ** 2,
+               2: (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4}[self.k]  # |D_k(theta)|^2
+        coef = self.nonlocal_coef * 8.0 * self._kernel[0].a_bar
+        return coef * (sym * dk2) + 8.0 * h * self.well_coef, coef * sym
 
 
 def eval_F(p: GridProfile, params: EnergyParams, well: DoubleWell,

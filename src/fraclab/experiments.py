@@ -143,8 +143,8 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     of the (0, 1) grid is pinned, and its pairs enter as the block's
     exterior term, so ``min_energy`` is the full-grid energy, minimized on
     the block.  Each solve is preconditioned with the energy's spectral
-    preconditioner, which for k = 0, a cos_sum kernel and delta > eps (every
-    subcritical point) is scaled by the kernel's local diagonal
+    preconditioner, whose modes shorter than the kernel period see the
+    kernel's local diagonal for k = 0 and 1
     (``DiscreteEnergy.preconditioner``); a solve that stops short of
     ``grad_tol`` emits a RuntimeWarning.  Where delta falls below 2h (the
     supercritical rule at n_cells = 2000 does so from eps = 2^-5 on), the

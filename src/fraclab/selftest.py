@@ -71,6 +71,19 @@ def _selftest_checks():
     checks.append(("positivity and sandwich", inside,
                    f"{lo:.6f} <= {m_up:.6f} <= {hi:.6f}"))
 
+    # the two-scale preconditioner on a lambda = 1 transition block: P^-1
+    # symmetric and positive definite on the free nodes
+    for k, s in ((0, 0.75), (1, 0.5)):
+        grid = make_grid(-6.0, 6.0, 96)
+        model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, 1.0), well, kern, (-1, 1))
+        free = np.abs(grid.nodes()) < 2.0
+        apply = model.preconditioner(free)
+        pinv = np.array([apply(e)[free] for e in np.eye(grid.n_nodes)[free]])
+        asym = float(np.max(np.abs(pinv - pinv.T)) / np.max(np.abs(pinv)))
+        least = float(np.linalg.eigvalsh(0.5 * (pinv + pinv.T)).min())
+        checks.append((f"preconditioner SPD k={k}", asym <= 1e-13 and least > 0.0,
+                       f"asym {asym:.1e}, least eigenvalue {least:.3e}"))
+
     # matrix-free pair operator against the explicit O(N^2) sum, row by row
     grid = make_grid(-1.0, 1.0, 96)
     table = _pair_table(grid.n_nodes, grid.h, 0.75)

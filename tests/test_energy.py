@@ -716,12 +716,13 @@ def _blocks(free):
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _transition_case(k, kspec=KernelSpec.cos_sum(2.5, 1.0), delta=1.3):
+def _transition_case(k, kspec=KernelSpec.cos_sum(2.5, 1.0), delta=1.3, tail_signs=(-1, 1)):
     """One free block: a clamped transition problem with its exterior tail
     at eps = 1 (delta = 1.3 by default, so delta > eps)."""
     s = 0.75 if k == 0 else 0.5
     grid = make_grid(-6.0, 6.0, 96)
-    model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, delta), DoubleWell(0.0), kspec, (-1, 1))
+    model = DiscreteEnergy(grid, EnergyParams(k, s, 1.0, delta), DoubleWell(0.0), kspec,
+                           tail_signs)
     return model, kspec, delta, np.abs(grid.nodes()) < 2.0
 
 
@@ -735,41 +736,76 @@ def _sweep_case(k):
     return model, kspec, delta, (np.abs(x - 0.3) < 0.1) | (np.abs(x - 0.7) < 0.15)
 
 
-def _dense_inverse_preconditioner(model, kspec, scale, free, local=True):
-    """P^-1 from its definition: per block, Q diag(lam) Q 2/(m+1) with Q the
-    sine matrix and the symbol summed term by term, plus for k = 2 the
-    rank-one terms of the second differences at the two clamped neighbours,
-    inverted densely.  With ``local`` and k = 0, a cos_sum kernel and
-    eps < delta, the inverse is scaled on both sides by
-    S = (a_loc / a_bar)^(-1/2), a_loc = a_bar + sinc(eps/delta) (a(x/delta,
-    x/delta) - a_bar)."""
+def _lambda_cases():
+    """The lambda-mode transition blocks of both cosine kernels at lam = 1/4,
+    1 and 4 (eps = 1, delta = lam), for k = 0 and 1: (case, k) pairs."""
+    return [pytest.param(functools.partial(_transition_case, kspec=kspec, delta=lam), k,
+                         id=f"{kspec.kind}-lam{lam:g}-{k}")
+            for kspec in (KernelSpec.cos_sum(2.5, 1.0), KernelSpec.cos_prod(2.0, 0.7))
+            for lam in (0.25, 1.0, 4.0) for k in (0, 1)]
+
+
+PRECONDITIONER_CASES = [pytest.param(case, k, id=f"{case.__name__}-{k}")
+                        for case in (_transition_case, _sweep_case)
+                        for k in (0, 1, 2)] + _lambda_cases()
+
+
+def _dense_inverse_preconditioner(model, kspec, scale, free):
+    """P^-1 from its definition, per block of m free nodes.  V holds the
+    orthonormal sine modes and lam the mean-kernel symbol, its sum over the
+    pair weights taken term by term.
+
+    For k = 0 and 1 with a varying kernel and delta >= h/2 (the two-scale
+    rule): P^-1 = V diag(phi/lam) V^T + V E U^T O S U diag((1 - phi)/sigma)
+    U^T O S U E V^T, phi = 1/(1 + (xi/(2 kappa))^2), xi = theta/h,
+    kappa = 2 pi/delta, S = (a(x/delta, x/delta)/a_bar)^(-1/2) on the nodes
+    of g.  For k = 0, g = u: U = V, O = I and sigma = lam.  For k = 1, g
+    lives on the block and its clamped neighbours, U holds the cosine modes
+    1..m there, orthonormal under O = diag(1/2, 1, ..., 1, 1/2), and sigma
+    = (kernel part of lam) / |D_1|^2.  E = diag(sigma/lam)^(1/2).
+
+    Otherwise P = V diag(lam) V^T, plus for k = 2 the rank-one terms of the
+    second differences at the two clamped neighbours, inverted densely."""
     grid, k = model.grid, model.k
     n, h, x = grid.n_nodes, grid.h, grid.nodes()
-    ratio = model.params.eps / scale
-    S = np.ones(n)
-    if local and k == 0 and kspec.kind == "cos_sum" and ratio < 1.0:
-        sigma = np.sin(np.pi * ratio) / (np.pi * ratio)
-        a_loc = kspec.a_bar + sigma * (kspec.eval(x / scale, x / scale) - kspec.a_bar)
-        S = np.sqrt(kspec.a_bar / a_loc)
     w = _pair_table(n, h, model.params.s).weights
     diff = np.column_stack([kth_difference(GridProfile(grid, e), k).values for e in np.eye(n)])
+    two_scale = k < 2 and kspec.kind != "constant" and scale >= 0.5 * h
     out = np.zeros((n, n))
     for a, b in _blocks(free):
         m = b - a
         i = np.arange(1, m + 1)
         theta = i * np.pi / (m + 1)
         sym = w[1:] @ (1.0 - np.cos(np.outer(np.arange(1, n), theta)))
-        sym *= {0: 1.0, 1: np.sin(theta) ** 2 / h ** 2,
-                2: (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4}[k]
-        lam = model.nonlocal_coef * 8.0 * kspec.a_bar * sym + 8.0 * h * model.well_coef
-        sine = np.sin(np.outer(i, i) * np.pi / (m + 1))
-        p = sine @ np.diag(lam) @ sine * 2.0 / (m + 1)
+        dk2 = {0: 1.0, 1: np.sin(theta) ** 2 / h ** 2,
+               2: (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4}[k]
+        kernel_part = model.nonlocal_coef * 8.0 * kspec.a_bar * sym * dk2
+        lam = kernel_part + 8.0 * h * model.well_coef
+        V = np.sin(np.outer(i, i) * np.pi / (m + 1)) * np.sqrt(2.0 / (m + 1))
+        if two_scale:
+            xi, kappa = theta / h, 2.0 * np.pi / scale
+            phi = 1.0 / (1.0 + (xi / (2.0 * kappa)) ** 2)
+            nodes = np.arange(a - k, b + k)  # of g = D_k u
+            S = np.diag((kspec.eval(x[nodes] / scale, x[nodes] / scale) / kspec.a_bar) ** -0.5)
+            if k == 0:
+                U, O, sigma = V, np.eye(m), lam
+            else:
+                j = np.arange(m + 2)
+                U = np.cos(np.outer(j, theta)) * np.sqrt(2.0 / (m + 1))
+                O = np.diag(np.r_[0.5, np.ones(m), 0.5])
+                sigma = kernel_part / dk2
+            E = np.diag(np.sqrt(sigma / lam))
+            scaled = U.T @ O @ S @ U  # S on the modes of g
+            out[a:b, a:b] = V @ np.diag(phi / lam) @ V.T \
+                + V @ E @ scaled @ np.diag((1.0 - phi) / sigma) @ scaled @ E @ V.T
+            continue
+        p = V @ np.diag(lam) @ V.T
         if k == 2:
             for q in (a - 1, b):
                 others = np.arange(n) != q
                 row = w[np.abs(np.arange(n) - q)][others] @ kspec.eval(x[q] / scale, x[others] / scale)
                 p += 4.0 * model.nonlocal_coef * row * np.outer(diff[q, a:b], diff[q, a:b])
-        out[a:b, a:b] = S[a:b, None] * np.linalg.inv(p) * S[None, a:b]
+        out[a:b, a:b] = np.linalg.inv(p)
     return out
 
 
@@ -777,31 +813,41 @@ def _as_matrix(apply, n):
     return np.column_stack([apply(e) for e in np.eye(n)])
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("case", [_transition_case, _sweep_case])
+@pytest.mark.parametrize("case, k", PRECONDITIONER_CASES)
 def test_preconditioner_matches_dense_sine_form(case, k):
     model, kspec, scale, free = case(k)
-    assert len(_blocks(free)) == (1 if case is _transition_case else 2)
+    assert len(_blocks(free)) == (1 if case is not _sweep_case else 2)
     got = _as_matrix(model.preconditioner(free), model.grid.n_nodes)
     expect = _dense_inverse_preconditioner(model, kspec, scale, free)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-11 * np.abs(expect).max())
 
 
 @pytest.mark.parametrize("k, kspec, delta", [
-    (1, KernelSpec.cos_sum(2.5, 1.0), 1.3), (2, KernelSpec.cos_sum(2.5, 1.0), 1.3),
-    (0, KernelSpec.constant(2.5), 1.3), (0, KernelSpec.cos_prod(2.0, 0.7), 1.3),
-    (0, KernelSpec.cos_sum(2.5, 1.0), 1.0), (0, KernelSpec.cos_sum(2.5, 1.0), 0.8),
-], ids=["k1", "k2", "constant", "cos_prod", "delta=eps", "delta<eps"])
-def test_preconditioner_keeps_the_mean_kernel_off_the_local_scaling_rule(k, kspec, delta):
-    # only k = 0 with a cos_sum kernel and eps < delta is scaled by the local diagonal
+    (0, KernelSpec.constant(2.5), 1.3), (1, KernelSpec.constant(2.5), 1.3),
+    (2, KernelSpec.cos_sum(2.5, 1.0), 1.3), (2, KernelSpec.cos_prod(2.0, 0.7), 1.3),
+    (0, KernelSpec.cos_sum(2.5, 1.0), 0.06), (1, KernelSpec.cos_prod(2.0, 0.7), 0.06),
+], ids=["constant", "constant-k1", "k2", "k2-cos_prod", "delta<h/2", "delta<h/2-k1"])
+def test_preconditioner_keeps_the_mean_kernel_off_the_local_scaling_rule(k, kspec, delta,
+                                                                         monkeypatch):
+    # constant kernels, k = 2 and kernels finer than half a cell (h = 1/8
+    # here) keep the mean-kernel sine form, on the code path it had before
+    # the two-scale rule existed: that rule is never entered
+    def refuse(*args):
+        raise AssertionError("the two-scale rule was entered")
+
+    monkeypatch.setattr(DiscreteEnergy, "_two_scale_solve", refuse)
     model, kspec, scale, free = _transition_case(k, kspec, delta)
     got = _as_matrix(model.preconditioner(free), model.grid.n_nodes)
-    expect = _dense_inverse_preconditioner(model, kspec, scale, free, local=False)
+    expect = _dense_inverse_preconditioner(model, kspec, scale, free)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-11 * np.abs(expect).max())
+    if k < 2:  # no boundary rows: exactly the sine solve of the symbol
+        (a, b), r = _blocks(free)[0], np.random.default_rng(k).standard_normal(free.size)
+        lam = model._symbol(b - a)[0]
+        sine = _dst1(2.0 / ((b - a + 1) * lam) * _dst1(r[a:b]))
+        np.testing.assert_array_equal(model.preconditioner(free)(r)[a:b], sine)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("case", [_transition_case, _sweep_case])
+@pytest.mark.parametrize("case, k", PRECONDITIONER_CASES)
 def test_preconditioner_symmetric_positive_definite_on_free_nodes(case, k):
     model, _, _, free = case(k)
     pinv = _as_matrix(model.preconditioner(free), model.grid.n_nodes)[np.ix_(free, free)]
@@ -809,8 +855,7 @@ def test_preconditioner_symmetric_positive_definite_on_free_nodes(case, k):
     assert np.linalg.eigvalsh(0.5 * (pinv + pinv.T)).min() > 0.0
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("case", [_transition_case, _sweep_case])
+@pytest.mark.parametrize("case, k", PRECONDITIONER_CASES)
 def test_preconditioner_zero_on_clamped_nodes_and_at_zero(case, k):
     model, _, _, free = case(k)
     n = model.grid.n_nodes
@@ -820,12 +865,13 @@ def test_preconditioner_zero_on_clamped_nodes_and_at_zero(case, k):
     assert np.all(apply(np.zeros(n)) == 0.0)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_preconditioned_pure_phase_stops_at_iteration_zero(k):
-    model, _, _, free = _sweep_case(k)
-    n = model.grid.n_nodes
-    for phase in (1.0, -1.0):
-        start = GridProfile(model.grid, np.full(n, phase))
+@pytest.mark.parametrize("case, k", [pytest.param(_sweep_case, k, id=str(k)) for k in (0, 1, 2)]
+                         + _lambda_cases())
+def test_preconditioned_pure_phase_stops_at_iteration_zero(case, k):
+    for phase in (1, -1):
+        # a lambda block's exterior tail takes the phase's sign on both sides
+        model, _, _, free = case(k) if case is _sweep_case else case(k, tail_signs=(phase, phase))
+        start = GridProfile(model.grid, np.full(model.grid.n_nodes, float(phase)))
         res = minimize(model.energy, model.gradient, start, free,
                        MinimizeOptions(grad_tol=0.0), precondition=model.preconditioner(free))
         assert (res.iterations, res.stop_reason, res.final_grad_norm) == (0, "grad_tol", 0.0)

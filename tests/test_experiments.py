@@ -259,11 +259,12 @@ def test_subcritical_sweep_leaves_the_centred_basin():
 # solved on the full (0, 1) grid: eps exponent -> (n_cells, min_energy,
 # iterations).  The energies were frozen with the Barzilai-Borwein solver,
 # whose 2^-13 solve took 15.5 s on the full grid (one BLAS thread, 2-core
-# Xeon); the iterations are those of the full-grid L-BFGS solve under the
-# spectral preconditioner scaled by the kernel's local diagonal, which
+# Xeon); the iterations are those of the window solve under the two-scale
+# spectral preconditioner (the full-grid solve takes the same at 2^-9 and
+# 2^-11, and 57 at 2^-13 with one BLAS thread), and the full-grid solve
 # reaches the frozen energies within 3.9e-10 relative.
-FULL_GRID_SWEEP = {9: (8000, 17.774336328684505, 18), 11: (32000, 16.156297794964203, 20),
-                   13: (128000, 14.374622617784826, 63)}
+FULL_GRID_SWEEP = {9: (8000, 17.774336328684505, 15), 11: (32000, 16.156297794964203, 17),
+                   13: (128000, 14.374622617784826, 56)}
 
 
 def _subcritical_point(e):

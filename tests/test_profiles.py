@@ -207,11 +207,11 @@ def test_windowed_transition_matches_the_full_grid_solve(k, mode):
     np.testing.assert_array_equal(res.profile.values[fixed], ramp[fixed])
 
 
-def _workload_problem(k, lam=1.0):
-    """The k >= 1 cos_sum profile at N = 769, as the profile benchmark runs it."""
+def _workload_problem(k, lam=1.0, s=0.5):
+    """The cos_sum profile at N = 769, as the profile benchmark runs it."""
     return TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=lam,
                              omega=1, T=4.0, n_cells=768, well=DoubleWell(0.0),
-                             k=k, s=0.5)
+                             k=k, s=s)
 
 
 def test_k2_profile_converges_at_769_nodes():
@@ -241,8 +241,8 @@ def test_k1_profile_iterations_bounded_under_lam_rounding():
 
 # The k = 0, s = 0.75 cos_sum(2.5, 1) transition at lam = 4 (eps/delta = 1/4),
 # T = 8, h = 1/32: its energy as frozen under the mean-kernel preconditioner,
-# whose solve took 20 iterations, and the iterations of the solve
-# preconditioned by the kernel's local diagonal.
+# whose solve took 20 iterations, and the iterations of the solve under the
+# two-scale preconditioner.
 LAMBDA_4_TRANSITION = (24.80945125421514, 10)
 
 
@@ -255,6 +255,21 @@ def test_lambda_4_transition_keeps_its_energy_in_half_the_iterations():
     assert res.converged
     assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
     assert res.iterations == iterations
+
+
+# The cos_sum(2.5, 1) lam = 1 transitions at T = 4, n_cells = 768, as the
+# profile benchmark runs them: (k, s) -> (energy frozen under the
+# mean-kernel preconditioner, whose solves took 18 and 21 iterations, and
+# the iteration cap under the two-scale preconditioner).
+CRITICAL_PROFILES = {(0, 0.75): (28.300937362950908, 10), (1, 0.5): (5.843294724153614, 13)}
+
+
+@pytest.mark.parametrize("k, s", list(CRITICAL_PROFILES))
+def test_two_scale_preconditioner_solves_the_critical_profile_in_few_iterations(k, s):
+    energy, cap = CRITICAL_PROFILES[k, s]
+    res = transition_energy(_workload_problem(k, s=s), MinimizeOptions(grad_tol=1e-6))
+    assert res.converged and res.iterations <= cap
+    assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
 
 
 def test_unconverged_transition_solve_warns():
