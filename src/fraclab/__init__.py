@@ -4,7 +4,7 @@ with oscillating coefficients.
 Discretizes the double-well + fractional-seminorm functionals, estimates
 optimal-profile transition energies by constrained minimization, and runs the
 desk-scale experiments (scaling identities, regime sweeps, recovery
-constructions, decay probes) behind the ``fraclab`` command line tool.
+constructions) behind the ``fraclab`` command line tool.
 """
 
 from .energy import (
@@ -17,22 +17,18 @@ from .energy import (
 from .experiments import (
     SweepPoint,
     build_recovery,
-    cross_term_probe,
     delta_rule,
     fit_loglog_slope,
     jump_half_separation,
     regime_sweep,
-    tail_decay_probe,
 )
 from .grid import (
     BVTarget,
     GridProfile,
     UniformGrid,
-    kth_difference,
     make_bv_target,
     make_grid,
     resample_scaled,
-    sample_bv_target,
 )
 from .optimize import (
     MinimizeOptions,
@@ -43,7 +39,6 @@ from .optimize import (
 )
 from .profiles import (
     TransitionProblem,
-    lambda_continuity_probe,
     predicted_limit,
     scaling_exponent,
     transition_energy,

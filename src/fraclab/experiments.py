@@ -1,12 +1,10 @@
-"""Desk-scale experiments: regime sweeps over the eps/delta functional,
-explicit recovery constructions and decay probes.
+"""Desk-scale experiments: regime sweeps over the eps/delta functional and
+explicit recovery constructions.
 
 The sweep minimizes the eps/delta energy over profiles pinned to a
 piecewise +-1 target outside shrinking windows around its jumps, one solve
 per eps.  The recovery construction pastes rescaled optimal profiles at
-kernel-aligned shifts of the jump points; the probes measure the decay
-trends (cross-interval interactions, truncation tails) that make those
-constructions work.
+kernel-aligned shifts of the jump points.
 """
 
 from __future__ import annotations
@@ -16,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    DiscreteEnergy,
-    DoubleWell,
-    EnergyParams,
-    KernelSpec,
-    _PairForm,
-    _pair_table,
-)
-from .grid import BVTarget, GridProfile, UniformGrid, kth_difference, make_grid
+from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec
+from .grid import BVTarget, GridProfile, UniformGrid, make_grid
 from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
 from .profiles import _window_solve
 
@@ -33,8 +24,6 @@ __all__ = [
     "regime_sweep",
     "delta_rule",
     "build_recovery",
-    "cross_term_probe",
-    "tail_decay_probe",
     "fit_loglog_slope",
     "jump_half_separation",
 ]
@@ -244,88 +233,3 @@ def build_recovery(target: BVTarget, profile: GridProfile, eps: float, delta: fl
 def _smoothstep(q: np.ndarray) -> np.ndarray:
     q = np.clip(q, 0.0, 1.0)
     return q * q * q * (q * (6.0 * q - 15.0) + 10.0)
-
-
-def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int,
-                     s: float, n_cells: int, T_profile: float,
-                     kernel: KernelSpec = KernelSpec.constant(1.0),
-                     mode: str = "supercritical"):
-    """Cross-interval interaction energy of the recovery profile per eps,
-    with delta = eps, pasted from ``profile`` as in ``build_recovery``.
-
-    Sums the eps-scaled nonlocal energy over node pairs lying in distinct
-    jump intervals I_i x I_j and fits a log-log slope against eps (the
-    interactions die as O(eps^{2s}) for k >= 1).
-    """
-    eps_list = [float(e) for e in eps_list]
-    grid = make_grid(0.0, 1.0, n_cells)
-    x = grid.nodes()
-    n_jumps = len(target.jump_locations)
-    if n_jumps < 2:
-        return [0.0] * len(eps_list), math.nan
-    idx = _jump_intervals(target, x)
-    blocks = [(int(np.searchsorted(idx, j, side="left")),
-               int(np.searchsorted(idx, j, side="right"))) for j in range(n_jumps)]
-
-    table = _pair_table(grid.n_nodes, grid.h, s)
-    values = []
-    for eps in eps_list:
-        rec = build_recovery(target, profile, eps, eps, mode, grid, T_profile)
-        g = kth_difference(rec, k).values
-        # ordered pairs in distinct blocks: the total minus each block's own
-        # sum, whose weights are W's leading Toeplitz block
-        cross = _PairForm(table, kernel, x, eps).value(g)
-        for m0, m1 in blocks:
-            block = _pair_table(m1 - m0, grid.h, s)
-            cross -= _PairForm(block, kernel, x[m0:m1], eps).value(g[m0:m1])
-        values.append(EnergyParams(k, s, eps, eps).nonlocal_coef * cross)
-    slope = fit_loglog_slope(eps_list, values) if len(values) >= 2 else math.nan
-    return values, slope
-
-
-def tail_decay_probe(p: GridProfile, T_list, *, k: int, s: float,
-                     well: DoubleWell, c_prime: float, c_dprime: float,
-                     tail_signs):
-    """Truncation-tail differences Phi(v) - Phi_T(v) against T, for the
-    constant kernel 1 at scale 1.
-
-    ``p`` must be clamped to the tail signs outside (-c_prime, c_prime) on a
-    symmetric master grid; the full-line energy is the master grid's with its
-    closed-form exterior tail, counted over ordered pairs like the pair sum.
-    Every T must exceed max(c_prime, 3 c_dprime) and land on the node
-    lattice.  Returns the differences and their log-log slope against T,
-    which tends to -2s for k >= 1 and -(2s - 1) for k = 0.
-    """
-    grid = p.grid
-    if grid.x_lo != -grid.x_hi or grid.n_cells % 2:
-        raise ValueError("tail decay probe needs a symmetric master grid with even n_cells")
-    if (p.values[0], p.values[-1]) != tuple(tail_signs):
-        raise ValueError(
-            f"profile ends ({p.values[0]}, {p.values[-1]}) differ from the tail signs {tail_signs}"
-        )
-    floor_T = max(c_prime, 3.0 * c_dprime)
-    T_list = [float(T) for T in T_list]
-    if min(T_list) <= floor_T:
-        raise ValueError(
-            f"every T must exceed max(c', 3c'') = {floor_T}, got {min(T_list)}"
-        )
-    if max(T_list) >= grid.x_hi:
-        raise ValueError(f"T values must stay below the master half-length {grid.x_hi}")
-
-    params, unit = EnergyParams(k, s, 1.0, 1.0), KernelSpec.constant(1.0)
-
-    def phi(sub_grid, values, signs=None):
-        return DiscreteEnergy(sub_grid, params, well, unit, signs).energy(values)
-
-    phi_full = phi(grid, p.values, tail_signs)
-    h = grid.h
-    ctr = grid.n_cells // 2
-    diffs = []
-    for T in T_list:
-        steps = T / h
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(f"T={T} does not land on the node lattice (h={h})")
-        m = int(round(steps))
-        diffs.append(phi_full - phi(make_grid(-T, T, 2 * m), p.values[ctr - m:ctr + m + 1]))
-    slope = fit_loglog_slope(T_list, diffs)
-    return diffs, slope

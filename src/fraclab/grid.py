@@ -1,5 +1,5 @@
-"""Uniform 1-D grids, nodal profiles, finite-difference derivatives, and
-piecewise-constant jump targets.
+"""Uniform 1-D grids, nodal profiles, the finite-difference stencils of D_k,
+and piecewise-constant jump targets.
 
 All types are immutable values; every operation is a pure function.
 """
@@ -17,10 +17,8 @@ __all__ = [
     "GridProfile",
     "BVTarget",
     "make_grid",
-    "kth_difference",
     "resample_scaled",
     "make_bv_target",
-    "sample_bv_target",
 ]
 
 SUPPORTED_ORDERS = (0, 1, 2)
@@ -145,24 +143,6 @@ def _stencil_adjoint(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def kth_difference(p: GridProfile, k: int) -> GridProfile:
-    """k-th derivative of a nodal profile; k = 0 returns the profile unchanged.
-
-    Second-order central differences at interior nodes and second-order
-    one-sided differences at the k boundary nodes on each side: exact on
-    polynomials up to degree k (hence annihilates degree < k).  h^-k is
-    applied after the stencil, so a pure phase +-1 maps to exactly zero on
-    every grid.
-    """
-    if k not in SUPPORTED_ORDERS:
-        raise ValueError(f"derivative order k must be one of {SUPPORTED_ORDERS}, got {k}")
-    if k == 0:
-        return p
-    if p.grid.n_nodes < 2 * k + 1:
-        raise ValueError(f"k={k} needs at least {2 * k + 1} nodes, grid has {p.grid.n_nodes}")
-    return GridProfile(p.grid, _stencil_apply(p.values, k) * p.grid.h ** -k)
-
-
 def resample_scaled(p: GridProfile, lam: float) -> GridProfile:
     """Nodal image of v(lam * x): endpoints divided by lam, values unchanged."""
     if not (np.isfinite(lam) and lam > 0):
@@ -216,8 +196,3 @@ def make_bv_target(jumps) -> BVTarget:
     """Build a BVTarget from (location, sign) pairs, at least one."""
     jumps = list(jumps)
     return BVTarget(tuple(t for t, _ in jumps), tuple(s for _, s in jumps))
-
-
-def sample_bv_target(target: BVTarget, grid: UniformGrid) -> GridProfile:
-    """Sample the piecewise-constant target at the grid nodes."""
-    return GridProfile(grid, target.value_at(grid.nodes()))

@@ -2,7 +2,8 @@
 
 A config's omitted keys take their command's defaults from one table and
 unknown keys are rejected; the preconditions of the operations the run calls
-are checked up front, every violation collected into one error.  Each runner
+are checked up front, every violation collected into one error, once each
+numeric field holds a number (not a string such as "2").  Each runner
 returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
 Each mode gets one ascending reference solve behind ``predicted`` and the
 pasted recovery profiles; a descending jump uses its reflection x -> -x.
@@ -71,8 +72,6 @@ _DEFAULTS = {"profile": _PROBLEM, "curve": _PROBLEM,
 _NO_DEFAULT = {"profile": (), "curve": ("T_list",),
                "sweep": ("jumps", "rule", "eps_list"),
                "recovery": ("jumps", "mode", "eps", "delta")}
-# keys whose value must be an integral number; 768.0 reads as 768
-_INTEGER_KEYS = ("k", "omega", "n_cells", "reference_n_cells", "max_iters")
 
 # a sweep's regime rule -> the kernel mode of its prediction (and of a recovery)
 _RULE_MODE = {"critical": "lambda", "supercritical": "supercritical", "subcritical": "subcritical"}
@@ -94,11 +93,10 @@ class ExperimentConfig:
     well: DoubleWell
     k: int
     s: float
-    raw: dict = field(repr=False)  # the config with every default filled in
+    raw: dict = field(repr=False)  # the config, defaults filled in and numbers read
 
     def opt_options(self) -> MinimizeOptions:
-        return MinimizeOptions(grad_tol=float(self.raw["grad_tol"]),
-                               max_iters=self.raw["max_iters"])
+        return MinimizeOptions(grad_tol=self.raw["grad_tol"], max_iters=self.raw["max_iters"])
 
 
 def _build_kernel(entry) -> KernelSpec:
@@ -108,7 +106,7 @@ def _build_kernel(entry) -> KernelSpec:
     unknown = sorted(set(entry) - {"variant", *coefs})
     if unknown:
         raise ValueError(f"unknown keys {unknown} for the {entry['variant']} kernel")
-    return getattr(KernelSpec, entry["variant"])(*(entry[c] for c in coefs))
+    return getattr(KernelSpec, entry["variant"])(*(_real(entry[c]) for c in coefs))
 
 
 def _integer(value) -> int:
@@ -120,15 +118,34 @@ def _integer(value) -> int:
     raise ValueError(f"must be an integer, got {value!r}")
 
 
-def _holds_boolean(value) -> bool:
-    """Whether a JSON value is or holds a boolean, which Python reads as 1 or 0."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_boolean, value))
+def _real(value) -> float:
+    """A JSON number as a float; a string such as "2" is rejected, not parsed,
+    and a boolean, which Python reads as 1 or 0, too."""
+    if isinstance(value, bool):
+        raise ValueError("booleans are not accepted")
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise ValueError(f"must be a number, got {value!r}")
 
 
-def _positive(value, name: str) -> float:
-    value = float(value)
+def _reals(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list of numbers, got {value!r}")
+    return [_real(v) for v in value]
+
+
+# how each numeric key is read: an integral number (768.0 reads as 768), a
+# number, a list of numbers, or [location, sign] pairs
+_NUMERIC_KEYS = {
+    **dict.fromkeys(("k", "omega", "n_cells", "reference_n_cells", "max_iters"), _integer),
+    **dict.fromkeys(("chi", "s", "grad_tol", "lam", "T", "T_profile", "window_factor", "eps",
+                     "delta"), _real),
+    "T_list": _reals, "eps_list": _reals,
+    "jumps": lambda jumps: [(_real(t), _integer(sign)) for t, sign in jumps],
+}
+
+
+def _positive(value: float, name: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
@@ -140,13 +157,12 @@ def _check(violations: list, label: str, fn):
         return fn()
     except KeyError as exc:
         violations.append(f"{label}: missing field {exc}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # float() of a 400-digit integer
         violations.append(f"{label}: {exc}")
 
 
 def _validate(raw: dict) -> ExperimentConfig:
-    # no config field takes a boolean
-    violations = [f"{key}: booleans are not accepted" for key in raw if _holds_boolean(raw[key])]
+    violations = []
     command = raw.get("command")
     if command in tuple(_DEFAULTS):
         known = {"command", "kernel", *_DEFAULTS[command], *_NO_DEFAULT[command]}
@@ -155,19 +171,21 @@ def _validate(raw: dict) -> ExperimentConfig:
     else:
         violations.append(f"command must be one of {tuple(_DEFAULTS)}, got {command!r}")
         raw = {**_COMMON, **raw}
-    integers = {key: _check(violations, key, lambda: _integer(raw[key]))
-                for key in _INTEGER_KEYS if raw.get(key) is not None}
-    raw.update((key, value) for key, value in integers.items() if value is not None)
+    faults = len(violations)
+    raw.update((key, _check(violations, key, lambda: parse(raw[key])))
+               for key, parse in _NUMERIC_KEYS.items() if key in raw)
+    if len(violations) > faults:  # the value rules would only restate a field's type
+        raise ConfigError(violations)
 
     kernel = _check(violations, "kernel", lambda: _build_kernel(raw["kernel"]))
-    well = _check(violations, "well", lambda: DoubleWell(float(raw["chi"])))
+    well = _check(violations, "well", lambda: DoubleWell(raw["chi"]))
     _check(violations, "exponents", lambda: EnergyParams(raw["k"], raw["s"], 1.0, 1.0))
     lam = _check(violations, "lam", lambda: _positive(raw["lam"], "lam")) if "lam" in raw else None
 
-    if command == "curve" and not (isinstance(raw.get("T_list"), list) and len(raw["T_list"]) > 1):
+    if command == "curve" and len(raw.get("T_list", ())) < 2:
         violations.append("curve needs T_list with at least two ascending values")
     if command in ("sweep", "recovery"):
-        target = _check(violations, "jumps", lambda: _target(raw))
+        target = _check(violations, "jumps", lambda: make_bv_target(raw["jumps"]))
         grid = _check(violations, "n_cells", lambda: make_grid(0.0, 1.0, raw["n_cells"]))
         key, names = ("rule", _RULE_MODE) if command == "sweep" else ("mode", _MODE_RULE)
         if raw.get(key) not in tuple(names):
@@ -176,21 +194,21 @@ def _validate(raw: dict) -> ExperimentConfig:
         elif target is not None and command == "recovery" and (lam is not None or "delta" in raw):
             # without delta, the regime rule reads lam, whose fault is listed already
             _check(violations, "eps", lambda: _check_recovery_geometry(
-                target, _positive(raw["eps"], "eps"), _delta(raw), float(raw["T_profile"])))
+                target, _positive(raw["eps"], "eps"), _delta(raw), raw["T_profile"]))
         if command == "sweep":
             factor = _check(violations, "window_factor",
                             lambda: _positive(raw["window_factor"], "window_factor"))
             # the eps-only rules need the jumps alone, the window rule all three
             eps_list = None if target is None else _check(violations, "eps_list", lambda: (
                 _check_sweep_eps(target, [_positive(eps, "eps") for eps in raw["eps_list"]],
-                                 float(raw["T_profile"]))))
+                                 raw["T_profile"])))
             if not any(v is None for v in (eps_list, grid, factor)):
                 _check(violations, "eps_list", lambda: _check_sweep_geometry(
-                    target, eps_list, float(raw["T_profile"]), factor, grid.nodes()))
+                    target, eps_list, raw["T_profile"], factor, grid.nodes()))
 
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,
-                               k=raw["k"], s=float(raw["s"]), raw=raw)
+                               k=raw["k"], s=raw["s"], raw=raw)
         # the solver options, grids and transition problems of the run, checked before any solve
         _check(violations, "grad_tol, max_iters", cfg.opt_options)
         if command in ("sweep", "recovery"):
@@ -208,22 +226,18 @@ def _validate(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def _target(raw: dict) -> BVTarget:
-    return make_bv_target((float(t), _integer(sg)) for t, sg in raw["jumps"])
-
-
 def _delta(raw: dict) -> float:
     """A recovery's delta: as given, or by the regime rule of its mode."""
     if "delta" in raw:
         return _positive(raw["delta"], "delta")
-    return delta_rule(_MODE_RULE[raw["mode"]], float(raw["eps"]), float(raw["lam"]))
+    return delta_rule(_MODE_RULE[raw["mode"]], raw["eps"], raw["lam"])
 
 
 def _transition_problem(cfg: ExperimentConfig, **overrides) -> TransitionProblem:
     raw = {**cfg.raw, **overrides}
     return TransitionProblem(
-        kernel=cfg.kernel, mode=raw["mode"], lam=float(raw["lam"]), omega=raw["omega"],
-        T=float(raw["T"]), n_cells=raw["n_cells"], well=cfg.well, k=cfg.k, s=cfg.s,
+        kernel=cfg.kernel, mode=raw["mode"], lam=raw["lam"], omega=raw["omega"],
+        T=raw["T"], n_cells=raw["n_cells"], well=cfg.well, k=cfg.k, s=cfg.s,
     )
 
 
@@ -337,12 +351,12 @@ def _run_curve(cfg: ExperimentConfig, workers: int) -> list[dict]:
 
 def _run_sweep(cfg: ExperimentConfig, workers: int) -> list[dict]:
     raw = cfg.raw
-    target = _target(raw)
+    target = make_bv_target(raw["jumps"])
     predicted = _predicted(cfg, target, _RULE_MODE[raw["rule"]])
     points = regime_sweep(
         cfg.kernel, target, raw["rule"], raw["eps_list"], k=cfg.k, s=cfg.s, well=cfg.well,
-        n_cells=raw["n_cells"], T_profile=float(raw["T_profile"]),
-        window_factor=float(raw["window_factor"]), lam=float(raw["lam"]), opts=cfg.opt_options(),
+        n_cells=raw["n_cells"], T_profile=raw["T_profile"],
+        window_factor=raw["window_factor"], lam=raw["lam"], opts=cfg.opt_options(),
     )
     return [{"eps": p.eps, "delta": p.delta, "ratio": p.delta / p.eps,
              "min_energy": p.min_energy, "predicted": predicted} for p in points]
@@ -350,13 +364,13 @@ def _run_sweep(cfg: ExperimentConfig, workers: int) -> list[dict]:
 
 def _run_recovery(cfg: ExperimentConfig, workers: int) -> list[dict]:
     raw = cfg.raw
-    target = _target(raw)
-    mode, eps, delta = raw["mode"], float(raw["eps"]), _delta(raw)
+    target = make_bv_target(raw["jumps"])
+    mode, eps, delta = raw["mode"], raw["eps"], _delta(raw)
     reference = _reference(cfg, mode)
     predicted = _predicted(cfg, target, mode, reference)
     rec = build_recovery(target, reference.profile, eps, delta, mode,
                          make_grid(0.0, 1.0, raw["n_cells"]),
-                         float(raw["T_profile"]), lam=float(raw["lam"]),
+                         raw["T_profile"], lam=raw["lam"],
                          diag_shift=cfg.kernel.diag_argmin())
     energy = eval_F(rec, EnergyParams(cfg.k, cfg.s, eps, delta), cfg.well, cfg.kernel)
     return [{"mode": mode, "eps": eps, "delta": delta, "n_jumps": len(target.jump_locations),

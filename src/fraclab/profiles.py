@@ -33,7 +33,6 @@ __all__ = [
     "transition_energy",
     "transition_energy_curve",
     "predicted_limit",
-    "lambda_continuity_probe",
     "scaling_exponent",
 ]
 
@@ -199,17 +198,3 @@ def predicted_limit(kernel: KernelSpec, mode: str, k: int, s: float,
     if mode == "lambda":
         return m_hat * n_jumps
     return _mode_kernel(kernel, mode).c0 ** scaling_exponent(k, s) * m_hat * n_jumps
-
-
-def lambda_continuity_probe(tp: TransitionProblem, rel_perturbation: float,
-                            opts: MinimizeOptions = MinimizeOptions()):
-    """m-hat at lam and lam * (1 -+ p), all at the template's resolution."""
-    if tp.mode != "lambda":
-        raise ValueError("lambda continuity probe needs a lambda-mode problem")
-    if not (0.0 < rel_perturbation < 1.0):
-        raise ValueError(f"relative perturbation must lie in (0, 1), got {rel_perturbation}")
-    out = []
-    for lam in (tp.lam, tp.lam * (1.0 - rel_perturbation), tp.lam * (1.0 + rel_perturbation)):
-        res = transition_energy(replace(tp, lam=lam), opts)
-        out.append(res.energy)
-    return tuple(out)

@@ -21,13 +21,13 @@ from fraclab import (
     MinimizeOptions,
     TransitionProblem,
     eval_F,
-    kth_difference,
     make_grid,
     minimize,
     resample_scaled,
 )
 from fraclab.energy import _PairForm, _cross_tail_constant, _dst1, _pair_table
 from fraclab.grid import _REACH
+from probes import kth_difference
 
 # Dense-grid reference for F on u = tanh((x-0.5)/0.1), k=0, s=0.75, eps=0.1,
 # delta=0.25, CosSum(2.5, 1), chi=0.3: W term by adaptive quadrature, nonlocal

@@ -11,17 +11,15 @@ from fraclab import (
     MinimizeOptions,
     TransitionProblem,
     build_recovery,
-    cross_term_probe,
     delta_rule,
     fit_loglog_slope,
     jump_half_separation,
     make_bv_target,
     make_grid,
     regime_sweep,
-    sample_bv_target,
-    tail_decay_probe,
     transition_energy,
 )
+from probes import cross_term_probe, kth_difference, tail_decay_probe
 
 WELL = DoubleWell(0.0)
 OPTS = MinimizeOptions(grad_tol=1e-5)
@@ -76,7 +74,7 @@ def test_build_recovery_matches_target_outside_windows(homogeneous_profile):
     rec = build_recovery(target, homogeneous_profile, eps, delta,
                          "supercritical", grid, T)
     x = grid.nodes()
-    tv = sample_bv_target(target, grid).values
+    tv = target.value_at(x)
     w = eps * T + delta
     outside = np.ones(x.size, dtype=bool)
     for t_j in target.jump_locations:
@@ -168,7 +166,6 @@ def test_cross_term_probe_matches_explicit_masked_pair_sum(kernel, k, s):
     values, _ = cross_term_probe(target, profile, eps_list, k=k, s=s, n_cells=512,
                                  T_profile=2.0, kernel=kernel, mode="lambda")
 
-    from fraclab import kth_difference
     from fraclab.energy import _pair_table
 
     grid = make_grid(0.0, 1.0, 512)

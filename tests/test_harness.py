@@ -15,11 +15,13 @@ from fraclab.cli import main
 from fraclab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERICAL,
     ConfigError,
     emit_csv,
     load_config,
     run_experiment,
 )
+from fraclab.optimize import NumericalFailure
 from fraclab.selftest import selftest
 
 
@@ -208,6 +210,20 @@ def test_cli_io_error_exit_code(tmp_path):
     assert res.exit_code == EXIT_IO
 
 
+def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
+    def failing(tp, opts):
+        raise NumericalFailure("energy is not finite")
+
+    monkeypatch.setattr(harness, "transition_energy", failing)
+    cfg = write_config(tmp_path, "p.json", PROFILE_CFG)
+    out = tmp_path / "x.csv"
+    res = CliRunner().invoke(main, ["profile", str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_NUMERICAL
+    # click echoes it to stderr; CliRunner's output holds stderr on every click >= 8.0
+    assert "numerical failure: energy is not finite" in res.output
+    assert not out.exists()
+
+
 def test_selftest_passes_and_is_deterministic():
     ok1, report1 = selftest()
     ok2, report2 = selftest()
@@ -342,6 +358,8 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(PROFILE_CFG, kernel={"variant": "constant", "c": 2.5, "c1": 1.0}),
     dict(PROFILE_CFG, kernel={"variant": "cos_sum", "c0": 2.5, "c1": 1.0, "c": 1.0}),
     dict(SWEEP_MIN, T_profile=0.5),
+    dict(PROFILE_CFG, T=10 ** 400),  # float() overflows: once a traceback, exit 1
+    dict(PROFILE_CFG, n_cells=10 ** 400),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
         "jump-sign-fraction", "profile-one-cell",
@@ -349,7 +367,8 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
         "recovery-one-cell", "recovery-reference-one-cell", "recovery-too-few-nodes",
         "sweep-one-window-empty", "grad_tol-string", "grad_tol-negative", "grad_tol-nan",
         "max_iters-negative", "recovery-no-jump", "kernel-constant-extra-key",
-        "kernel-cos_sum-extra-key", "sweep-T_profile-below-1"])
+        "kernel-cos_sum-extra-key", "sweep-T_profile-below-1", "T-overflow",
+        "n_cells-overflow"])
 def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     def unused(tp, opts):
         raise AssertionError("a bad config must be rejected before any solve")
@@ -468,7 +487,41 @@ def test_recovery_bad_lam_is_listed_once(tmp_path):
     # the eps check derives delta from lam, and once listed its fault again under eps
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, "bad.json", dict(RECOVERY_MIN, lam="abc")))
-    assert err.value.violations == ["lam: could not convert string to float: 'abc'"]
+    assert err.value.violations == ["lam: must be a number, got 'abc'"]
+
+
+@pytest.mark.parametrize("raw, violation", [
+    (dict(PROFILE_CFG, T="2"), "T: must be a number, got '2'"),
+    (dict(PROFILE_CFG, chi="0.2"), "chi: must be a number, got '0.2'"),
+    (dict(PROFILE_CFG, grad_tol="1e-5"), "grad_tol: must be a number, got '1e-5'"),
+    (dict(PROFILE_CFG, s="0.75"), "s: must be a number, got '0.75'"),
+    (dict(PROFILE_CFG, n_cells="768"), "n_cells: must be an integer, got '768'"),
+    (dict(PROFILE_CFG, kernel={"variant": "cos_sum", "c0": "2.5", "c1": 1.0}),
+     "kernel: must be a number, got '2.5'"),
+    (dict(CURVE_CFG, T_list=[2.0, "4"]), "T_list: must be a number, got '4'"),
+    (dict(CURVE_CFG, T_list="2, 4"), "T_list: must be a list of numbers, got '2, 4'"),
+    (dict(RECOVERY_MIN, eps="0.03125"), "eps: must be a number, got '0.03125'"),
+    (dict(RECOVERY_MIN, T_profile="4"), "T_profile: must be a number, got '4'"),
+    (dict(SWEEP_MIN, eps_list=["0.03125"]), "eps_list: must be a number, got '0.03125'"),
+    (dict(SWEEP_MIN, jumps=[["0.5", 1]]), "jumps: must be a number, got '0.5'"),
+    (dict(PROFILE_CFG, omega=True), "omega: must be an integer, got True"),
+    (dict(PROFILE_CFG, mode=True), "transition problem: mode must be one of"),
+    (dict(SWEEP_MIN, rule=False), "sweep rule must be one of"),
+    (dict(SWEEP_MIN, jumps=[[0.5, True]]), "jumps: must be an integer, got True"),
+    (dict(RECOVERY_MIN, delta=True), "delta: booleans are not accepted"),
+    (dict(PROFILE_CFG, kernel={"variant": True, "c": 1.0}), "kernel: must be an object"),
+], ids=["T", "chi", "grad_tol", "s", "n_cells", "kernel-c0", "T_list-entry", "T_list-string",
+        "eps", "T_profile", "eps_list-entry", "jump-location", "omega-boolean", "mode-boolean",
+        "rule-boolean", "jump-sign-boolean", "delta-boolean", "kernel-variant-boolean"])
+def test_a_mistyped_field_is_one_violation(tmp_path, raw, violation):
+    # float() once read a number given as a string, so "T": "2" ran at T = 2
+    # and exited 0, and "s": "0.75" failed with a comparison error of the
+    # exponent check; a boolean was listed once by its own rule and again by
+    # the field's
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, "bad.json", raw))
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith(violation)
 
 
 def test_integral_floats_read_as_integers(tmp_path):

@@ -12,7 +12,6 @@ from fraclab import (
     MinimizeOptions,
     TransitionProblem,
     minimize,
-    lambda_continuity_probe,
     predicted_limit,
     scaling_exponent,
     transition_energy,
@@ -129,7 +128,7 @@ def test_predicted_limit_requires_estimates():
 
 def test_lambda_continuity_constant_kernel_invariant():
     tp = small_problem(kernel=KernelSpec.constant(2.0), mode="lambda", lam=1.0)
-    a, b, c = lambda_continuity_probe(tp, 0.05, OPTS)
+    a, b, c = [transition_energy(replace(tp, lam=lam), OPTS).energy for lam in (1.0, 0.95, 1.05)]
     assert a == pytest.approx(b, rel=1e-6)
     assert a == pytest.approx(c, rel=1e-6)
     assert min(a, b, c) > 0.0
