@@ -4,27 +4,26 @@ Several configs run in one process, in order, once all are validated, and
 share their converged reference solves; each writes ``<config stem>.csv``
 in the working directory.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 ok, 2 config or usage error, 3 numerical failure, 4 I/O error.
 CSV schemas per command are documented in docs/schemas.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
-import click
-
-from .harness import (
-    EXIT_CONFIG,
-    EXIT_IO,
-    EXIT_NUMERICAL,
-    ConfigError,
-    load_config,
-    run_experiment,
-)
+from .harness import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, ConfigError, load_config, run_experiment
 from .optimize import NumericalFailure
-from .selftest import selftest
+
+_COMMANDS = {
+    "profile": "Estimate one transition energy from a JSON config.",
+    "curve": "Transition energy as a function of the clamp length T.",
+    "sweep": "Minimize the eps/delta energy along a regime rule.",
+    "recovery": "Evaluate the pasted recovery profile against the prediction.",
+    "selftest": "Run the built-in invariant suite at small N.",
+}
 
 
 def _load(command: str, paths) -> list:
@@ -66,50 +65,51 @@ def _run(command: str, paths, out, workers: int, quiet: bool) -> None:
         for cfg, path in zip(_load(command, paths), outs):
             run_experiment(cfg, path, workers=workers)
             if not quiet:
-                click.echo(f"wrote {path}")
+                print(f"wrote {path}")
     except ConfigError as exc:
-        click.echo(str(exc), err=True)
+        print(exc, file=sys.stderr)
         sys.exit(EXIT_CONFIG)
     except NumericalFailure as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERICAL)
     except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
+        print(f"I/O error: {exc}", file=sys.stderr)
         sys.exit(EXIT_IO)
 
 
-def _command(name: str, help_text: str):
-    @main.command(name=name, help=help_text)
-    @click.argument("configs", nargs=-1, required=True, type=str)
-    @click.option("--out", type=str, default=None, help="Output CSV path (one config only).")
-    @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-                  help="Worker threads for independent jobs.")
-    @click.option("--quiet", is_flag=True, help="Suppress the completion message.")
-    def cmd(configs, out, workers, quiet, _name=name):
-        _run(_name, configs, out, workers, quiet)
-
-    return cmd
+def _workers(text: str) -> int:
+    workers = int(text)  # argparse reports a ValueError as an invalid value
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
 
 
-@click.group()
-def main():
+def _parser() -> argparse.ArgumentParser:
+    # no abbreviations: --wor is an unknown option, not --workers
+    parser = argparse.ArgumentParser(prog="fraclab", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, help_text in _COMMANDS.items():
+        cmd = commands.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
+        if name != "selftest":
+            cmd.add_argument("configs", nargs="+", metavar="CONFIG")
+            cmd.add_argument("--out", help="Output CSV path (one config only).")
+            cmd.add_argument("--workers", type=_workers, default=1,
+                             help="Worker threads for independent jobs (default: 1).")
+        cmd.add_argument("--quiet", action="store_true",
+                         help="Print nothing but errors; the exit code carries the result.")
+    return parser
+
+
+def main(argv=None) -> None:
     """Numerical lab for fractional transition energies with oscillating kernels."""
-
-
-_command("profile", "Estimate one transition energy from a JSON config.")
-_command("curve", "Transition energy as a function of the clamp length T.")
-_command("sweep", "Minimize the eps/delta energy along a regime rule.")
-_command("recovery", "Evaluate the pasted recovery profile against the prediction.")
-
-
-@main.command(name="selftest", help="Run the built-in invariant suite at small N.")
-@click.option("--quiet", is_flag=True, help="Print nothing; exit code carries the result.")
-def selftest_cmd(quiet):
+    args = _parser().parse_args(argv)
+    if args.command != "selftest":
+        return _run(args.command, args.configs, args.out, args.workers, args.quiet)
+    from .selftest import selftest  # the experiment commands never load the suite
     ok, report = selftest()
-    if not quiet:
-        click.echo(report, nl=False)
-    if not ok:
-        sys.exit(1)
+    if not args.quiet:
+        print(report, end="")
+    sys.exit(0 if ok else 1)
 
 
 if __name__ == "__main__":

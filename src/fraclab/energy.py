@@ -647,9 +647,10 @@ class DiscreteEnergy:
         folded = np.bincount(np.arange(w.size) % period, weights=w, minlength=period)
         sym = np.maximum(w.sum() - np.fft.rfft(folded)[1:m + 1].real, 0.0)
         theta = np.arange(1, m + 1) * (np.pi / (m + 1))
-        h = self._h
-        dk2 = {0: 1.0, 1: np.sin(theta) ** 2 / h ** 2,
-               2: (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4}[self.k]  # |D_k(theta)|^2
+        h = np.float64(self._h)  # a power of a huge h overflows to inf, not to an OverflowError
+        # |D_k(theta)|^2, of this order only
+        dk2 = (1.0 if self.k == 0 else np.sin(theta) ** 2 / h ** 2 if self.k == 1
+               else (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4)
         coef = self.nonlocal_coef * 8.0 * self._kernel[0].a_bar
         return coef * (sym * dk2) + 8.0 * h * self.well_coef, coef * sym
 

@@ -30,6 +30,7 @@ from .experiments import (_check_recovery_geometry, _check_sweep_eps, _check_swe
 from .grid import BVTarget, make_bv_target, make_grid
 from .optimize import MinimizeOptions, MinimizeResult, NumericalFailure
 from .profiles import (
+    _MODES,
     TransitionProblem,
     _curve_problems,
     predicted_limit,
@@ -151,6 +152,13 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
+def _clamp_length(value: float, name: str) -> float:
+    """A transition problem's T: its grid spans (-3T, 3T)."""
+    if not (math.isfinite(value) and value >= 1.0):
+        raise ValueError(f"{name} must be finite and at least 1, got {value}")
+    return value
+
+
 def _check(violations: list, label: str, fn):
     """fn(), or None with a violation recorded if fn rejects its input."""
     try:
@@ -181,30 +189,39 @@ def _validate(raw: dict) -> ExperimentConfig:
     well = _check(violations, "well", lambda: DoubleWell(raw["chi"]))
     _check(violations, "exponents", lambda: EnergyParams(raw["k"], raw["s"], 1.0, 1.0))
     lam = _check(violations, "lam", lambda: _positive(raw["lam"], "lam")) if "lam" in raw else None
+    T_profile = None if "T_profile" not in raw else _check(
+        violations, "T_profile", lambda: _clamp_length(raw["T_profile"], "T_profile"))
 
-    if command == "curve" and len(raw.get("T_list", ())) < 2:
-        violations.append("curve needs T_list with at least two ascending values")
+    if command == "curve":
+        if len(raw.get("T_list", ())) < 2:
+            violations.append("curve needs T_list with at least two ascending values")
+        _check(violations, "T_list",
+               lambda: [_clamp_length(T, "each T") for T in raw.get("T_list", ())])
+    target = grid = None
     if command in ("sweep", "recovery"):
         target = _check(violations, "jumps", lambda: make_bv_target(raw["jumps"]))
         grid = _check(violations, "n_cells", lambda: make_grid(0.0, 1.0, raw["n_cells"]))
-        key, names = ("rule", _RULE_MODE) if command == "sweep" else ("mode", _MODE_RULE)
+    if command in _DEFAULTS:
+        key, names = {"sweep": ("rule", _RULE_MODE),
+                      "recovery": ("mode", _MODE_RULE)}.get(command, ("mode", _MODES))
         if raw.get(key) not in tuple(names):
             violations.append(f"{command} {key} must be one of {tuple(names)},"
                               f" got {raw.get(key)!r}")
-        elif target is not None and command == "recovery" and (lam is not None or "delta" in raw):
+        elif (command == "recovery" and not any(v is None for v in (target, T_profile))
+              and (lam is not None or "delta" in raw)):
             # without delta, the regime rule reads lam, whose fault is listed already
             _check(violations, "eps", lambda: _check_recovery_geometry(
-                target, _positive(raw["eps"], "eps"), _delta(raw), raw["T_profile"]))
-        if command == "sweep":
-            factor = _check(violations, "window_factor",
-                            lambda: _positive(raw["window_factor"], "window_factor"))
-            # the eps-only rules need the jumps alone, the window rule all three
-            eps_list = None if target is None else _check(violations, "eps_list", lambda: (
-                _check_sweep_eps(target, [_positive(eps, "eps") for eps in raw["eps_list"]],
-                                 raw["T_profile"])))
-            if not any(v is None for v in (eps_list, grid, factor)):
-                _check(violations, "eps_list", lambda: _check_sweep_geometry(
-                    target, eps_list, raw["T_profile"], factor, grid.nodes()))
+                target, _positive(raw["eps"], "eps"), _delta(raw), T_profile))
+    if command == "sweep":
+        factor = _check(violations, "window_factor",
+                        lambda: _positive(raw["window_factor"], "window_factor"))
+        # the eps-only rules need the jumps and T_profile alone, the window rule all four
+        eps_list = None if any(v is None for v in (target, T_profile)) else _check(
+            violations, "eps_list", lambda: _check_sweep_eps(
+                target, [_positive(eps, "eps") for eps in raw["eps_list"]], T_profile))
+        if not any(v is None for v in (eps_list, grid, factor)):
+            _check(violations, "eps_list", lambda: _check_sweep_geometry(
+                target, eps_list, T_profile, factor, grid.nodes()))
 
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,

@@ -163,16 +163,19 @@ def test_stencil_adjoint_identity(k, n):
 
 def test_cli_import_does_not_load_scipy():
     # every command pays for what importing the CLI loads: the benchmark's
-    # setup_s and peak_rss_mb are set by it, so the packages only some runs
-    # need (scipy, the curve's thread pool and the logging it pulls in) and
-    # the test helpers must stay out of it
+    # setup_s and peak_rss_mb are set by it, so it loads the standard library,
+    # numpy and fraclab only, and of them not the packages only some runs need
+    # (the curve's thread pool and the logging it pulls in, the selftest
+    # suite): no scipy, no third-party argument parser, no test helpers
     src = str(Path(fraclab.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    script = ("import sys, fraclab.cli; print(sorted(name for name, m in sys.modules.items()"
-              " if name.split('.')[0] in ('scipy', 'concurrent', 'logging')"
-              f" or (getattr(m, '__file__', None) or '').startswith({tests + os.sep!r})))")
+    allowed = "(sys.stdlib_module_names - {'concurrent', 'logging'}) | {'numpy', 'fraclab'}"
+    script = ("import sys; before = set(sys.modules); import fraclab.cli\n"
+              "print(sorted(name for name, m in sys.modules.items() if name not in before and ("
+              f"name.split('.')[0] not in {allowed} or name == 'fraclab.selftest'"
+              f" or (getattr(m, '__file__', None) or '').startswith({tests + os.sep!r}))))")
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"

@@ -1,12 +1,17 @@
+import contextlib
 import functools
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import fraclab.cli as cli
 import fraclab.harness as harness
@@ -23,6 +28,20 @@ from fraclab.harness import (
 )
 from fraclab.optimize import NumericalFailure
 from fraclab.selftest import selftest
+
+
+CliResult = namedtuple("CliResult", "exit_code output")
+
+
+def run_cli(args) -> CliResult:
+    """main(args) as a shell runs it: the exit code, and stdout and stderr together."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main(args)
+        except SystemExit as exc:
+            return CliResult(exc.code, output.getvalue())
+    return CliResult(0, output.getvalue())
 
 
 def write_config(tmp_path, name, payload):
@@ -75,6 +94,12 @@ def test_load_config_aggregates_violations(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert len(err.value.violations) >= 3
+    # a bad mode was once checked only after every other rule had passed
+    path = write_config(tmp_path, "mode.json", dict(PROFILE_CFG, mode="bogus", s=0.4))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert [v.split(" ")[0] for v in err.value.violations] == ["exponents:", "profile"]
+    assert "mode must be one of" in err.value.violations[1]
 
 
 def test_load_config_parse_error_carries_location(tmp_path):
@@ -180,33 +205,28 @@ def test_critical_sweep_skips_homogeneous_reference(tmp_path, monkeypatch):
 
 
 def test_cli_profile_roundtrip(tmp_path):
-    runner = CliRunner()
     cfg = write_config(tmp_path, "p.json", PROFILE_CFG)
     out = tmp_path / "result.csv"
-    res = runner.invoke(main, ["profile", str(cfg), "--out", str(out)])
+    res = run_cli(["profile", str(cfg), "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert out.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):
-    runner = CliRunner()
     cfg = write_config(tmp_path, "bad.json", dict(PROFILE_CFG, s=0.5))
-    res = runner.invoke(main, ["profile", str(cfg), "--out", str(tmp_path / "x.csv")])
+    res = run_cli(["profile", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == EXIT_CONFIG
 
 
 def test_cli_wrong_command_for_config(tmp_path):
-    runner = CliRunner()
     cfg = write_config(tmp_path, "p.json", PROFILE_CFG)
-    res = runner.invoke(main, ["sweep", str(cfg), "--out", str(tmp_path / "x.csv")])
+    res = run_cli(["sweep", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == EXIT_CONFIG
 
 
 def test_cli_io_error_exit_code(tmp_path):
-    runner = CliRunner()
     cfg = write_config(tmp_path, "p.json", PROFILE_CFG)
-    res = runner.invoke(main, ["profile", str(cfg), "--out",
-                               str(tmp_path / "missing_dir" / "x.csv")])
+    res = run_cli(["profile", str(cfg), "--out", str(tmp_path / "missing_dir" / "x.csv")])
     assert res.exit_code == EXIT_IO
 
 
@@ -217,10 +237,26 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "transition_energy", failing)
     cfg = write_config(tmp_path, "p.json", PROFILE_CFG)
     out = tmp_path / "x.csv"
-    res = CliRunner().invoke(main, ["profile", str(cfg), "--out", str(out)])
+    res = run_cli(["profile", str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_NUMERICAL
-    # click echoes it to stderr; CliRunner's output holds stderr on every click >= 8.0
+    # the CLI prints it to stderr, which run_cli's output holds
     assert "numerical failure: energy is not finite" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.5)])
+def test_cli_huge_grid_spacing_fails_without_a_traceback(tmp_path, k, s):
+    # the preconditioner's symbol once took h ** 2 and h ** 4 for every order,
+    # and a float power that overflows raises: a traceback and exit 1. Its
+    # overflow now warns, which the suite turns into an error, so the command
+    # runs in a process of its own
+    cfg = write_config(tmp_path, "huge.json", dict(PROFILE_CFG, T=1e200, n_cells=96, k=k, s=s))
+    out = tmp_path / "x.csv"
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "fraclab.cli", "profile", str(cfg), "--out",
+                           str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode in (EXIT_CONFIG, EXIT_NUMERICAL), done.stderr
     assert not out.exists()
 
 
@@ -229,6 +265,8 @@ def test_selftest_passes_and_is_deterministic():
     ok2, report2 = selftest()
     assert ok1 and ok2
     assert report1 == report2
+    assert run_cli(["selftest"]) == (0, report1)
+    assert run_cli(["selftest", "--quiet"]) == (0, "")
 
 
 def test_selftest_injected_gradient_bug_fails(monkeypatch):
@@ -240,16 +278,15 @@ def test_selftest_injected_gradient_bug_fails(monkeypatch):
     ok, report = selftest()
     assert not ok
     assert "FAIL" in report
+    assert run_cli(["selftest", "--quiet"]) == (1, "")
 
 
 def test_cli_curve_with_workers(tmp_path):
-    runner = CliRunner()
     cfg_raw = dict(PROFILE_CFG, command="curve", T_list=[2.0, 4.0], n_cells=96,
                    grad_tol=1e-4)
     cfg = write_config(tmp_path, "c.json", cfg_raw)
     out = tmp_path / "curve.csv"
-    res = runner.invoke(main, ["curve", str(cfg), "--out", str(out),
-                               "--workers", "2", "--quiet"])
+    res = run_cli(["curve", str(cfg), "--out", str(out), "--workers", "2", "--quiet"])
     assert res.exit_code == 0, res.output
     lines = out.read_text().splitlines()
     assert lines[0] == "T,T_out,n_cells,m_hat,iterations,converged"
@@ -257,14 +294,12 @@ def test_cli_curve_with_workers(tmp_path):
     m2, m4 = (float(l.split(",")[3]) for l in lines[1:])
     assert m4 <= m2 + 1e-6
     out1 = tmp_path / "curve1.csv"
-    res = runner.invoke(main, ["curve", str(cfg), "--out", str(out1),
-                               "--workers", "1", "--quiet"])
+    res = run_cli(["curve", str(cfg), "--out", str(out1), "--workers", "1", "--quiet"])
     assert res.exit_code == 0, res.output
     assert out1.read_text() == out.read_text()
 
 
 def test_cli_recovery_runs(tmp_path):
-    runner = CliRunner()
     cfg_raw = {
         "command": "recovery",
         "kernel": {"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
@@ -279,7 +314,7 @@ def test_cli_recovery_runs(tmp_path):
     }
     cfg = write_config(tmp_path, "r.json", cfg_raw)
     out = tmp_path / "rec.csv"
-    res = runner.invoke(main, ["recovery", str(cfg), "--out", str(out), "--quiet"])
+    res = run_cli(["recovery", str(cfg), "--out", str(out), "--quiet"])
     assert res.exit_code == 0, res.output
     lines = out.read_text().splitlines()
     assert lines[0] == "mode,eps,delta,n_jumps,energy,predicted,rel_gap"
@@ -322,7 +357,7 @@ def test_written_out_defaults_give_identical_csv(tmp_path, minimal, written_out)
 def test_cli_geometry_errors_exit_config(tmp_path, raw):
     cfg = write_config(tmp_path, "bad.json", raw)
     out = tmp_path / "x.csv"
-    res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
+    res = run_cli([raw["command"], str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert not out.exists()
 
@@ -376,7 +411,7 @@ def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     monkeypatch.setattr(harness, "transition_energy", unused)
     cfg = write_config(tmp_path, "bad.json", raw)
     out = tmp_path / "x.csv"
-    res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
+    res = run_cli([raw["command"], str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert not out.exists()
 
@@ -395,12 +430,12 @@ def test_target_is_its_jumps(tmp_path, minimal):
     command, out = minimal["command"], tmp_path / "x.csv"
     # the first jump's sign fixes the value left of it: left_value is no key
     cfg = write_config(tmp_path, "left.json", dict(minimal, left_value=-1))
-    res = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
+    res = run_cli([command, str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert f"unknown key 'left_value' for {command}" in res.output
     # no jump is one violation, the one-jump rule
     cfg = write_config(tmp_path, "none.json", dict(minimal, jumps=[]))
-    res = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
+    res = run_cli([command, str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
     with pytest.raises(ConfigError) as err:
         load_config(cfg)
@@ -421,7 +456,7 @@ def test_cli_rejects_booleans(tmp_path, monkeypatch, raw, key):
     monkeypatch.setattr(harness, "transition_energy", unused)
     cfg = write_config(tmp_path, "bad.json", raw)
     out = tmp_path / "x.csv"
-    res = CliRunner().invoke(main, [raw["command"], str(cfg), "--out", str(out)])
+    res = run_cli([raw["command"], str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert f"{key}: booleans are not accepted" in res.output
     assert not out.exists()
@@ -436,10 +471,26 @@ def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(cli, "load_config", unused)
     cfg = write_config(tmp_path, "c.json", CURVE_CFG)
     out = tmp_path / "x.csv"
-    res = CliRunner().invoke(main, ["curve", str(cfg), "--out", str(out), "--workers", workers])
+    res = run_cli(["curve", str(cfg), "--out", str(out), "--workers", workers])
     assert res.exit_code == 2, res.output
     assert "--workers" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "COMMAND"),
+    (["bogus"], "bogus"),
+    (["curve", "c.json", "--wor", "2"], "--wor"),  # an abbreviation is an unknown option
+    (["selftest", "--out", "x.csv"], "--out"),
+], ids=["no-command", "unknown-command", "abbreviated-option", "unknown-option"])
+def test_cli_usage_errors_exit_2_naming_the_argument(monkeypatch, argv, named):
+    def unused(*args, **kwargs):
+        raise AssertionError("a usage error must be rejected before any config is read")
+
+    monkeypatch.setattr(cli, "load_config", unused)
+    res = run_cli(argv)
+    assert res.exit_code == 2, res.output
+    assert named in res.output
 
 
 @pytest.mark.parametrize("window_factor", [0, -1.0, float("nan"), float("inf")],
@@ -454,7 +505,7 @@ def test_cli_bad_window_factor_exits_config_before_sweeping(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "regime_sweep", unused)
     cfg = write_config(tmp_path, "bad.json", dict(SWEEP_MIN, window_factor=window_factor))
     out = tmp_path / "x.csv"
-    res = CliRunner().invoke(main, ["sweep", str(cfg), "--out", str(out)])
+    res = run_cli(["sweep", str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "window_factor: window_factor must be positive and finite" in res.output
     assert not out.exists()
@@ -477,7 +528,7 @@ def test_cli_bad_lam_exits_config_where_no_problem_reads_it(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "regime_sweep", unused)
     cfg = write_config(tmp_path, "bad.json", dict(raw, lam=lam))
     out = tmp_path / "x.csv"
-    res = CliRunner().invoke(main, [command, str(cfg), "--out", str(out)])
+    res = run_cli([command, str(cfg), "--out", str(out)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "lam: lam must be positive and finite" in res.output
     assert not out.exists()
@@ -505,14 +556,19 @@ def test_recovery_bad_lam_is_listed_once(tmp_path):
     (dict(SWEEP_MIN, eps_list=["0.03125"]), "eps_list: must be a number, got '0.03125'"),
     (dict(SWEEP_MIN, jumps=[["0.5", 1]]), "jumps: must be a number, got '0.5'"),
     (dict(PROFILE_CFG, omega=True), "omega: must be an integer, got True"),
-    (dict(PROFILE_CFG, mode=True), "transition problem: mode must be one of"),
+    (dict(PROFILE_CFG, mode=True), "profile mode must be one of"),
     (dict(SWEEP_MIN, rule=False), "sweep rule must be one of"),
     (dict(SWEEP_MIN, jumps=[[0.5, True]]), "jumps: must be an integer, got True"),
     (dict(RECOVERY_MIN, delta=True), "delta: booleans are not accepted"),
     (dict(PROFILE_CFG, kernel={"variant": True, "c": 1.0}), "kernel: must be an object"),
+    # once reported by the eps_list rule as a window of negative half-width
+    (dict(SWEEP_MIN, T_profile=-1), "T_profile: T_profile must be finite and at least 1"),
+    # once reported by the transition problem as a NaN it cannot convert to an integer
+    (dict(CURVE_CFG, T_list=[2.0, float("nan")]), "T_list: each T must be finite and at least 1"),
 ], ids=["T", "chi", "grad_tol", "s", "n_cells", "kernel-c0", "T_list-entry", "T_list-string",
         "eps", "T_profile", "eps_list-entry", "jump-location", "omega-boolean", "mode-boolean",
-        "rule-boolean", "jump-sign-boolean", "delta-boolean", "kernel-variant-boolean"])
+        "rule-boolean", "jump-sign-boolean", "delta-boolean", "kernel-variant-boolean",
+        "T_profile-negative", "T_list-nan"])
 def test_a_mistyped_field_is_one_violation(tmp_path, raw, violation):
     # float() once read a number given as a string, so "T": "2" ran at T = 2
     # and exited 0, and "s": "0.75" failed with a comparison error of the
@@ -678,13 +734,13 @@ def test_cli_configs_of_one_invocation_share_their_reference_solves(tmp_path, mo
              for mode in ("lambda", "supercritical") for e in (5, 6, 7, 8)]
     monkeypatch.chdir(tmp_path)
     solved = count_solves(monkeypatch)
-    res = CliRunner().invoke(main, ["recovery", *paths])
+    res = run_cli(["recovery", *paths])
     assert res.exit_code == 0, res.output
     assert sorted(p.mode for p in solved) == ["homogeneous", "lambda", "supercritical"]
     for path in paths:
         empty_reference_table(monkeypatch)
         alone = tmp_path / "alone.csv"
-        res = CliRunner().invoke(main, ["recovery", path, "--out", str(alone)])
+        res = run_cli(["recovery", path, "--out", str(alone)])
         assert res.exit_code == 0, res.output
         assert Path(path).with_suffix(".csv").read_bytes() == alone.read_bytes()
 
@@ -697,7 +753,7 @@ def test_cli_validates_every_config_before_running_any(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     good = str(write_config(tmp_path, "good.json", RECOVERY_SMALL))
     bad = str(write_config(tmp_path, "bad.json", dict(RECOVERY_SMALL, eps=-1.0)))
-    res = CliRunner().invoke(main, ["recovery", good, bad])
+    res = run_cli(["recovery", good, bad])
     assert res.exit_code == EXIT_CONFIG
     assert f"{bad}: eps: eps must be positive and finite" in res.output
     assert good not in res.output
@@ -714,7 +770,7 @@ def test_cli_several_configs_need_distinct_stems_and_no_out(tmp_path, monkeypatc
     for path in args[:2]:
         (tmp_path / path).parent.mkdir(exist_ok=True)
         write_config(tmp_path, path, RECOVERY_SMALL)
-    res = CliRunner().invoke(main, ["recovery", *args])
+    res = run_cli(["recovery", *args])
     assert res.exit_code == EXIT_CONFIG
     assert message in res.output
     assert not list(tmp_path.glob("*.csv"))
