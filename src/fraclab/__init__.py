@@ -15,7 +15,6 @@ from .energy import (
     eval_F,
 )
 from .experiments import (
-    SweepPoint,
     build_recovery,
     delta_rule,
     fit_loglog_slope,

@@ -348,9 +348,17 @@ def _cross_tail_constant(kspec: KernelSpec, s: float, T_out: float) -> float:
 
 
 def _check_nodes(grid: UniformGrid, k: int) -> None:
-    """Raises ValueError unless ``grid`` has the 2k + 3 nodes an order-k energy needs."""
+    """Raises ValueError unless ``grid`` has the 2k + 3 nodes an order-k energy
+    needs and a spacing h whose powers in the set-up stay finite and nonzero:
+    h^2 (the pair weights), h^-k (D_k) and h^2k (|D_k|^2 = O(h^-2k), in the
+    preconditioner)."""
     if grid.n_nodes < 2 * k + 3:
         raise ValueError(f"grid has {grid.n_nodes} nodes; k={k} needs at least {2 * k + 3}")
+    power = max(2, 2 * k)
+    h_max = np.finfo(float).max ** (1.0 / power)
+    if not grid.h < h_max:
+        raise ValueError(f"grid spacing h = {grid.h:.6g} overflows h^{power}; k={k} needs"
+                         f" h < {h_max:.6g}")
 
 
 class DiscreteEnergy:
@@ -647,7 +655,7 @@ class DiscreteEnergy:
         folded = np.bincount(np.arange(w.size) % period, weights=w, minlength=period)
         sym = np.maximum(w.sum() - np.fft.rfft(folded)[1:m + 1].real, 0.0)
         theta = np.arange(1, m + 1) * (np.pi / (m + 1))
-        h = np.float64(self._h)  # a power of a huge h overflows to inf, not to an OverflowError
+        h = self._h
         # |D_k(theta)|^2, of this order only
         dk2 = (1.0 if self.k == 0 else np.sin(theta) ** 2 / h ** 2 if self.k == 1
                else (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4)

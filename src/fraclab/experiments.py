@@ -10,7 +10,6 @@ kernel-aligned shifts of the jump points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverg
 from .profiles import _window_solve
 
 __all__ = [
-    "SweepPoint",
     "regime_sweep",
     "delta_rule",
     "build_recovery",
@@ -57,14 +55,6 @@ def fit_loglog_slope(xs, ys) -> float:
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit needs positive data")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    eps: float
-    delta: float
-    min_energy: float
-    result: MinimizeResult
 
 
 def _check_sweep_eps(target: BVTarget, eps_list, T_profile: float) -> list[float]:
@@ -118,8 +108,10 @@ def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float,
 def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
                  *, k: int, s: float, well: DoubleWell, n_cells: int,
                  T_profile: float = 4.0, window_factor: float = 2.0,
-                 lam: float = 1.0, opts: MinimizeOptions = MinimizeOptions()) -> list[SweepPoint]:
-    """Minimize the eps/delta energy on (0, 1) for each eps in the sweep.
+                 lam: float = 1.0,
+                 opts: MinimizeOptions = MinimizeOptions()) -> list[MinimizeResult]:
+    """Minimize the eps/delta energy on (0, 1) for each eps in the sweep;
+    one result per eps, in ``eps_list`` order.
 
     Profiles are clamped to the target outside windows of half-width
     ``min(tau/2, window_factor * eps * T_profile)`` around each jump, where
@@ -130,10 +122,10 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     Each solve runs on the span of the windows and ``_REACH[k]`` clamped
     nodes on each side (one for k = 0; ``DiscreteEnergy.block``): the rest
     of the (0, 1) grid is pinned, and its pairs enter as the block's
-    exterior term, so ``min_energy`` is the full-grid energy, minimized on
-    the block.  Each solve is preconditioned with the energy's spectral
-    preconditioner, whose modes shorter than the kernel period see the
-    kernel's local diagonal for k = 0 and 1
+    exterior term, so each result's energy is the full-grid energy,
+    minimized on the block.  Each solve is preconditioned with the energy's
+    spectral preconditioner, whose modes shorter than the kernel period see
+    the kernel's local diagonal for k = 0 and 1
     (``DiscreteEnergy.preconditioner``); a solve that stops short of
     ``grad_tol`` emits a RuntimeWarning.  Where delta falls below 2h (the
     supercritical rule at n_cells = 2000 does so from eps = 2^-5 on), the
@@ -147,7 +139,7 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     eps_list, widths = _check_sweep_geometry(target, eps_list, T_profile, window_factor, x)
 
     target_vals = target.value_at(x)
-    points = []
+    results = []
     for eps, w in zip(eps_list, widths):
         delta = delta_rule(rule, eps, lam)
         windows = _windows(target, w, x)
@@ -172,8 +164,8 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
         model = DiscreteEnergy(grid, EnergyParams(k, s, eps, delta), well, kernel)
         res = _window_solve(model, init, windows.any(axis=0), opts, minimize)
         _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
-        points.append(SweepPoint(eps=eps, delta=delta, min_energy=res.energy, result=res))
-    return points
+        results.append(res)
+    return results
 
 
 def _jump_shift(t_j: float, delta: float, mode: str, diag_shift: float) -> float:

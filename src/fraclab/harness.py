@@ -362,21 +362,23 @@ def _run_profile(cfg: ExperimentConfig, workers: int) -> list[dict]:
 
 def _run_curve(cfg: ExperimentConfig, workers: int) -> list[dict]:
     tp, T_list = _transition_problem(cfg), cfg.raw["T_list"]
-    points = transition_energy_curve(tp, T_list, cfg.opt_options(), workers=workers)
-    return [_solve_record(tp_T, p.result) for tp_T, p in zip(_curve_problems(tp, T_list), points)]
+    results = transition_energy_curve(tp, T_list, cfg.opt_options(), workers=workers)
+    return [_solve_record(tp_T, res) for tp_T, res in zip(_curve_problems(tp, T_list), results)]
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int) -> list[dict]:
     raw = cfg.raw
     target = make_bv_target(raw["jumps"])
     predicted = _predicted(cfg, target, _RULE_MODE[raw["rule"]])
-    points = regime_sweep(
-        cfg.kernel, target, raw["rule"], raw["eps_list"], k=cfg.k, s=cfg.s, well=cfg.well,
+    rule, eps_list, lam = raw["rule"], raw["eps_list"], raw["lam"]
+    results = regime_sweep(
+        cfg.kernel, target, rule, eps_list, k=cfg.k, s=cfg.s, well=cfg.well,
         n_cells=raw["n_cells"], T_profile=raw["T_profile"],
-        window_factor=raw["window_factor"], lam=raw["lam"], opts=cfg.opt_options(),
+        window_factor=raw["window_factor"], lam=lam, opts=cfg.opt_options(),
     )
-    return [{"eps": p.eps, "delta": p.delta, "ratio": p.delta / p.eps,
-             "min_energy": p.min_energy, "predicted": predicted} for p in points]
+    deltas = [delta_rule(rule, eps, lam) for eps in eps_list]
+    return [{"eps": eps, "delta": delta, "ratio": delta / eps, "min_energy": res.energy,
+             "predicted": predicted} for eps, delta, res in zip(eps_list, deltas, results)]
 
 
 def _run_recovery(cfg: ExperimentConfig, workers: int) -> list[dict]:

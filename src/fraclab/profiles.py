@@ -29,7 +29,6 @@ from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverg
 
 __all__ = [
     "TransitionProblem",
-    "TransitionCurvePoint",
     "transition_energy",
     "transition_energy_curve",
     "predicted_limit",
@@ -157,13 +156,6 @@ def _at_length(tp: TransitionProblem, T: float) -> TransitionProblem:
     return replace(tp, T=T, n_cells=max(int(round(tp.n_cells * T / tp.T)), 8))
 
 
-@dataclass(frozen=True)
-class TransitionCurvePoint:
-    T: float
-    m_hat: float
-    result: MinimizeResult
-
-
 def _curve_problems(tp: TransitionProblem, T_list) -> list[TransitionProblem]:
     """The template at each T of ``T_list``, which must strictly ascend."""
     T_list = [float(T) for T in T_list]
@@ -173,8 +165,10 @@ def _curve_problems(tp: TransitionProblem, T_list) -> list[TransitionProblem]:
 
 
 def transition_energy_curve(tp: TransitionProblem, T_list,
-                            opts: MinimizeOptions = MinimizeOptions(), workers: int = 1):
-    """m-hat as a function of the clamp half-length T.
+                            opts: MinimizeOptions = MinimizeOptions(),
+                            workers: int = 1) -> list[MinimizeResult]:
+    """m-hat as a function of the clamp half-length T: one
+    ``transition_energy`` result per T, in ``T_list`` order.
 
     Each T keeps the template's grid spacing (n_cells scales with T), solved
     on up to ``workers`` threads.
@@ -183,8 +177,7 @@ def transition_energy_curve(tp: TransitionProblem, T_list,
     from concurrent.futures import ThreadPoolExecutor
     problems = _curve_problems(tp, T_list)
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        results = list(pool.map(lambda p: transition_energy(p, opts), problems))
-    return [TransitionCurvePoint(p.T, res.energy, res) for p, res in zip(problems, results)]
+        return list(pool.map(lambda p: transition_energy(p, opts), problems))
 
 
 def predicted_limit(kernel: KernelSpec, mode: str, k: int, s: float,

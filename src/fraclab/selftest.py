@@ -47,10 +47,10 @@ def _selftest_checks():
     # monotone T-curve, homogeneous kernel, small N
     tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
                            T=2.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
-    pts = transition_energy_curve(tp, [2.0, 4.0], MinimizeOptions(grad_tol=1e-5))
-    mono = pts[1].m_hat <= pts[0].m_hat + 1e-6
-    checks.append(("T-monotonicity", mono,
-                   f"m({pts[0].T})={pts[0].m_hat:.6f} m({pts[1].T})={pts[1].m_hat:.6f}"))
+    T_list = [2.0, 4.0]
+    m = [r.energy for r in transition_energy_curve(tp, T_list, MinimizeOptions(grad_tol=1e-5))]
+    checks.append(("T-monotonicity", m[1] <= m[0] + 1e-6,
+                   f"m({T_list[0]})={m[0]:.6f} m({T_list[1]})={m[1]:.6f}"))
 
     # jump-direction symmetry for a tilted well, by the reflection x -> -x
     tp_sym = TransitionProblem(kernel=kern, mode="lambda", lam=1.0, omega=1, T=2.0,

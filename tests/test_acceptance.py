@@ -125,19 +125,19 @@ def t_curves():
                             omega=1, T=4.0, n_cells=768,
                             well=WELL0, k=0, s=0.75)
     osc = replace(hom, kernel=COSSUM, mode="lambda", lam=1.0)
-    pts_hom = transition_energy_curve(hom, T_list, opts)
-    pts_osc = transition_energy_curve(osc, T_list, opts)
-    return pts_hom, pts_osc, time.monotonic() - t0
+    hom_results = transition_energy_curve(hom, T_list, opts)
+    osc_results = transition_energy_curve(osc, T_list, opts)
+    return T_list, hom_results, osc_results, time.monotonic() - t0
 
 
 def test_criterion_03_T_monotonicity(t_curves):
     """m(a, T) non-increasing over T in {2, 4, 8, 16}, slack 1e-6, for the
     homogeneous and cos_sum(2.5, 1) kernels, under five minutes."""
-    pts_hom, pts_osc, elapsed = t_curves
+    _, hom_results, osc_results, elapsed = t_curves
     ok = elapsed < 300.0
     details = []
-    for name, pts in zip(("homogeneous", "cos_sum(2.5,1)"), (pts_hom, pts_osc)):
-        vals = [p.m_hat for p in pts]
+    for name, results in zip(("homogeneous", "cos_sum(2.5,1)"), (hom_results, osc_results)):
+        vals = [r.energy for r in results]
         mono = all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
         ok &= mono
         details.append(f"{name}: " + " >= ".join(f"{v:.6f}" for v in vals))
@@ -146,14 +146,14 @@ def test_criterion_03_T_monotonicity(t_curves):
 
 def test_criterion_04_positivity_and_sandwich(t_curves):
     """Every m-hat > 0; min(alpha_a,1) m(1,T) <= m(a,T) <= max(beta_a,1) m(1,T)."""
-    pts_hom, pts_osc, _ = t_curves
-    ok = all(p.m_hat > 0 for p in pts_hom + pts_osc)
+    T_list, hom_results, osc_results, _ = t_curves
+    ok = all(r.energy > 0 for r in hom_results + osc_results)
     details = []
-    for ph, po in zip(pts_hom, pts_osc):
-        lo = min(COSSUM.alpha_a, 1.0) * ph.m_hat - 1e-6
-        hi = max(COSSUM.beta_a, 1.0) * ph.m_hat + 1e-6
-        ok &= lo <= po.m_hat <= hi
-        details.append(f"T={ph.T:g}: {lo:.4f} <= {po.m_hat:.4f} <= {hi:.4f}")
+    for T, rh, ro in zip(T_list, hom_results, osc_results):
+        lo = min(COSSUM.alpha_a, 1.0) * rh.energy - 1e-6
+        hi = max(COSSUM.beta_a, 1.0) * rh.energy + 1e-6
+        ok &= lo <= ro.energy <= hi
+        details.append(f"T={T:g}: {lo:.4f} <= {ro.energy:.4f} <= {hi:.4f}")
     assert report(4, ok, "; ".join(details))
 
 
@@ -217,15 +217,15 @@ def test_criterion_07_regime_convergence_critical():
     opts = MinimizeOptions(grad_tol=1e-5)
     target = make_bv_target([(0.5, +1)])
     eps_list = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
-    pts = regime_sweep(KernelSpec.constant(1.0), target, "critical", eps_list,
-                       k=k, s=s, well=WELL0, n_cells=2048, T_profile=1.0,
-                       window_factor=8.0, lam=1.0, opts=opts)
+    results = regime_sweep(KernelSpec.constant(1.0), target, "critical", eps_list,
+                           k=k, s=s, well=WELL0, n_cells=2048, T_profile=1.0,
+                           window_factor=8.0, lam=1.0, opts=opts)
     # reference at the resolution of the smallest eps: h_xi = (1/2048)/2^-6 = 1/32
     ref_tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
                                omega=1, T=16.0, n_cells=3072,
                                well=WELL0, k=k, s=s)
     m_ref = transition_energy(ref_tp, opts).energy
-    gaps = [abs(p.min_energy - m_ref) / m_ref for p in pts]
+    gaps = [abs(r.energy - m_ref) / m_ref for r in results]
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
     elapsed = time.monotonic() - t0
     ok = gaps[-1] <= 0.05 and decreasing and elapsed < 300.0
@@ -292,16 +292,16 @@ def test_criterion_08_regime_separation():
     common = dict(k=k, s=s, well=WELL0, n_cells=2000, T_profile=4.0,
                   window_factor=4.0, opts=opts)
 
-    sub_pts = regime_sweep(COSSUM, target, "subcritical", eps_list, **common)
-    sup_pts = regime_sweep(COSSUM, target, "supercritical", eps_list, **common)
+    sub_results = regime_sweep(COSSUM, target, "subcritical", eps_list, **common)
+    sup_results = regime_sweep(COSSUM, target, "supercritical", eps_list, **common)
 
     def effective(c):  # a constant kernel: the rule's delta drops out
-        return [p.min_energy for p in regime_sweep(
+        return [r.energy for r in regime_sweep(
             KernelSpec.constant(c), target, "supercritical", eps_list, **common)]
 
     e_inf, e_bar = effective(COSSUM.a_inf), effective(COSSUM.a_bar)
-    sub = [p.min_energy for p in sub_pts]
-    sup = [p.min_energy for p in sup_pts]
+    sub = [r.energy for r in sub_results]
+    sup = [r.energy for r in sup_results]
 
     target_ratio = (COSSUM.a_inf / COSSUM.a_bar) ** scaling_exponent(k, s)
     limit_factor = e_inf[-1] / e_bar[-1]
@@ -313,7 +313,7 @@ def test_criterion_08_regime_separation():
     sub_ok = all(b < a for a, b in zip(sub_excess, sub_excess[1:]))
     ordering = all(a < b for a, b in zip(sub, sup))
     raw = sub[-1] / sup[-1]
-    unconverged = sum(not p.result.converged for p in sub_pts + sup_pts)
+    unconverged = sum(not r.converged for r in sub_results + sup_results)
     ok = limit_ok and super_ok and sub_ok and ordering
     report(8, ok,
            f"raw sub/super={raw:.4f} vs {target_ratio:.4f}"
@@ -324,7 +324,7 @@ def test_criterion_08_regime_separation():
            " super/E[a_bar]-1 " + ", ".join(f"{d:+.4f}" for d in super_dev) +
            " within 0.02; sub excess " + ", ".join(f"{e:.3f}" for e in sub_excess) +
            f" decreasing={sub_ok}; ordering sub<super={ordering};"
-           f" unconverged cos_sum solves {unconverged}/{len(sub_pts + sup_pts)}")
+           f" unconverged cos_sum solves {unconverged}/{len(sub_results + sup_results)}")
     assert ok, (
         "regime separation broken: limit factor E[a_inf]/E[a_bar] ="
         f" {limit_factor:.4f} vs {target_ratio:.4f} +- 10% ({limit_ok});"
@@ -358,7 +358,7 @@ def test_regime_separation_k1_raw_ratio_in_band():
                   window_factor=16.0, opts=MinimizeOptions(grad_tol=1e-6))
 
     def energies(kernel, rule):
-        return [p.min_energy for p in regime_sweep(kernel, target, rule, eps_list, **common)]
+        return [r.energy for r in regime_sweep(kernel, target, rule, eps_list, **common)]
 
     sub, sup = energies(COSSUM, "subcritical"), energies(COSSUM, "supercritical")
     # a constant kernel: the rule's delta drops out

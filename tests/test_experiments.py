@@ -204,19 +204,18 @@ def test_tail_decay_probe_diffs_positive_and_validates():
 def test_regime_sweep_basic_properties():
     kern = KernelSpec.constant(1.0)
     target = make_bv_target([(0.5, +1)])
-    pts = regime_sweep(kern, target, "critical", [2.0 ** -5, 2.0 ** -6],
-                       k=0, s=0.75, well=WELL, n_cells=512, T_profile=1.0,
-                       window_factor=4.0, opts=OPTS)
-    assert all(p.min_energy >= 0 for p in pts)
-    assert pts[0].eps > pts[1].eps
-    assert pts[0].delta == pts[0].eps  # lambda = 1 critical rule
+    eps_list = [2.0 ** -5, 2.0 ** -6]
+    results = regime_sweep(kern, target, "critical", eps_list,
+                           k=0, s=0.75, well=WELL, n_cells=512, T_profile=1.0,
+                           window_factor=4.0, opts=OPTS)
+    assert all(r.energy >= 0 for r in results)
     # clamped outside the window
     x = make_grid(0.0, 1.0, 512).nodes()
-    for p in pts:
-        w = min(0.125, 4.0 * p.eps)
+    for eps, r in zip(eps_list, results):
+        w = min(0.125, 4.0 * eps)
         outside = np.abs(x - 0.5) >= w
         np.testing.assert_array_equal(
-            p.result.profile.values[outside], np.where(x[outside] >= 0.5, 1.0, -1.0))
+            r.profile.values[outside], np.where(x[outside] >= 0.5, 1.0, -1.0))
 
 
 SUB_OPTS = MinimizeOptions(grad_tol=1e-6)
@@ -246,10 +245,10 @@ def test_subcritical_sweep_solves_once_from_the_diagonal_minimum(monkeypatch):
 
 def test_subcritical_sweep_leaves_the_centred_basin():
     # from a ramp centred at the jump, descent stops at 22.16 here
-    pts = regime_sweep(KernelSpec.cos_sum(2.5, 1.0), make_bv_target([(0.5, +1)]),
-                       "subcritical", [2.0 ** -8], k=0, s=0.75, well=WELL, n_cells=4000,
-                       T_profile=4.0, window_factor=16.0, opts=SUB_OPTS)
-    assert pts[0].min_energy < 18.5
+    results = regime_sweep(KernelSpec.cos_sum(2.5, 1.0), make_bv_target([(0.5, +1)]),
+                           "subcritical", [2.0 ** -8], k=0, s=0.75, well=WELL, n_cells=4000,
+                           T_profile=4.0, window_factor=16.0, opts=SUB_OPTS)
+    assert results[0].energy < 18.5
 
 
 # The subcritical k = 0, s = 0.75 sweep at window_factor 16 and h/eps = 0.064,
@@ -274,29 +273,30 @@ def _subcritical_point(e):
 @pytest.mark.parametrize("e", [9, 11])
 def test_subcritical_window_solve_matches_the_full_grid(e):
     n_cells, energy, iterations = FULL_GRID_SWEEP[e]
-    p = _subcritical_point(e)
-    assert p.min_energy == pytest.approx(energy, rel=1e-10, abs=0.0)
-    assert p.result.iterations == iterations
-    assert p.result.profile.grid.n_nodes == n_cells + 1
+    r = _subcritical_point(e)
+    assert r.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+    assert r.iterations == iterations
+    assert r.profile.grid.n_nodes == n_cells + 1
 
 
 def test_subcritical_point_at_2_to_the_minus_13_under_5_seconds():
     t0 = time.perf_counter()
-    p = _subcritical_point(13)
+    r = _subcritical_point(13)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    assert p.result.converged
-    assert p.min_energy == pytest.approx(FULL_GRID_SWEEP[13][1], rel=1e-9, abs=0.0)
+    assert r.converged
+    assert r.energy == pytest.approx(FULL_GRID_SWEEP[13][1], rel=1e-9, abs=0.0)
 
 
 def test_unconverged_sweep_solve_warns():
     target = make_bv_target([(0.5, +1)])
     with pytest.warns(RuntimeWarning, match=r"critical sweep solve at eps=0.03125 stopped on"
                                             r" max_iters with gradient norm"):
-        pts = regime_sweep(KernelSpec.cos_sum(2.5, 1.0), target, "critical", [2.0 ** -5],
-                           k=0, s=0.75, well=WELL, n_cells=512, T_profile=1.0,
-                           window_factor=4.0, opts=MinimizeOptions(grad_tol=1e-7, max_iters=3))
-    assert pts[0].result.stop_reason == "max_iters"
+        results = regime_sweep(KernelSpec.cos_sum(2.5, 1.0), target, "critical", [2.0 ** -5],
+                               k=0, s=0.75, well=WELL, n_cells=512, T_profile=1.0,
+                               window_factor=4.0,
+                               opts=MinimizeOptions(grad_tol=1e-7, max_iters=3))
+    assert results[0].stop_reason == "max_iters"
 
 
 def test_regime_sweep_rejects_wide_eps():

@@ -17,6 +17,7 @@ import fraclab.cli as cli
 import fraclab.harness as harness
 import fraclab.selftest
 from fraclab.cli import main
+from fraclab.experiments import delta_rule
 from fraclab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -184,9 +185,14 @@ def test_run_sweep_experiment_schema(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "eps,delta,ratio,min_energy,predicted,rel_gap"
     assert len(lines) == 3
-    for line in lines[1:]:
-        vals = [float(v) for v in line.split(",")]
-        assert vals[3] >= 0.0
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    # one row per eps, in eps_list order, with the rule's delta (lam = 1
+    # critical: delta = eps); 17 significant digits round-trip bit for bit
+    assert [row[0] for row in rows] == cfg_raw["eps_list"]
+    for eps, delta, ratio, min_energy, *_ in rows:
+        assert delta == delta_rule("critical", eps, 1.0)
+        assert ratio == delta / eps
+        assert min_energy >= 0.0
 
 
 def test_critical_sweep_skips_homogeneous_reference(tmp_path, monkeypatch):
@@ -230,6 +236,22 @@ def test_cli_io_error_exit_code(tmp_path):
     assert res.exit_code == EXIT_IO
 
 
+def test_cli_unreadable_config_exits_config(tmp_path):
+    res = run_cli(["profile", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "cannot read" in res.output
+
+
+def test_cli_out_naming_a_directory_exits_io_and_leaves_no_temp_file(tmp_path):
+    cfg = write_config(tmp_path, "p.json", PROFILE_CFG)
+    (tmp_path / "out").mkdir()
+    res = run_cli(["profile", str(cfg), "--out", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_IO, res.output
+    # the atomic writer's temp file sits beside the target until the failed rename
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "p.json"]
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     def failing(tp, opts):
         raise NumericalFailure("energy is not finite")
@@ -246,17 +268,19 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.5)])
 def test_cli_huge_grid_spacing_fails_without_a_traceback(tmp_path, k, s):
-    # the preconditioner's symbol once took h ** 2 and h ** 4 for every order,
-    # and a float power that overflows raises: a traceback and exit 1. Its
-    # overflow now warns, which the suite turns into an error, so the command
-    # runs in a process of its own
+    # h = 6.25e198: h ** 2 (and h ** 4 at k = 2) overflow in the set-up, whose
+    # RuntimeWarnings ended the run in a traceback under -W error, as CI runs
+    # the CLI; the spacing is now a config error, found before any solve
     cfg = write_config(tmp_path, "huge.json", dict(PROFILE_CFG, T=1e200, n_cells=96, k=k, s=s))
     out = tmp_path / "x.csv"
     src = str(Path(harness.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "fraclab.cli", "profile", str(cfg), "--out",
-                           str(out)], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode in (EXIT_CONFIG, EXIT_NUMERICAL), done.stderr
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "fraclab.cli", "profile",
+                           str(cfg), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert f"grid spacing h = 6.25e+198 overflows h^{max(2, 2 * k)}" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not out.exists()
 
 
@@ -395,6 +419,8 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(SWEEP_MIN, T_profile=0.5),
     dict(PROFILE_CFG, T=10 ** 400),  # float() overflows: once a traceback, exit 1
     dict(PROFILE_CFG, n_cells=10 ** 400),
+    # h = 6e199 at T = 1e200: its square overflows in the set-up
+    dict(CURVE_CFG, T=1e200, T_list=[1e199, 1e200]),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
         "jump-sign-fraction", "profile-one-cell",
@@ -403,7 +429,7 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
         "sweep-one-window-empty", "grad_tol-string", "grad_tol-negative", "grad_tol-nan",
         "max_iters-negative", "recovery-no-jump", "kernel-constant-extra-key",
         "kernel-cos_sum-extra-key", "sweep-T_profile-below-1", "T-overflow",
-        "n_cells-overflow"])
+        "n_cells-overflow", "curve-huge-spacing"])
 def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     def unused(tp, opts):
         raise AssertionError("a bad config must be rejected before any solve")
@@ -565,10 +591,13 @@ def test_recovery_bad_lam_is_listed_once(tmp_path):
     (dict(SWEEP_MIN, T_profile=-1), "T_profile: T_profile must be finite and at least 1"),
     # once reported by the transition problem as a NaN it cannot convert to an integer
     (dict(CURVE_CFG, T_list=[2.0, float("nan")]), "T_list: each T must be finite and at least 1"),
+    (dict(CURVE_CFG, T_list=[2.0]), "curve needs T_list with at least two ascending values"),
+    (dict(PROFILE_CFG, command="bogus"), "command must be one of"),
+    ([PROFILE_CFG], "top-level JSON value must be an object"),
 ], ids=["T", "chi", "grad_tol", "s", "n_cells", "kernel-c0", "T_list-entry", "T_list-string",
         "eps", "T_profile", "eps_list-entry", "jump-location", "omega-boolean", "mode-boolean",
         "rule-boolean", "jump-sign-boolean", "delta-boolean", "kernel-variant-boolean",
-        "T_profile-negative", "T_list-nan"])
+        "T_profile-negative", "T_list-nan", "T_list-one", "command", "non-object"])
 def test_a_mistyped_field_is_one_violation(tmp_path, raw, violation):
     # float() once read a number given as a string, so "T": "2" ran at T = 2
     # and exited 0, and "s": "0.75" failed with a comparison error of the

@@ -135,6 +135,23 @@ def test_minimize_raises_numerical_failure_on_nan():
         minimize(energy, grad, init, np.ones(5, dtype=bool), precondition=identity)
 
 
+def test_minimize_raises_numerical_failure_on_nan_gradient():
+    g = make_grid(0.0, 1.0, 4)
+
+    def energy(u):
+        return float(np.sum(u * u))
+
+    def grad(u):  # NaN once the first step has left the initial profile
+        return np.full_like(u, np.nan) if np.max(u) < 1.0 else 2.0 * u
+
+    init = GridProfile(g, np.full(5, 1.0))
+    with pytest.raises(NumericalFailure, match="non-finite gradient encountered") as err:
+        minimize(energy, grad, init, np.ones(5, dtype=bool), precondition=identity)
+    last = err.value.last_profile
+    assert last.grid == g and np.max(last.values) < 1.0
+    assert err.value.last_energy == energy(last.values)
+
+
 def test_minimize_rejects_a_bad_free_mask():
     g = make_grid(0.0, 1.0, 4)
     energy, grad = quadratic_target(0.0)

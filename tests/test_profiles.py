@@ -83,8 +83,8 @@ def test_argmin_invariance_under_kernel_scaling():
 
 def test_curve_monotone_and_flag():
     tp = small_problem(n_cells=160)
-    pts = transition_energy_curve(tp, [2.0, 4.0], OPTS)
-    assert pts[1].m_hat <= pts[0].m_hat + 1e-6
+    results = transition_energy_curve(tp, [2.0, 4.0], OPTS)
+    assert results[1].energy <= results[0].energy + 1e-6
     with pytest.raises(ValueError):
         transition_energy_curve(tp, [4.0, 2.0], OPTS)
 
