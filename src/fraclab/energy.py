@@ -325,17 +325,24 @@ class _PairForm:
         return max(2.0 * float(self.row @ (gc * gc) - quad), 0.0)
 
 
-def _dst1(x: np.ndarray, ext: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized DST-I, y_l = sum_n x_n sin(pi (n+1) (l+1) / (m+1)), as the
-    imaginary part of an rfft of the odd extension [0, x, 0, -reversed(x)],
-    built in ``ext`` (length 2 (m+1), zero at 0 and m+1) if given.  Applied
-    twice it multiplies by (m+1)/2."""
-    m = x.size
-    if ext is None:
-        ext = np.zeros(2 * (m + 1))
-    ext[1:m + 1] = x
-    np.negative(x[::-1], out=ext[m + 2:])
-    return -0.5 * np.fft.rfft(ext)[1:m + 1].imag
+def _sine_solve(scales: np.ndarray, weights: np.ndarray):
+    """r -> sum_j S_j V diag(w_j) V^T S_j r for the rows S_j of ``scales`` and
+    w_j of ``weights`` (modes l = 1..m), V the orthonormal sine modes of m
+    nodes: one batched rfft and irfft of length 2(m+1) on odd extensions."""
+    rows, m = weights.shape
+    coef = np.zeros((rows, m + 2))  # modes 0 and m+1 vanish
+    coef[:, 1:m + 1] = weights
+    ext, spec = np.zeros((rows, 2 * (m + 1))), np.zeros((rows, m + 2), dtype=complex)
+
+    def solve(r):
+        np.multiply(scales, r, out=ext[:, 1:m + 1])
+        np.negative(ext[:, m:0:-1], out=ext[:, m + 2:])
+        np.multiply(np.fft.rfft(ext).imag, coef, out=spec.imag)
+        y = np.fft.irfft(spec, ext.shape[1])[:, 1:m + 1]
+        y *= scales
+        return y.sum(axis=0)
+
+    return solve
 
 
 def _cross_tail_constant(kspec: KernelSpec, s: float, T_out: float) -> float:
@@ -372,7 +379,7 @@ class DiscreteEnergy:
     So an instance holds per-point state and must not be shared across threads
     (the curve's thread pool builds one per T).  ``preconditioner`` returns the
     inverse of the energy's mean-kernel Hessian at a pure phase, applied by
-    fast sine transforms on the free nodes; for k = 0 and 1 with a varying
+    one rfft and one irfft per free block; for k = 0 and 1 with a varying
     kernel, modes shorter than the kernel period see its local diagonal
     instead (the two-scale rule).
 
@@ -380,17 +387,16 @@ class DiscreteEnergy:
     scale delta and the coefficients 1/eps and eps^{2(k+s)-1}, both 1 in the
     rescaled form (eps = 1); ``kspec`` is the kernel a.  The exterior term
     on g = D_k u, sum_i (R_i g_i - 2 B_i) g_i + c0, has gradient 2 (R g - B)
-    in g; it is held as (R, B, c0), with B = None for k >= 1, where B is
-    zero.  Without ``tail_signs``, R and c0 are zero, and so is B for
-    k = 0.  ``tail_signs`` = (left, right) fills it with the
-    ordered-pair interactions with the +-1 exterior beyond a grid on
-    (-T_out, T_out): R = c_+ + c_- with c_+-,i = 2 h rho(x_i)
-    (T_out -+ x_i)^{-2s} / (2s) off the end nodes; for k = 0 (s > 1/2),
-    B = c_+ right + c_- left and c0 = sum(R), plus the cross-tail constant
-    if the signs differ; for k >= 1, c0 = 0.  Difference stencils act in
-    exactly representable units and h^-k is applied after the stencil, so
-    pure phases +-1 have exactly zero energy and gradient for every k and
-    grid.
+    in g; it is held as (R, B, c0), arrays R and B for every k.  Without
+    ``tail_signs``, R, B and c0 are zero.  ``tail_signs`` = (left, right)
+    fills it with the ordered-pair interactions with the +-1 exterior
+    beyond a grid on (-T_out, T_out): R = c_+ + c_- with c_+-,i = 2 h
+    rho(x_i) (T_out -+ x_i)^{-2s} / (2s) off the end nodes; for k = 0
+    (s > 1/2), B = c_+ right + c_- left and c0 = sum(R), plus the
+    cross-tail constant if the signs differ; for k >= 1, B and c0 stay 0.
+    Difference stencils act in exactly representable units and h^-k is
+    applied after the stencil, so pure phases +-1 have exactly zero energy
+    and gradient for every k and grid.
     """
 
     def __init__(self, grid: UniformGrid, params: EnergyParams, well: DoubleWell,
@@ -410,7 +416,7 @@ class DiscreteEnergy:
         self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
         self._last = (None,)  # u (a private copy), q = 1 - u^2, g = D_k u, gc, product(gc)
 
-        self._exterior = (np.zeros(x.size), None if k else np.zeros(x.size), 0.0)  # (R, B, c0)
+        self._exterior = (np.zeros(x.size), np.zeros(x.size), 0.0)  # (R, B, c0)
         if tail_signs is not None:
             T_out = grid.x_hi
             if grid.x_lo != -T_out:
@@ -425,7 +431,7 @@ class DiscreteEnergy:
             c_left[1:-1] = 2.0 * grid.h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
             sl, sr = tail_signs
             R = c_right + c_left
-            self._exterior = (R, None, 0.0) if k else (
+            self._exterior = (R, self._exterior[1], 0.0) if k else (
                 R, c_right * sr + c_left * sl,
                 float(R.sum()) + (_cross_tail_constant(kspec, s, T_out) if sl != sr else 0.0))
 
@@ -439,8 +445,6 @@ class DiscreteEnergy:
     def _exterior_energy(self, g: np.ndarray) -> float:
         """The exterior term, before ``nonlocal_coef``; g = k-th difference."""
         R, B, c0 = self._exterior
-        if B is None:  # k >= 1
-            return float((R * g * g).sum()) + c0
         return float(((R * g - 2.0 * B) * g).sum()) + c0
 
     def _point(self, values: np.ndarray) -> None:
@@ -464,8 +468,7 @@ class DiscreteEnergy:
             self._point(values)
         u, q, g, gc, prod = self._last
         inner = 4.0 * (self._form.row * gc - self._form.apply(gc, prod))
-        R, B = self._exterior[:2]
-        inner += 2.0 * (R * g if B is None else R * g - B)
+        inner += 2.0 * (self._exterior[0] * g - self._exterior[1])
         if self.k:
             inner = _stencil_adjoint(inner, self.k)
             inner *= self._h_k
@@ -479,7 +482,7 @@ class DiscreteEnergy:
         The block's exterior term is the pinned rest of the pair sum plus
         this energy's own exterior rows on lo..hi-1.  The pinned rest has
         R = 2 (full row - block row); for k = 0, B = 2 A u_C (u_C: ``values``
-        off the block, 0 on it); for k >= 1, B = 0, which needs D_k
+        off the block, 0 on it); for k >= 1, it adds no B, which needs D_k
         ``values`` to vanish off the block and on its one-sided edge rows
         (equal values on its _REACH[k] end nodes).  c0 is the full energy at
         ``values`` less the block's, so it holds every term the block's
@@ -496,11 +499,11 @@ class DiscreteEnergy:
         out._form = _PairForm(_pair_table(hi - lo, self._h, self.params.s), kspec, x[lo:hi], scale)
         out._trap, out._row, out._last = self._trap[lo:hi], self._row[lo:hi], (None,)
         R, B = self._exterior[:2]
-        R = 2.0 * (self._form.row[lo:hi] - out._form.row) + R[lo:hi]
-        if B is not None:  # k = 0
+        R, B = 2.0 * (self._form.row[lo:hi] - out._form.row) + R[lo:hi], B[lo:hi]
+        if not self.k:
             pinned = np.array(values, dtype=float)
             pinned[lo:hi] = 0.0
-            B = 2.0 * self._form.apply(pinned)[lo:hi] + B[lo:hi]
+            B = 2.0 * self._form.apply(pinned)[lo:hi] + B
         out._exterior = (R, B, 0.0)
         c0 = (self.energy(values) - out.energy(values[lo:hi])) / self.nonlocal_coef
         out._exterior = (R, B, c0)
@@ -517,8 +520,8 @@ class DiscreteEnergy:
         the pair weights, |D_1|^2 = sin^2 theta / h^2, |D_2|^2 = (2 - 2 cos
         theta)^2 / h^4, and 8 = W''(+-1) at chi = 0 (the sine-transform form
         of Chan's circulant preconditioner).  For k = 2, constant kernels and
-        delta < h/2, P^-1 = V diag(1/lambda) V^T, two DST-Is per block; for
-        k = 2 P also carries the block's boundary rows (``_block_solve``).
+        delta < h/2, P^-1 = V diag(1/lambda) V^T, one rfft and irfft per
+        block; for k = 2 P also carries its boundary rows (``_block_solve``).
 
         Otherwise modes shorter than the kernel period see its local
         diagonal rather than its mean (the two-scale rule):
@@ -554,7 +557,8 @@ class DiscreteEnergy:
 
     def _block_solve(self, a: int, b: int, lam: np.ndarray, sigma: np.ndarray):
         """P^-1 on the free block [a, b), from the block's symbol lambda and
-        its kernel part sigma on g (``_symbol``).
+        its kernel part sigma on g (``_symbol``): the two-scale rule, or the
+        mean kernel's V diag(1/lambda) V^T, the rule's k = 0 solve of one row.
 
         For k = 2 the sine basis extends the block oddly about its clamped
         neighbours, where the second difference then vanishes; the energy's
@@ -566,14 +570,9 @@ class DiscreteEnergy:
         kspec, _, delta = self._kernel
         if self.k < 2 and kspec.kind != "constant" and delta >= 0.5 * self._h:
             return self._two_scale_solve(a, b, lam, sigma)
-        ext = np.zeros(2 * (b - a + 1))  # the block's DST-I buffer
-        inverse = 2.0 / ((b - a + 1) * lam)  # the DST-I normalization folded in
-
-        def sine_solve(r):
-            return _dst1(inverse * _dst1(r, ext), ext)
-
+        mean_solve = _sine_solve(np.ones((1, b - a)), 1.0 / lam[None])
         if self.k != 2:
-            return sine_solve
+            return mean_solve
         # a row outside the block reaches fewer than _REACH[2] columns into
         # it: read those rows off the stencil applied to the end columns
         n, m = self.grid.n_nodes, _REACH[2]
@@ -583,26 +582,25 @@ class DiscreteEnergy:
         outside[a:b] = False
         rows = np.flatnonzero(outside & hits.any(axis=0))
         if not rows.size:
-            return sine_solve
+            return mean_solve
         U = np.zeros((b - a, rows.size))
         U[cols - a] = hits[:, rows] * self._h_k
-        z = np.column_stack([sine_solve(col) for col in U.T])
+        z = np.column_stack([mean_solve(col) for col in U.T])
         coef = 4.0 * self.nonlocal_coef * self._row[rows]
         core = np.linalg.inv(np.diag(1.0 / coef) + U.T @ z)
 
         def solve(r):
-            y = sine_solve(r)
+            y = mean_solve(r)
             return y - z @ (core @ (U.T @ y))
 
         return solve
 
     def _two_scale_solve(self, a: int, b: int, lam: np.ndarray, sigma: np.ndarray):
-        """The two-scale P^-1 (``preconditioner``) on the free block [a, b):
-        rffts and irffts of length 2(m+1) on odd (sine) or even (cosine)
-        extensions, their scales folded into the mode weights.  For k = 0 the
-        two parts, of r and S r, share one two-row transform each way; for
-        k = 1 they share the first and last, and the second part takes four
-        more."""
+        """The two-scale P^-1 (``preconditioner``) on the free block [a, b).
+        For k = 0 its two parts are the rows r and S r of one ``_sine_solve``.
+        For k = 1 they share the first and last transform, on odd (sine)
+        extensions, and the second part takes four more, on even (cosine)
+        ones, all of length 2(m+1), their scales folded into the mode weights."""
         kspec, _, delta = self._kernel
         m, k = b - a, self.k
         L = 2 * (m + 1)
@@ -610,27 +608,13 @@ class DiscreteEnergy:
         phi = 1.0 / (1.0 + (theta * delta / (4.0 * np.pi * self._h)) ** 2)
         t = (self.grid.x_lo + self.grid.h * np.arange(a - k, b + k)) / delta
         S = (kspec.eval(t, t) / kspec.a_bar) ** -0.5
-
-        def pad(v):  # mode weights for l = 0..m+1; modes 0 and m+1 vanish
-            return np.r_[0.0, v, 0.0]
-
         if not k:
-            coef = np.stack([pad(phi / lam), pad((1.0 - phi) / lam)])
-            ext, spec = np.zeros((2, L)), np.zeros((2, m + 2), dtype=complex)
-
-            def solve(r):
-                ext[0, 1:m + 1] = r
-                np.multiply(S, r, out=ext[1, 1:m + 1])
-                np.negative(ext[:, m:0:-1], out=ext[:, m + 2:])
-                np.multiply(np.fft.rfft(ext).imag, coef, out=spec.imag)
-                low, high = np.fft.irfft(spec, L)[:, 1:m + 1]
-                return low + S * high
-
-            return solve
+            return _sine_solve(np.stack([np.ones(m), S]), np.stack([phi / lam, (1.0 - phi) / lam]))
         S = np.r_[S, S[-2:0:-1]]  # even extension
-        end = -0.5 * (m + 1) * pad(np.sqrt(sigma / lam))
-        mid = pad(4.0 * (1.0 - phi) / ((m + 1) ** 2 * sigma))
-        low = pad(phi / lam)
+        end, mid, low = np.zeros((3, m + 2))  # mode weights; modes 0 and m+1 vanish
+        end[1:-1] = -0.5 * (m + 1) * np.sqrt(sigma / lam)
+        mid[1:-1] = 4.0 * (1.0 - phi) / ((m + 1) ** 2 * sigma)
+        low[1:-1] = phi / lam
         ext, spec = np.zeros(L), np.zeros(m + 2, dtype=complex)
 
         def solve(r):

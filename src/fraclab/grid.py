@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 SUPPORTED_ORDERS = (0, 1, 2)
+_MAX_NODES = np.iinfo(np.intp).max // 8  # numpy caps an array's bytes at the largest intp
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class UniformGrid:
         n = self.n_cells  # int() of a NaN or an infinity would raise its own error
         if not (isinstance(n, Real) and math.isfinite(n) and int(n) == n and n >= 2):
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells}")
+        if n >= _MAX_NODES:
+            raise ValueError(f"n_cells must be below {_MAX_NODES} (numpy's limit), got {n:.6g}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
 
     @property

@@ -135,6 +135,12 @@ def _reals(value) -> list:
     return [_real(v) for v in value]
 
 
+def _jump(pair) -> tuple:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"each jump must be a [location, sign] pair, got {pair!r}")
+    return _real(pair[0]), _integer(pair[1])
+
+
 # how each numeric key is read: an integral number (768.0 reads as 768), a
 # number, a list of numbers, or [location, sign] pairs
 _NUMERIC_KEYS = {
@@ -142,7 +148,7 @@ _NUMERIC_KEYS = {
     **dict.fromkeys(("chi", "s", "grad_tol", "lam", "T", "T_profile", "window_factor", "eps",
                      "delta"), _real),
     "T_list": _reals, "eps_list": _reals,
-    "jumps": lambda jumps: [(_real(t), _integer(sign)) for t, sign in jumps],
+    "jumps": lambda jumps: [_jump(pair) for pair in jumps],
 }
 
 

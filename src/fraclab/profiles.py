@@ -69,7 +69,9 @@ class TransitionProblem:
         self.effective_kernel()
         grid = make_grid(-self.T_out, self.T_out, self.n_cells)
         _check_nodes(grid, self.k)
-        if not _start(self, grid)[1].any():
+        # a node of (-3T, 3T) lies within 3T/n_cells of 0, inside |x| < T for
+        # n_cells >= 4 (``_start``); at n_cells = 3 the nodes are +-3T and +-T
+        if grid.n_cells == 3:
             raise ValueError(f"no node lies inside |x| < T = {self.T} at n_cells = {self.n_cells}")
 
     @property
@@ -152,8 +154,12 @@ def transition_energy(tp: TransitionProblem,
 
 def _at_length(tp: TransitionProblem, T: float) -> TransitionProblem:
     """The template at clamp half-length T, keeping its grid spacing
-    (n_cells scales with T)."""
-    return replace(tp, T=T, n_cells=max(int(round(tp.n_cells * T / tp.T)), 8))
+    (n_cells scales with T); a fault names T_list, T and the scaled n_cells."""
+    n_cells = tp.n_cells * T / tp.T
+    try:
+        return replace(tp, T=T, n_cells=max(int(round(n_cells)), 8))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"T_list: at T = {T:g}, n_cells scales to {n_cells:.6g}: {exc}") from None
 
 
 def _curve_problems(tp: TransitionProblem, T_list) -> list[TransitionProblem]:

@@ -25,7 +25,7 @@ from fraclab import (
     minimize,
     resample_scaled,
 )
-from fraclab.energy import _PairForm, _cross_tail_constant, _dst1, _pair_table
+from fraclab.energy import _PairForm, _cross_tail_constant, _pair_table
 from fraclab.grid import _REACH
 from probes import kth_difference
 
@@ -703,14 +703,6 @@ def test_transition_solve_independent_of_blas_threads():
     assert e2 == pytest.approx(e1, rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 64, 383])
-def test_dst1_matches_explicit_sine_matrix(m):
-    x = np.random.default_rng(m).standard_normal(m)
-    i = np.arange(1, m + 1)
-    expect = np.sin(np.outer(i, i) * np.pi / (m + 1)) @ x
-    np.testing.assert_allclose(_dst1(x), expect, rtol=0, atol=1e-13 * np.abs(expect).max())
-
-
 def _blocks(free):
     edges = np.flatnonzero(np.diff(np.concatenate(([0], free.astype(int), [0]))))
     return list(zip(edges[::2], edges[1::2]))
@@ -830,8 +822,7 @@ def test_preconditioner_matches_dense_sine_form(case, k):
 def test_preconditioner_keeps_the_mean_kernel_off_the_local_scaling_rule(k, kspec, delta,
                                                                          monkeypatch):
     # constant kernels, k = 2 and kernels finer than half a cell (h = 1/8
-    # here) keep the mean-kernel sine form, on the code path it had before
-    # the two-scale rule existed: that rule is never entered
+    # here) keep the mean-kernel sine form: the two-scale rule is never entered
     def refuse(*args):
         raise AssertionError("the two-scale rule was entered")
 
@@ -840,11 +831,25 @@ def test_preconditioner_keeps_the_mean_kernel_off_the_local_scaling_rule(k, kspe
     got = _as_matrix(model.preconditioner(free), model.grid.n_nodes)
     expect = _dense_inverse_preconditioner(model, kspec, scale, free)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-11 * np.abs(expect).max())
-    if k < 2:  # no boundary rows: exactly the sine solve of the symbol
-        (a, b), r = _blocks(free)[0], np.random.default_rng(k).standard_normal(free.size)
-        lam = model._symbol(b - a)[0]
-        sine = _dst1(2.0 / ((b - a + 1) * lam) * _dst1(r[a:b]))
-        np.testing.assert_array_equal(model.preconditioner(free)(r)[a:b], sine)
+
+
+@pytest.mark.parametrize("k, kspec, transforms", [
+    (0, KernelSpec.constant(2.5), 2), (2, KernelSpec.cos_sum(2.5, 1.0), 2),
+    (0, KernelSpec.cos_sum(2.5, 1.0), 2), (1, KernelSpec.cos_sum(2.5, 1.0), 6),
+], ids=["mean-kernel", "k2-boundary-rows", "rule-k0", "rule-k1"])
+def test_preconditioner_transform_count(k, kspec, transforms, monkeypatch):
+    # rffts and irffts per application of a built P^-1 on one free block:
+    # the mean kernel, with or without the k = 2 boundary rows, and the k = 0
+    # rule take one batched transform each way; the k = 1 rule six
+    model, _, _, free = _transition_case(k, kspec)
+    apply = model.preconditioner(free)
+    calls = []
+    for name in ("rfft", "irfft"):
+        fft = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *args, fft=fft: calls.append(fft) or fft(*args))
+    apply(np.random.default_rng(k).standard_normal(free.size))
+    assert len(calls) == transforms
 
 
 @pytest.mark.parametrize("case, k", PRECONDITIONER_CASES)

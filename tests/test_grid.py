@@ -31,7 +31,8 @@ def test_make_grid_wide():
 
 
 @pytest.mark.parametrize("args", [(1.0, 0.0, 4), (0.0, 0.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 2.5),
-                                  (0.0, 1.0, float("inf")), (0.0, 1.0, float("nan"))])
+                                  (0.0, 1.0, float("inf")), (0.0, 1.0, float("nan")),
+                                  (0.0, 1.0, 1e30)])
 def test_make_grid_rejects(args):
     with pytest.raises(ValueError) as err:
         make_grid(*args)

@@ -18,6 +18,7 @@ import fraclab.harness as harness
 import fraclab.selftest
 from fraclab.cli import main
 from fraclab.experiments import delta_rule
+from fraclab.grid import UniformGrid
 from fraclab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -594,10 +595,23 @@ def test_recovery_bad_lam_is_listed_once(tmp_path):
     (dict(CURVE_CFG, T_list=[2.0]), "curve needs T_list with at least two ascending values"),
     (dict(PROFILE_CFG, command="bogus"), "command must be one of"),
     ([PROFILE_CFG], "top-level JSON value must be an object"),
+    # once Python's unpacking text
+    (dict(SWEEP_MIN, jumps=[[0.5, 1, 3]]),
+     "jumps: each jump must be a [location, sign] pair, got [0.5, 1, 3]"),
+    (dict(SWEEP_MIN, jumps="ab"), "jumps: each jump must be a [location, sign] pair, got 'a'"),
+    # once numpy's "Maximum allowed size exceeded", which named no cell count,
+    # under the transition problem's or eps_list's label
+    (dict(CURVE_CFG, n_cells=768, T=4.0, T_list=[2.0, 1e200]),
+     "transition problem: T_list: at T = 1e+200, n_cells scales to 1.92e+202: n_cells must"
+     " be below"),
+    (dict(SWEEP_MIN, n_cells=1e30), "n_cells: n_cells must be below"),
+    (dict(SWEEP_MIN, reference_n_cells=1e30),
+     "reference problem (T = T_profile, n_cells = reference_n_cells): n_cells must be below"),
 ], ids=["T", "chi", "grad_tol", "s", "n_cells", "kernel-c0", "T_list-entry", "T_list-string",
         "eps", "T_profile", "eps_list-entry", "jump-location", "omega-boolean", "mode-boolean",
         "rule-boolean", "jump-sign-boolean", "delta-boolean", "kernel-variant-boolean",
-        "T_profile-negative", "T_list-nan", "T_list-one", "command", "non-object"])
+        "T_profile-negative", "T_list-nan", "T_list-one", "command", "non-object",
+        "jump-triple", "jumps-string", "T_list-huge", "n_cells-huge", "reference_n_cells-huge"])
 def test_a_mistyped_field_is_one_violation(tmp_path, raw, violation):
     # float() once read a number given as a string, so "T": "2" ran at T = 2
     # and exited 0, and "s": "0.75" failed with a comparison error of the
@@ -607,6 +621,17 @@ def test_a_mistyped_field_is_one_violation(tmp_path, raw, violation):
         load_config(write_config(tmp_path, "bad.json", raw))
     assert len(err.value.violations) == 1
     assert err.value.violations[0].startswith(violation)
+
+
+@pytest.mark.parametrize("raw", [PROFILE_CFG, CURVE_CFG], ids=["profile", "curve"])
+def test_validation_builds_no_node_array(tmp_path, monkeypatch, raw):
+    # the free-node check once built every node of each transition grid, so
+    # a curve's T_list entry of 1e9 failed on a 1.4 TiB allocation
+    def refuse(self):
+        raise AssertionError("validation built a node array")
+
+    monkeypatch.setattr(UniformGrid, "nodes", refuse)
+    assert load_config(write_config(tmp_path, "cfg.json", raw)).command == raw["command"]
 
 
 def test_integral_floats_read_as_integers(tmp_path):

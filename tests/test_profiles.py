@@ -17,6 +17,7 @@ from fraclab import (
     transition_energy,
     transition_energy_curve,
 )
+from fraclab.grid import make_grid
 from fraclab.profiles import _assemble, _start
 
 OPTS = MinimizeOptions(grad_tol=1e-5)
@@ -27,6 +28,19 @@ def small_problem(**kw):
                 T=2.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
     base.update(kw)
     return TransitionProblem(**base)
+
+
+@pytest.mark.parametrize("T", [1.0, 1.7, 4.0, 1e6])
+def test_only_three_cells_leave_no_free_node(T):
+    # TransitionProblem rejects n_cells = 3 alone, without building the grid:
+    # the free mask of the solve's start agrees at every small n_cells
+    tp = small_problem(T=T)
+    for n in range(2, 41):
+        free = _start(tp, make_grid(-tp.T_out, tp.T_out, n))[1]
+        assert free.any() == (n != 3)
+        if n == 3:
+            with pytest.raises(ValueError, match="no node lies inside"):
+                small_problem(T=T, n_cells=n)
 
 
 def test_transition_energy_positive_and_clamped():
