@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -175,19 +176,6 @@ class KernelSpec:
             out = self.c0 + self.c1 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
         return out if out.ndim else float(out)
 
-    def row_mean(self, x, scale: float = 1.0):
-        """One-period mean of y -> a(x/scale, y/scale) at fixed x.
-
-        Used by tail corrections, where the far variable sweeps many kernel
-        periods.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.kind == "cos_sum":
-            out = self.c0 + self.c1 * np.cos(2 * np.pi * x / scale)
-        else:
-            out = np.broadcast_to(float(self.c0), x.shape).copy()
-        return out if out.ndim else float(out)
-
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -271,26 +259,47 @@ class _PairForm:
     A_ij = W_|i-j| a(x_i / scale, x_j / scale), applied without forming A.
 
     W g is the ``_PairTable``'s product, which the form shares with every
-    other form of its (n, h, s); the form adds only its kernel part.  With
-    t = cos(2 pi x / scale), constant: A g = c0 W g;  cos_sum: c0 W g +
-    c1 (t o W g + W (t o g));  cos_prod: c0 W g + c1 t o W (t o g), with one
-    batched FFT over [g, t o g].  So its row A 1 costs cos_sum and cos_prod
-    one product W t and the constant kernel none.  With g' = g - mean(g),
-    the value is 2 g' . (diag(row) - A) g' and its gradient
-    4 (row o g' - A g'), both exactly zero wherever g' is, as on every pure
-    +-1 phase.
+    other form of its (n, h, s); the form adds only its kernel part, the one
+    place where the kernel meets the nodes: t = cos(2 pi x / scale), sampled
+    once (None for the constant kernel; ``block`` slices it), and from t the
+    row A 1 and, where they are read, ``diag`` a(x_i/scale, x_i/scale) and
+    the exterior tail's ``period_mean`` of y -> a(x_i/scale, y/scale).
+    Constant: A g = c0 W g;  cos_sum: c0 W g + c1 (t o W g + W (t o g));
+    cos_prod: c0 W g + c1 t o W (t o g), with one batched FFT over
+    [g, t o g].  So its row A 1 costs cos_sum and cos_prod one product W t
+    and the constant kernel none.  With g' = g - mean(g), the value is
+    2 g' . (diag(row) - A) g' and its gradient 4 (row o g' - A g'), both
+    exactly zero wherever g' is, as on every pure +-1 phase.
     """
 
     def __init__(self, table: _PairTable, kspec: KernelSpec, x: np.ndarray, scale: float):
-        self._table = table
         self._kspec = kspec
+        self._on(table, None if kspec.kind == "constant" else np.cos(2 * np.pi * x / scale))
+
+    def _on(self, table: _PairTable, t: np.ndarray | None) -> None:
+        """Take the ``table`` and samples ``t`` of the nodes; derive the row."""
         c0, c1, w1 = self._kspec.c0, self._kspec.c1, table.ones
-        if self._kspec.kind == "constant":
-            self.row = c0 * w1
-            return
-        t = self._t = np.cos(2 * np.pi * x / scale)
-        wt = table.product(t)
-        self.row = c0 * w1 + c1 * (t * w1 + wt if self._kspec.kind == "cos_sum" else t * wt)
+        self._table, self.t, self.row = table, t, c0 * w1
+        if self._kspec.kind == "cos_sum":
+            self.row = self.row + c1 * (t * w1 + table.product(t))
+        elif t is not None:
+            self.row = self.row + c1 * (t * table.product(t))
+
+    def diag(self) -> np.ndarray:
+        """a(x_i/scale, x_i/scale) on the nodes, from the samples."""
+        t = np.zeros(self.row.size) if self.t is None else self.t
+        return self._kspec.c0 + self._kspec.c1 * (t + t if self._kspec.kind == "cos_sum" else t * t)
+
+    def period_mean(self) -> np.ndarray:
+        """The one-period mean of y -> a(x_i/scale, y/scale) on the nodes."""
+        t = self.t if self._kspec.kind == "cos_sum" else np.zeros(self.row.size)
+        return self._kspec.c0 + self._kspec.c1 * t
+
+    def block(self, lo: int, hi: int, table: _PairTable) -> "_PairForm":
+        """The form on the nodes lo..hi-1, on their ``table`` and a slice of the samples."""
+        out = copy.copy(self)
+        out._on(table, None if self.t is None else self.t[lo:hi])
+        return out
 
     def product(self, g: np.ndarray) -> np.ndarray:
         """The value's FFT product: W g for cos_sum, A g otherwise."""
@@ -299,8 +308,8 @@ class _PairForm:
             return self._table.product(g)
         if self._kspec.kind == "constant":
             return c0 * self._table.product(g)
-        wg, wtg = self._table.product(np.stack([g, self._t * g]))
-        return c0 * wg + c1 * (self._t * wtg)
+        wg, wtg = self._table.product(np.stack([g, self.t * g]))
+        return c0 * wg + c1 * (self.t * wtg)
 
     def apply(self, g: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
         """A @ g; ``prod`` is ``product(g)`` if the caller has it (cos_sum
@@ -309,7 +318,7 @@ class _PairForm:
             prod = self.product(g)
         if self._kspec.kind != "cos_sum":
             return prod
-        t = self._t
+        t = self.t
         return self._kspec.c0 * prod + self._kspec.c1 * (t * prod + self._table.product(t * g))
 
     def value(self, g: np.ndarray) -> float:
@@ -319,7 +328,7 @@ class _PairForm:
     def centred_value(self, gc: np.ndarray, prod: np.ndarray) -> float:
         # cos_sum needs one transform, not two: W symmetric, g . W(t g) = (t g) . W g
         if self._kspec.kind == "cos_sum":
-            quad = self._kspec.c0 * (gc @ prod) + 2.0 * self._kspec.c1 * ((self._t * gc) @ prod)
+            quad = self._kspec.c0 * (gc @ prod) + 2.0 * self._kspec.c1 * ((self.t * gc) @ prod)
         else:
             quad = gc @ prod
         return max(2.0 * float(self.row @ (gc * gc) - quad), 0.0)
@@ -354,11 +363,25 @@ def _cross_tail_constant(kspec: KernelSpec, s: float, T_out: float) -> float:
     return 8.0 * kspec.a_bar * (2.0 * T_out) ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not report them."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return float("inf")
+    return float(pages * size) if pages > 0 and size > 0 else float("inf")
+
+
 def _check_nodes(grid: UniformGrid, k: int) -> None:
     """Raises ValueError unless ``grid`` has the 2k + 3 nodes an order-k energy
-    needs and a spacing h whose powers in the set-up stay finite and nonzero:
+    needs, a spacing h whose powers in the set-up stay finite and nonzero:
     h^2 (the pair weights), h^-k (D_k) and h^2k (|D_k|^2 = O(h^-2k), in the
-    preconditioner)."""
+    preconditioner), and a run that fits in physical memory at 512 bytes per
+    node.  Whole profile, curve, sweep and recovery runs (one worker, every
+    kernel, k = 0 to 2, 2^14 to 2^19 cells) raised the peak resident size
+    by 170 to 510 bytes per node of their largest grid.  The bound is
+    necessary, not sufficient: memory shared with other work, or with the
+    other grids of a curve on several workers, is not counted."""
     if grid.n_nodes < 2 * k + 3:
         raise ValueError(f"grid has {grid.n_nodes} nodes; k={k} needs at least {2 * k + 3}")
     power = max(2, 2 * k)
@@ -366,6 +389,10 @@ def _check_nodes(grid: UniformGrid, k: int) -> None:
     if not grid.h < h_max:
         raise ValueError(f"grid spacing h = {grid.h:.6g} overflows h^{power}; k={k} needs"
                          f" h < {h_max:.6g}")
+    need, memory = 512.0 * grid.n_nodes, _physical_memory()
+    if need > memory:
+        raise ValueError(f"n_cells = {grid.n_cells} needs about {need / 2**30:.3g} GiB to run,"
+                         f" more than the {memory / 2**30:.3g} GiB of physical memory")
 
 
 class DiscreteEnergy:
@@ -391,9 +418,10 @@ class DiscreteEnergy:
     ``tail_signs``, R, B and c0 are zero.  ``tail_signs`` = (left, right)
     fills it with the ordered-pair interactions with the +-1 exterior
     beyond a grid on (-T_out, T_out): R = c_+ + c_- with c_+-,i = 2 h
-    rho(x_i) (T_out -+ x_i)^{-2s} / (2s) off the end nodes; for k = 0
-    (s > 1/2), B = c_+ right + c_- left and c0 = sum(R), plus the
-    cross-tail constant if the signs differ; for k >= 1, B and c0 stay 0.
+    rho_i (T_out -+ x_i)^{-2s} / (2s) off the end nodes, rho the pair
+    operator's ``period_mean``; for k = 0 (s > 1/2), B = c_+ right +
+    c_- left and c0 = sum(R), plus the cross-tail constant if the signs
+    differ; for k >= 1, B and c0 stay 0.
     Difference stencils act in exactly representable units and h^-k is
     applied after the stencil, so pure phases +-1 have exactly zero energy
     and gradient for every k and grid.
@@ -411,7 +439,7 @@ class DiscreteEnergy:
         x = grid.nodes()
         table = _pair_table(grid.n_nodes, grid.h, s)
         self._weights = table.weights  # the preconditioner's; a block keeps the grid's
-        self._kernel = (kspec, x, scale)
+        self.kspec = kspec
         self._form = _PairForm(table, kspec, x, scale)
         self._row = self._form.row  # for P's k = 2 boundary terms; a block keeps the grid's
         self._last = (None,)  # u (a private copy), q = 1 - u^2, g = D_k u, gc, product(gc)
@@ -424,8 +452,7 @@ class DiscreteEnergy:
                                  f" got ({grid.x_lo}, {T_out})")
             if not set(tail_signs) <= {-1, 1}:
                 raise ValueError(f"tail signs must be +-1, got {tail_signs}")
-            xi = x[1:-1]
-            rho = kspec.row_mean(xi, scale)
+            xi, rho = x[1:-1], self._form.period_mean()[1:-1]
             c_right, c_left = np.zeros(x.size), np.zeros(x.size)
             c_right[1:-1] = 2.0 * grid.h * rho * (T_out - xi) ** (-2.0 * s) / (2.0 * s)
             c_left[1:-1] = 2.0 * grid.h * rho * (T_out + xi) ** (-2.0 * s) / (2.0 * s)
@@ -490,13 +517,13 @@ class DiscreteEnergy:
         2 A_ij u_j^2 (i on the block, j off it) and the exterior rows of the
         pinned nodes.  The block keeps the full grid's h, trapezoid weights
         and preconditioner symbol; its pair weights are the prefix of the
-        grid's, under the grid's h (the block grid's own h can differ in its
-        last bits).
+        grid's, and its operator takes the slice lo..hi-1 of this one's
+        kernel samples (``_PairForm.block``).
         """
-        kspec, x, scale = self._kernel
+        x_lo, h = self.grid.x_lo, self._h  # node i at x_lo + h i, as in UniformGrid.nodes
         out = copy.copy(self)
-        out.grid = make_grid(x[lo], x[hi - 1], hi - lo - 1)
-        out._form = _PairForm(_pair_table(hi - lo, self._h, self.params.s), kspec, x[lo:hi], scale)
+        out.grid = make_grid(x_lo + h * lo, x_lo + h * (hi - 1), hi - lo - 1)
+        out._form = self._form.block(lo, hi, _pair_table(hi - lo, h, self.params.s))
         out._trap, out._row, out._last = self._trap[lo:hi], self._row[lo:hi], (None,)
         R, B = self._exterior[:2]
         R, B = 2.0 * (self._form.row[lo:hi] - out._form.row) + R[lo:hi], B[lo:hi]
@@ -530,13 +557,13 @@ class DiscreteEnergy:
                    + V E U^T S U diag((1 - phi)/sigma) U^T S U E V^T,
 
         phi_l = 1/(1 + (xi_l/(2 kappa))^2), xi_l = theta_l/h, kappa =
-        2 pi/delta, and S = (a(x/delta, x/delta)/a_bar)^(-1/2) on the nodes
-        of g = D_k u.  For k = 0, g = u: U = V, sigma = lambda and E = 1.
-        For k = 1, U holds the cosine modes that the central difference maps
-        the sine modes to, on the block and its two clamped neighbours,
-        orthonormal under node weights 1/2 at both ends and 1 between (as
-        U^T S U sums); sigma_l = K_l/|D_1(theta_l)|^2 and E = diag(sigma/
-        lambda)^(1/2).  S = 1 gives back V diag(1/lambda) V^T.
+        2 pi/delta, and S = (diag/a_bar)^(-1/2) on the nodes of g = D_k u,
+        the pair operator's diag = a(x/delta, x/delta).  For k = 0, g = u:
+        U = V, sigma = lambda and E = 1.  For k = 1, U holds the cosine modes
+        that the central difference maps the sine modes to, on the block and
+        its two clamped neighbours, orthonormal under node weights 1/2 at
+        both ends and 1 between (as U^T S U sums); sigma_l = K_l/|D_1(theta_l)|^2
+        and E = diag(sigma/lambda)^(1/2).  S = 1 gives back V diag(1/lambda) V^T.
         Below delta = h/2 the second part would weigh under 1/65 on every
         mode and is left out.  P is symmetric positive definite on the free
         nodes.
@@ -567,8 +594,7 @@ class DiscreteEnergy:
         P as a low-rank update, inverted by the Sherman-Morrison-Woodbury
         formula; without it P^-1 H keeps two eigenvalues growing like N^2.
         """
-        kspec, _, delta = self._kernel
-        if self.k < 2 and kspec.kind != "constant" and delta >= 0.5 * self._h:
+        if self.k < 2 and self._form.t is not None and self.params.delta >= 0.5 * self._h:
             return self._two_scale_solve(a, b, lam, sigma)
         mean_solve = _sine_solve(np.ones((1, b - a)), 1.0 / lam[None])
         if self.k != 2:
@@ -601,13 +627,12 @@ class DiscreteEnergy:
         For k = 1 they share the first and last transform, on odd (sine)
         extensions, and the second part takes four more, on even (cosine)
         ones, all of length 2(m+1), their scales folded into the mode weights."""
-        kspec, _, delta = self._kernel
         m, k = b - a, self.k
         L = 2 * (m + 1)
         theta = np.arange(1, m + 1) * (np.pi / (m + 1))
-        phi = 1.0 / (1.0 + (theta * delta / (4.0 * np.pi * self._h)) ** 2)
-        t = (self.grid.x_lo + self.grid.h * np.arange(a - k, b + k)) / delta
-        S = (kspec.eval(t, t) / kspec.a_bar) ** -0.5
+        phi = 1.0 / (1.0 + (theta * self.params.delta / (4.0 * np.pi * self._h)) ** 2)
+        # a neighbour off the grid (a block at its end) takes the end node's diag
+        S = (self._form.diag().take(np.arange(a - k, b + k), mode="clip") / self.kspec.a_bar) ** -0.5
         if not k:
             return _sine_solve(np.stack([np.ones(m), S]), np.stack([phi / lam, (1.0 - phi) / lam]))
         S = np.r_[S, S[-2:0:-1]]  # even extension
@@ -643,7 +668,7 @@ class DiscreteEnergy:
         # |D_k(theta)|^2, of this order only
         dk2 = (1.0 if self.k == 0 else np.sin(theta) ** 2 / h ** 2 if self.k == 1
                else (2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4)
-        coef = self.nonlocal_coef * 8.0 * self._kernel[0].a_bar
+        coef = self.nonlocal_coef * 8.0 * self.kspec.a_bar
         return coef * (sym * dk2) + 8.0 * h * self.well_coef, coef * sym
 
 

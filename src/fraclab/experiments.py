@@ -9,6 +9,7 @@ kernel-aligned shifts of the jump points.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -73,19 +74,22 @@ def _check_sweep_eps(target: BVTarget, eps_list, T_profile: float) -> list[float
     return eps_list
 
 
-def _windows(target: BVTarget, w: float, x: np.ndarray) -> np.ndarray:
-    """Boolean (jumps, nodes) array: row j marks the nodes of ``x`` in the
-    open window of half-width ``w`` around the target's j-th jump."""
-    jumps = np.array(target.jump_locations)[:, None]
-    return (x > jumps - w) & (x < jumps + w)
+def _spans(target: BVTarget, w: float, grid: UniformGrid) -> list[tuple[int, int]]:
+    """Per jump t, the node span (lo, hi) of ``grid`` strictly inside
+    (t - w, t + w), empty if lo >= hi; found by bisection over node i's
+    coordinate x_lo + h i, computed as ``UniformGrid.nodes`` does (it never
+    decreases with i), so no node array is built."""
+    node, n = (lambda i: grid.x_lo + grid.h * i), range(grid.n_nodes)
+    return [(bisect.bisect_right(n, t - w, key=node), bisect.bisect_left(n, t + w, key=node))
+            for t in target.jump_locations]
 
 
 def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float,
-                          window_factor: float, x: np.ndarray):
+                          window_factor: float, grid: UniformGrid):
     """(eps_list as floats, the clamp windows' half-width at each eps); raises
     ValueError unless eps_list passes ``_check_sweep_eps``, window_factor is
     positive and finite, and at every eps each jump's window holds a node of
-    ``x``.
+    ``grid`` (``_spans``, which builds no node array).
 
     The half-width is min(tau/2, window_factor * eps * T_profile); since the
     jumps lie at least 2 tau from each other and from 0 and 1, the windows
@@ -98,10 +102,11 @@ def _check_sweep_geometry(target: BVTarget, eps_list, T_profile: float,
     tau = jump_half_separation(target)
     widths = [min(0.5 * tau, window_factor * eps * T_profile) for eps in eps_list]
     for eps, w in zip(eps_list, widths):
-        bare = ~_windows(target, w, x).any(axis=1)
-        if bare.any():
+        spans = _spans(target, w, grid)
+        bare = [t for t, (lo, hi) in zip(target.jump_locations, spans) if lo >= hi]
+        if bare:
             raise ValueError(f"no node lies inside the clamp windows at eps={eps} (half-width {w})"
-                             f" around the jumps at {np.array(target.jump_locations)[bare]}")
+                             f" around the jumps at {np.array(bare)}")
     return eps_list, widths
 
 
@@ -135,14 +140,13 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
     if rule not in _REGIME_RULES:
         raise ValueError(f"rule must be one of {_REGIME_RULES}, got {rule!r}")
     grid = make_grid(0.0, 1.0, n_cells)
+    eps_list, widths = _check_sweep_geometry(target, eps_list, T_profile, window_factor, grid)
     x = grid.nodes()
-    eps_list, widths = _check_sweep_geometry(target, eps_list, T_profile, window_factor, x)
 
     target_vals = target.value_at(x)
     results = []
     for eps, w in zip(eps_list, widths):
         delta = delta_rule(rule, eps, lam)
-        windows = _windows(target, w, x)
 
         # descent keeps the transition in the basin it starts from: the
         # subcritical rule starts on the kernel's diagonal minimum where the
@@ -154,15 +158,16 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             if all(abs(c - t) < w - eps * T_profile for c, t in zip(aligned, centers)):
                 centers = aligned
         init = target_vals.copy()
-        for t_j, s_j, sel, ctr in zip(target.jump_locations, target.jump_signs,
-                                      windows, centers):
-            w_ramp = w - abs(ctr - t_j)
+        free = np.zeros(x.size, dtype=bool)
+        for t_j, s_j, (lo, hi), ctr in zip(target.jump_locations, target.jump_signs,
+                                           _spans(target, w, grid), centers):
+            sel, w_ramp = slice(lo, hi), w - abs(ctr - t_j)
             # smooth ramp with flat window edges: kink-free for k >= 1
             q = _smoothstep((x[sel] - ctr + w_ramp) / (2.0 * w_ramp))
-            init[sel] = s_j * (2.0 * q - 1.0)
+            init[sel], free[sel] = s_j * (2.0 * q - 1.0), True
 
         model = DiscreteEnergy(grid, EnergyParams(k, s, eps, delta), well, kernel)
-        res = _window_solve(model, init, windows.any(axis=0), opts, minimize)
+        res = _window_solve(model, init, free, opts, minimize)
         _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
         results.append(res)
     return results

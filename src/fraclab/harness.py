@@ -227,7 +227,7 @@ def _validate(raw: dict) -> ExperimentConfig:
                 target, [_positive(eps, "eps") for eps in raw["eps_list"]], T_profile))
         if not any(v is None for v in (eps_list, grid, factor)):
             _check(violations, "eps_list", lambda: _check_sweep_geometry(
-                target, eps_list, T_profile, factor, grid.nodes()))
+                target, eps_list, T_profile, factor, grid))
 
     if not violations:
         cfg = ExperimentConfig(command=command, kernel=kernel, well=well,

@@ -182,6 +182,15 @@ def test_kernel_rejects_nonpositive():
         KernelSpec.constant(0.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: KernelSpec("bogus", 1.0), "unknown kernel kind 'bogus'"),
+    (lambda: KernelSpec.cos_sum(float("nan"), 1.0), "kernel coefficients must be finite"),
+], ids=["unknown-kind", "nan-c0"])
+def test_kernel_rejects_unknown_kinds_and_nonfinite_coefficients(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_energy_params_excluded_cases():
     EnergyParams(0, 0.75, 0.1, 0.1)
     with pytest.raises(ValueError):
@@ -190,6 +199,8 @@ def test_energy_params_excluded_cases():
         EnergyParams(0, 0.4, 0.1, 0.1)
     with pytest.raises(ValueError):
         EnergyParams(1, 0.5, 0.0, 0.1)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        EnergyParams(0, 0.75, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("k,s", [(3, 0.75), (1, 1.5), (1, -0.2), (0, 0.5)],
@@ -521,7 +532,8 @@ def test_discrete_energy_matches_op_functions_with_tail():
     u[0], u[-1] = -1.0, 1.0
     model = DiscreteEnergy(g, EnergyParams(k, s, 1.0, 1.0), well, kern, (-1, 1))
     # the closed-form tail over ordered pairs, written out
-    xi, h, rho = x[1:-1], g.h, kern.row_mean(x[1:-1])
+    xi, h = x[1:-1], g.h
+    rho = kern.c0 + kern.c1 * np.cos(2 * np.pi * xi)  # the one-period mean of y -> a(x, y)
     c_right = 2.0 * h * rho * (4.0 - xi) ** -1.5 / 1.5
     c_left = 2.0 * h * rho * (4.0 + xi) ** -1.5 / 1.5
     tail = (u[1:-1] - 1.0) ** 2 @ c_right + (u[1:-1] + 1.0) ** 2 @ c_left \
@@ -531,6 +543,8 @@ def test_discrete_energy_matches_op_functions_with_tail():
     with pytest.raises(ValueError, match="symmetric"):
         DiscreteEnergy(make_grid(-4.0, 5.0, 80), EnergyParams(k, s, 1.0, 1.0), well, kern,
                        tail_signs=(-1, 1))
+    with pytest.raises(ValueError, match="tail signs must be"):
+        DiscreteEnergy(g, EnergyParams(k, s, 1.0, 1.0), well, kern, tail_signs=(0, 1))
 
 
 @pytest.mark.parametrize("s,k", [(s, k) for s in (0.3, 0.5, 0.75) for k in (0, 1, 2)
@@ -860,6 +874,18 @@ def test_preconditioner_symmetric_positive_definite_on_free_nodes(case, k):
     assert np.linalg.eigvalsh(0.5 * (pinv + pinv.T)).min() > 0.0
 
 
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS[1:], ids=lambda k: k.kind)
+def test_two_scale_rule_on_blocks_at_the_grid_ends(kspec):
+    # for k = 1, S reads each block's two clamped neighbours; a block at a
+    # grid end has one of them off the grid
+    grid = make_grid(-2.0, 2.0, 64)
+    model = DiscreteEnergy(grid, EnergyParams(1, 0.5, 1.0, 0.5), DoubleWell(0.0), kspec)
+    free = np.abs(grid.nodes()) > 1.0  # one block at each end
+    pinv = _as_matrix(model.preconditioner(free), grid.n_nodes)[np.ix_(free, free)]
+    np.testing.assert_allclose(pinv, pinv.T, rtol=0, atol=1e-13 * np.abs(pinv).max())
+    assert np.linalg.eigvalsh(0.5 * (pinv + pinv.T)).min() > 0.0
+
+
 @pytest.mark.parametrize("case, k", PRECONDITIONER_CASES)
 def test_preconditioner_zero_on_clamped_nodes_and_at_zero(case, k):
     model, _, _, free = case(k)
@@ -927,6 +953,21 @@ def test_block_energy_and_gradient_match_the_full_grid(k, ends, kspec):
     full = model.preconditioner(free)(r)
     part = block.preconditioner(free[lo:hi])(r[lo:hi])
     np.testing.assert_allclose(part, full[lo:hi], rtol=0, atol=1e-13 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS[1:], ids=lambda k: k.kind)
+def test_block_slices_the_kernel_samples_the_rule_reads(kspec, monkeypatch):
+    # the kernel is sampled once per grid: a block's samples are the parent's
+    # slice bit for bit, and the two-scale S is (diag / a_bar)^(-1/2) on the
+    # free nodes, read off the energy's own samples
+    model, block, lo, hi, free, u, v = _window_case(0, kspec)
+    assert np.array_equal(block._form.t, model._form.t[lo:hi])
+    for name in ("diag", "period_mean"):
+        assert np.array_equal(getattr(block._form, name)(), getattr(model._form, name)()[lo:hi])
+    scales = []
+    monkeypatch.setattr(energy_module, "_sine_solve", lambda sc, weights: scales.append(sc))
+    block.preconditioner(free[lo:hi])
+    assert np.array_equal(scales[0][1], (block._form.diag()[free[lo:hi]] / kspec.a_bar) ** -0.5)
 
 
 @pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)

@@ -53,6 +53,10 @@ def test_fit_loglog_slope_recovers_power_law():
     xs = [1.0, 2.0, 4.0, 8.0]
     ys = [3.0 * x ** -1.7 for x in xs]
     assert fit_loglog_slope(xs, ys) == pytest.approx(-1.7, abs=1e-12)
+    with pytest.raises(ValueError, match="at least two points"):
+        fit_loglog_slope(xs[:1], ys[:1])
+    with pytest.raises(ValueError, match="positive data"):
+        fit_loglog_slope(xs, [*ys[:-1], 0.0])
 
 
 def test_jump_shift_rules():
@@ -82,6 +86,12 @@ def test_build_recovery_matches_target_outside_windows(homogeneous_profile):
     np.testing.assert_array_equal(rec.values[outside], tv[outside])
     # inside the windows the paste actually transitions
     assert np.any(np.abs(rec.values - tv) > 0.5)
+
+
+def test_build_recovery_rejects_an_unknown_mode(homogeneous_profile):
+    with pytest.raises(ValueError, match="mode must be"):
+        build_recovery(make_bv_target([(0.5, +1)]), homogeneous_profile, 0.05, 0.05,
+                       "bogus", make_grid(0.0, 1.0, 128), 2.0)
 
 
 def test_build_recovery_rejects_crowded_jumps(homogeneous_profile):
@@ -299,6 +309,12 @@ def test_unconverged_sweep_solve_warns():
     assert results[0].stop_reason == "max_iters"
 
 
+def test_regime_sweep_rejects_an_unknown_rule():
+    with pytest.raises(ValueError, match="rule must be one of"):
+        regime_sweep(KernelSpec.constant(1.0), make_bv_target([(0.5, +1)]), "bogus", [2.0 ** -5],
+                     k=0, s=0.75, well=WELL, n_cells=128, T_profile=1.0)
+
+
 def test_regime_sweep_rejects_wide_eps():
     kern = KernelSpec.constant(1.0)
     target = make_bv_target([(0.5, +1)])
@@ -327,6 +343,32 @@ def test_regime_sweep_rejects_windows_without_nodes(jumps, window_factor):
         regime_sweep(KernelSpec.constant(1.0), make_bv_target(jumps), "critical",
                      [2.0 ** -5], k=0, s=0.75, well=WELL, n_cells=128, T_profile=1.0,
                      window_factor=window_factor)
+
+
+def test_window_spans_hold_exactly_the_nodes_inside_each_window():
+    # the spans read a few node coordinates, computed as UniformGrid.nodes
+    # does; window edges on a node exactly (t - w or t + w equal to a node's
+    # coordinate: w from Sterbenz-exact differences) must stay outside
+    from fraclab.experiments import _spans
+
+    rng = np.random.default_rng(31)
+    edges = 0
+    for _ in range(300):
+        n_cells = int(rng.choice([2, 3, 7, 128, 1000, 2001, 10**5]))
+        grid = make_grid(0.0, 1.0, n_cells)
+        x = grid.nodes()
+        locs = np.unique(rng.uniform(0.05, 0.95, rng.integers(1, 4)))
+        target = make_bv_target([(t, (-1) ** i) for i, t in enumerate(locs)])
+        t = locs[0]
+        left = x[(x >= 0.5 * t) & (x < t)]
+        right = x[(x > t) & (x <= 2.0 * t)]
+        widths = [rng.uniform(0.0, 2.0 / n_cells), *(t - left[-2:]), *(right[:2] - t)]
+        for w in widths:
+            edges += (t - w) in x or (t + w) in x
+            for t_j, (lo, hi) in zip(locs, _spans(target, w, grid)):
+                inside = np.flatnonzero((x > t_j - w) & (x < t_j + w))
+                np.testing.assert_array_equal(np.arange(lo, max(lo, hi)), inside)
+    assert edges > 300
 
 
 def test_regime_sweep_checks_every_window_before_solving(monkeypatch):

@@ -13,7 +13,7 @@ from fraclab import (
     make_grid,
     resample_scaled,
 )
-from fraclab.grid import _REACH, _stencil_adjoint, _stencil_apply
+from fraclab.grid import _REACH, BVTarget, _stencil_adjoint, _stencil_apply
 from probes import kth_difference
 
 
@@ -32,7 +32,7 @@ def test_make_grid_wide():
 
 @pytest.mark.parametrize("args", [(1.0, 0.0, 4), (0.0, 0.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 2.5),
                                   (0.0, 1.0, float("inf")), (0.0, 1.0, float("nan")),
-                                  (0.0, 1.0, 1e30)])
+                                  (0.0, 1.0, 1e30), (float("-inf"), 1.0, 8)])
 def test_make_grid_rejects(args):
     with pytest.raises(ValueError) as err:
         make_grid(*args)
@@ -210,6 +210,11 @@ def test_bv_target_single_jump():
 def test_bv_target_needs_a_jump():
     with pytest.raises(ValueError, match="at least one jump"):
         make_bv_target([])
+
+
+def test_bv_target_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        BVTarget((0.5,), ())
 
 
 def test_bv_target_rejects_bad_alternation():

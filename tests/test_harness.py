@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fraclab.cli as cli
+import fraclab.energy as energy
 import fraclab.harness as harness
 import fraclab.selftest
 from fraclab.cli import main
@@ -443,6 +444,22 @@ def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw, field", [(PROFILE_CFG, "kernel"), (SWEEP_MIN, "jumps"),
+                                        (SWEEP_MIN, "eps_list"), (RECOVERY_MIN, "eps")])
+def test_a_missing_required_field_is_one_violation(tmp_path, monkeypatch, raw, field):
+    def unused(tp, opts):
+        raise AssertionError("a bad config must be rejected before any solve")
+
+    monkeypatch.setattr(harness, "transition_energy", unused)
+    cfg = write_config(tmp_path, "bad.json", {key: v for key, v in raw.items() if key != field})
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.violations == [f"{field}: missing field '{field}'"]
+    out = tmp_path / "x.csv"
+    assert run_cli([raw["command"], str(cfg), "--out", str(out)]).exit_code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_sweep_eps_rules_are_checked_next_to_a_bad_grid_and_window_factor(tmp_path):
     raw = dict(SWEEP_MIN, n_cells=1, window_factor=0, eps_list=[0.5])
     with pytest.raises(ConfigError) as err:
@@ -623,15 +640,61 @@ def test_a_mistyped_field_is_one_violation(tmp_path, raw, violation):
     assert err.value.violations[0].startswith(violation)
 
 
-@pytest.mark.parametrize("raw", [PROFILE_CFG, CURVE_CFG], ids=["profile", "curve"])
+@pytest.mark.parametrize("raw", [PROFILE_CFG, CURVE_CFG, SWEEP_MIN, RECOVERY_MIN],
+                         ids=["profile", "curve", "sweep", "recovery"])
 def test_validation_builds_no_node_array(tmp_path, monkeypatch, raw):
     # the free-node check once built every node of each transition grid, so
-    # a curve's T_list entry of 1e9 failed on a 1.4 TiB allocation
+    # a curve's T_list entry of 1e9 failed on a 1.4 TiB allocation; the
+    # sweep's window check built the (0, 1) grid's nodes and a mask per eps
     def refuse(self):
         raise AssertionError("validation built a node array")
 
     monkeypatch.setattr(UniformGrid, "nodes", refuse)
     assert load_config(write_config(tmp_path, "cfg.json", raw)).command == raw["command"]
+
+
+@pytest.mark.parametrize("raw, violation", [
+    (dict(PROFILE_CFG, n_cells=1e12), "transition problem: n_cells = 1000000000000 needs about"),
+    (dict(CURVE_CFG, T=4.0, n_cells=768, T_list=[2.0, 1e9]),
+     "transition problem: T_list: at T = 1e+09, n_cells scales to 1.92e+11: n_cells ="
+     " 192000000000 needs about"),
+    (dict(PROFILE_CFG, n_cells=4096), "transition problem: n_cells = 4096 needs about 0.00195 GiB"
+     " to run, more than the 0.00195 GiB of physical memory"),
+    (dict(SWEEP_MIN, n_cells=4096), "n_cells: n_cells = 4096 needs about"),
+    (dict(RECOVERY_MIN, reference_n_cells=4096),
+     "reference problem (T = T_profile, n_cells = reference_n_cells): n_cells = 4096 needs about"),
+], ids=["profile-1e12", "curve-T_list-1e9", "profile", "sweep", "recovery-reference"])
+def test_a_grid_beyond_physical_memory_is_a_config_error(tmp_path, monkeypatch, raw, violation):
+    # 512 bytes per node against a physical memory set to 2 MiB, so 4096
+    # cells are over and the other grids under; these grids once failed on
+    # their allocation, with a traceback (exit 1), or (the sweep) inside
+    # load_config
+    def refuse(self):
+        raise AssertionError("validation built a node array")
+
+    monkeypatch.setattr(energy, "_physical_memory", lambda: 2.0 ** 21)
+    monkeypatch.setattr(UniformGrid, "nodes", refuse)
+    out = tmp_path / "x.csv"
+    res = run_cli([raw["command"], str(write_config(tmp_path, "big.json", raw)), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output.count("  - ") == 1 and f"  - {violation}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pages", ["no-sysconf", "no-such-name", -1])
+def test_no_memory_bound_where_the_platform_reports_none(monkeypatch, pages):
+    # os.sysconf is missing off Unix, raises ValueError for a name the
+    # platform lacks and returns -1 for a value it cannot determine
+    def sysconf(name):
+        if pages == "no-such-name":
+            raise ValueError(f"unrecognized configuration name {name!r}")
+        return pages if name == "SC_PHYS_PAGES" else 4096
+
+    if pages == "no-sysconf":
+        monkeypatch.delattr(energy.os, "sysconf")
+    else:
+        monkeypatch.setattr(energy.os, "sysconf", sysconf)
+    assert energy._physical_memory() == float("inf")
 
 
 def test_integral_floats_read_as_integers(tmp_path):

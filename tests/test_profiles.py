@@ -61,6 +61,8 @@ def test_transition_problem_validation():
         small_problem(omega=0)
     with pytest.raises(ValueError):
         small_problem(k=0, s=0.5)
+    with pytest.raises(ValueError, match="lambda mode needs lam > 0"):
+        small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=0.0)
 
 
 def test_jump_direction_symmetry_even_well_even_kernel():
