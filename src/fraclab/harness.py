@@ -195,6 +195,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     well = _check(violations, "well", lambda: DoubleWell(raw["chi"]))
     _check(violations, "exponents", lambda: EnergyParams(raw["k"], raw["s"], 1.0, 1.0))
     lam = _check(violations, "lam", lambda: _positive(raw["lam"], "lam")) if "lam" in raw else None
+    if command in ("profile", "curve") and raw["omega"] not in (-1, 1):  # a profile row's label
+        violations.append(f"omega must be +1 or -1, got {raw['omega']}")
     T_profile = None if "T_profile" not in raw else _check(
         violations, "T_profile", lambda: _clamp_length(raw["T_profile"], "T_profile"))
 
@@ -259,14 +261,14 @@ def _delta(raw: dict) -> float:
 def _transition_problem(cfg: ExperimentConfig, **overrides) -> TransitionProblem:
     raw = {**cfg.raw, **overrides}
     return TransitionProblem(
-        kernel=cfg.kernel, mode=raw["mode"], lam=raw["lam"], omega=raw["omega"],
-        T=raw["T"], n_cells=raw["n_cells"], well=cfg.well, k=cfg.k, s=cfg.s,
+        kernel=cfg.kernel, mode=raw["mode"], lam=raw["lam"], T=raw["T"],
+        n_cells=raw["n_cells"], well=cfg.well, k=cfg.k, s=cfg.s,
     )
 
 
 def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
-    """Behind ``predicted``: omega = +1, T = T_profile, reference_n_cells."""
-    return _transition_problem(cfg, mode=mode, omega=1, T=cfg.raw["T_profile"],
+    """Behind ``predicted``: T = T_profile, reference_n_cells."""
+    return _transition_problem(cfg, mode=mode, T=cfg.raw["T_profile"],
                                n_cells=cfg.raw["reference_n_cells"])
 
 
@@ -356,14 +358,15 @@ def emit_csv(rows, schema, path) -> None:
 
 
 def _solve_record(tp: TransitionProblem, res) -> dict:
-    return {"mode": tp.mode, "omega": tp.omega, "T": tp.T, "T_out": tp.T_out,
+    return {"mode": tp.mode, "T": tp.T, "T_out": tp.T_out,
             "n_cells": tp.n_cells, "m_hat": res.energy, "iterations": res.iterations,
             "final_grad_norm": res.final_grad_norm, "converged": res.converged}
 
 
 def _run_profile(cfg: ExperimentConfig, workers: int) -> list[dict]:
     tp = _transition_problem(cfg)
-    return [_solve_record(tp, transition_energy(tp, cfg.opt_options()))]
+    return [dict(_solve_record(tp, transition_energy(tp, cfg.opt_options())),
+                 omega=cfg.raw["omega"])]
 
 
 def _run_curve(cfg: ExperimentConfig, workers: int) -> list[dict]:

@@ -1,8 +1,9 @@
 """Optimal-profile transition energies at finite clamp length.
 
 A transition problem minimizes the rescaled energy over profiles pinned to
-``omega * sgn(x)`` for |x| >= T, on a grid spanning (-3T, 3T), with the
-closed-form tail correction standing in for the interactions beyond the grid.
+``sgn(x)`` for |x| >= T, on a grid spanning (-3T, 3T), with the closed-form
+tail correction standing in for the interactions beyond the grid.  Every solve
+ascends; a descending transition is its reflection x -> -x (``DoubleWell``).
 Only |x| < T is free, so each solve runs on that window and a few clamped
 nodes per side, the clamped rest of the grid and the tail entering as the
 window's exterior term (``_window_solve``, which the regime sweep shares).
@@ -49,7 +50,6 @@ class TransitionProblem:
 
     kernel: KernelSpec
     mode: str
-    omega: int
     T: float
     n_cells: int
     well: DoubleWell
@@ -58,8 +58,6 @@ class TransitionProblem:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.omega not in (-1, 1):
-            raise ValueError(f"omega must be +-1, got {self.omega}")
         if not (self.T >= 1.0 and np.isfinite(self.T)):
             raise ValueError(f"T must be finite and at least 1: the grid spans (-3T, 3T),"
                              f" got T={self.T}")
@@ -100,17 +98,15 @@ def _mode_kernel(kernel: KernelSpec, mode: str) -> KernelSpec:
 def _assemble(tp: TransitionProblem) -> DiscreteEnergy:
     grid = make_grid(-tp.T_out, tp.T_out, tp.n_cells)
     kspec, params = tp.effective_kernel()
-    return DiscreteEnergy(grid, params, tp.well, kspec, tail_signs=(-tp.omega, tp.omega))
+    return DiscreteEnergy(grid, params, tp.well, kspec, tail_signs=(-1, 1))
 
 
 def _start(tp: TransitionProblem, grid) -> tuple[np.ndarray, np.ndarray]:
-    """(the linear ramp clamped to omega * sgn(x) for |x| >= T, free mask |x| < T)."""
+    """(the linear ramp clamped to sgn(x) for |x| >= T, free mask |x| < T)."""
     x = grid.nodes()
-    values = tp.omega * np.clip(x / tp.T, -1.0, 1.0)
     # the tolerance absorbs node coordinates landing an ulp inside +-T
     free = np.abs(x) < tp.T * (1.0 - 1e-12)
-    values[~free] = np.where(x[~free] >= 0, float(tp.omega), float(-tp.omega))
-    return values, free
+    return np.where(free, x / tp.T, np.sign(x)), free
 
 
 def _window_solve(model: DiscreteEnergy, init: np.ndarray, free: np.ndarray,
@@ -133,10 +129,10 @@ def _window_solve(model: DiscreteEnergy, init: np.ndarray, free: np.ndarray,
 
 def transition_energy(tp: TransitionProblem,
                       opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
-    """Estimate the transition energy m^omega for the problem's kernel mode.
+    """Estimate the transition energy m for the problem's kernel mode.
 
     Minimizes the rescaled energy plus tail correction over profiles clamped
-    to omega * sgn(x) for |x| >= T, by descent preconditioned with the
+    to sgn(x) for |x| >= T, by descent preconditioned with the
     energy's spectral preconditioner.  The solve runs on the free nodes
     |x| < T and ``_REACH[k]`` clamped nodes per side (one for k = 0); the
     rest of the (-3T, 3T) grid and the tail beyond it enter as the
@@ -147,8 +143,7 @@ def transition_energy(tp: TransitionProblem,
     """
     model = _assemble(tp)
     res = _window_solve(model, *_start(tp, model.grid), opts, minimize)
-    _warn_unconverged(res, f"transition solve ({tp.mode}, omega={tp.omega}, k={tp.k},"
-                          f" N={model.grid.n_nodes})")
+    _warn_unconverged(res, f"transition solve ({tp.mode}, k={tp.k}, N={model.grid.n_nodes})")
     return res
 
 

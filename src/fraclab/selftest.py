@@ -45,19 +45,21 @@ def _selftest_checks():
     checks.append(("scaling identity", rel <= 1e-12, f"rel err {rel:.3e}"))
 
     # monotone T-curve, homogeneous kernel, small N
-    tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
-                           T=2.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
+    tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", T=2.0,
+                           n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
     T_list = [2.0, 4.0]
     m = [r.energy for r in transition_energy_curve(tp, T_list, MinimizeOptions(grad_tol=1e-5))]
     checks.append(("T-monotonicity", m[1] <= m[0] + 1e-6,
                    f"m({T_list[0]})={m[0]:.6f} m({T_list[1]})={m[1]:.6f}"))
 
-    # jump-direction symmetry for a tilted well, by the reflection x -> -x
-    tp_sym = TransitionProblem(kernel=kern, mode="lambda", lam=1.0, omega=1, T=2.0,
+    # jump symmetry for a tilted well: the descending energy at the reflected minimizer
+    tp_sym = TransitionProblem(kernel=kern, mode="lambda", lam=1.0, T=2.0,
                                n_cells=192, well=well, k=0, s=0.75)
     opts = MinimizeOptions(grad_tol=1e-5)
-    m_up = transition_energy(tp_sym, opts).energy
-    m_dn = transition_energy(replace(tp_sym, omega=-1), opts).energy
+    up = transition_energy(tp_sym, opts)
+    kspec, params = tp_sym.effective_kernel()
+    down = DiscreteEnergy(up.profile.grid, params, well, kspec, (1, -1))
+    m_up, m_dn = up.energy, down.energy(up.profile.values[::-1])
     gap = abs(m_up - m_dn) / m_up
     checks.append(("jump symmetry", gap <= 1e-10,
                    f"m+={m_up:.8f} m-={m_dn:.8f} rel gap {gap:.1e}"))

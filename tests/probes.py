@@ -4,10 +4,11 @@ The recovery construction rests on two decay trends: cross-interval
 interactions die like eps^{2s}, and truncation tails like a power of T.
 ``cross_term_probe`` and ``tail_decay_probe`` measure them for acceptance
 criterion 10 and their own tests; ``kth_difference`` is D_k as a function of
-a profile, the reference the energy's stencil tests compare against.  No
-command, CSV or benchmark reaches them, so they live here, beside the tests,
-and not in the package.  Pytest does not collect this module; the tests
-import it by name.
+a profile, the reference the energy's stencil tests compare against;
+``descending_energy`` is the energy of a descending transition, which no
+solve minimizes since it is the ascending one reflected.  No command, CSV or
+benchmark reaches them, so they live here, beside the tests, and not in the
+package.  Pytest does not collect this module; the tests import it by name.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from fraclab.energy import (DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec
                             _pair_table)
 from fraclab.experiments import _jump_intervals, build_recovery, fit_loglog_slope
 from fraclab.grid import SUPPORTED_ORDERS, BVTarget, GridProfile, _stencil_apply, make_grid
+from fraclab.profiles import TransitionProblem
+
+
+def descending_energy(tp: TransitionProblem) -> DiscreteEnergy:
+    """The energy of ``tp``'s grid with the tails (+1, -1) in place of the
+    solve's (-1, +1): the descending transition between the same phases."""
+    kspec, params = tp.effective_kernel()
+    grid = make_grid(-tp.T_out, tp.T_out, tp.n_cells)
+    return DiscreteEnergy(grid, params, tp.well, kspec, tail_signs=(1, -1))
 
 
 def kth_difference(p: GridProfile, k: int) -> GridProfile:

@@ -36,7 +36,7 @@ from fraclab import (
     transition_energy_curve,
 )
 from fraclab.energy import _PairForm, _pair_table
-from probes import cross_term_probe, tail_decay_probe
+from probes import cross_term_probe, descending_energy, tail_decay_probe
 
 WELL0 = DoubleWell(0.0)
 COSSUM = KernelSpec.cos_sum(2.5, 1.0)
@@ -95,13 +95,13 @@ def test_criterion_02_scaling_law():
     details = []
     for k, s in ((0, 0.75), (1, 0.5)):
         base = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                                 omega=1, T=2.0, n_cells=1024,
+                                 T=2.0, n_cells=1024,
                                  well=WELL0, k=k, s=s)
         m1 = transition_energy(base, opts).energy
         for c in (4.0, 16.0):
             lam = c ** scaling_exponent(k, s)
             scaled = TransitionProblem(kernel=KernelSpec.constant(c), mode="lambda",
-                                       omega=1, T=2.0 * lam,
+                                       T=2.0 * lam,
                                        n_cells=1024, well=WELL0, k=k, s=s)
             mc = transition_energy(scaled, opts).energy
             rel = abs(mc / m1 - lam) / lam
@@ -122,7 +122,7 @@ def t_curves():
     opts = MinimizeOptions(grad_tol=1e-6)
     T_list = [2.0, 4.0, 8.0, 16.0]
     hom = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                            omega=1, T=4.0, n_cells=768,
+                            T=4.0, n_cells=768,
                             well=WELL0, k=0, s=0.75)
     osc = replace(hom, kernel=COSSUM, mode="lambda", lam=1.0)
     hom_results = transition_energy_curve(hom, T_list, opts)
@@ -163,17 +163,19 @@ def test_criterion_04_positivity_and_sandwich(t_curves):
 
 def test_criterion_05_jump_direction_symmetry():
     """chi = 0, even kernel: |m+ - m-|/m+ <= 1e-3; chi = 0.4: <= 1e-10, since
-    the reflection x -> -x maps one direction onto the other for every chi."""
+    the reflection x -> -x maps one direction onto the other for every chi.
+    m- is the descending energy (tails +1, -1) at the reflected minimizer."""
     opts = MinimizeOptions(grad_tol=1e-6)
-    tp = TransitionProblem(kernel=COSSUM, mode="lambda", lam=1.0, omega=1,
-                           T=4.0, n_cells=768, well=WELL0, k=0, s=0.75)
-    m_up = transition_energy(tp, opts).energy
-    m_dn = transition_energy(replace(tp, omega=-1), opts).energy
-    rel = abs(m_up - m_dn) / m_up
 
-    tilted = replace(tp, well=DoubleWell(0.4), n_cells=512)
-    m_up_t = transition_energy(tilted, opts).energy
-    m_dn_t = transition_energy(replace(tilted, omega=-1), opts).energy
+    def up_and_down(tp):
+        up = transition_energy(tp, opts)
+        return up.energy, descending_energy(tp).energy(up.profile.values[::-1])
+
+    tp = TransitionProblem(kernel=COSSUM, mode="lambda", lam=1.0,
+                           T=4.0, n_cells=768, well=WELL0, k=0, s=0.75)
+    m_up, m_dn = up_and_down(tp)
+    rel = abs(m_up - m_dn) / m_up
+    m_up_t, m_dn_t = up_and_down(replace(tp, well=DoubleWell(0.4), n_cells=512))
     rel_t = abs(m_up_t - m_dn_t) / m_up_t
     ok = rel <= 1e-3 and rel_t <= 1e-10
     assert report(5, ok,
@@ -222,7 +224,7 @@ def test_criterion_07_regime_convergence_critical():
                            window_factor=8.0, lam=1.0, opts=opts)
     # reference at the resolution of the smallest eps: h_xi = (1/2048)/2^-6 = 1/32
     ref_tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                               omega=1, T=16.0, n_cells=3072,
+                               T=16.0, n_cells=3072,
                                well=WELL0, k=k, s=s)
     m_ref = transition_energy(ref_tp, opts).energy
     gaps = [abs(r.energy - m_ref) / m_ref for r in results]
@@ -396,7 +398,7 @@ def test_regime_separation_constant_kernel_formulas():
     for name, const in (("inf", COSSUM.a_inf), ("bar", COSSUM.a_bar)):
         lam = const ** gamma
         tp = TransitionProblem(kernel=KernelSpec.constant(const), mode="lambda",
-                               omega=1, T=2.0 * lam,
+                               T=2.0 * lam,
                                n_cells=768, well=WELL0, k=k, s=s)
         m[name] = transition_energy(tp, opts).energy
     ratio = m["inf"] / m["bar"]
@@ -414,7 +416,7 @@ def recovery_setup():
     k, s, T = 0, 0.75, 4.0
     m1 = transition_energy(
         TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                          omega=1, T=T, n_cells=1024,
+                          T=T, n_cells=1024,
                           well=WELL0, k=k, s=s), opts).energy
     grid = make_grid(0.0, 1.0, 2000)
     return opts, k, s, T, m1, grid
@@ -434,7 +436,7 @@ def test_criterion_09_recovery_limsup(recovery_setup, mode):
     eps = 2.0 ** -6
     kern = COSSUM if mode != "subcritical" else KernelSpec.cos_sum(2.5, 0.15)
 
-    tp = TransitionProblem(kernel=kern, mode=mode, lam=1.0, omega=1, T=T,
+    tp = TransitionProblem(kernel=kern, mode=mode, lam=1.0, T=T,
                            n_cells=1024, well=WELL0, k=k, s=s)
     # one ascending solve; a descending jump pastes its reflection
     res = transition_energy(tp, opts)
@@ -476,7 +478,7 @@ def test_criterion_10_decay_probes():
     # cross-interval interactions of the recovery profile, k = 1
     k, s = 1, 0.5
     tp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                           omega=1, T=2.0, n_cells=768,
+                           T=2.0, n_cells=768,
                            well=WELL0, k=k, s=s)
     up = transition_energy(tp, opts).profile
     target = make_bv_target([(0.25, +1), (0.75, -1)])
@@ -489,7 +491,7 @@ def test_criterion_10_decay_probes():
     # truncation-tail decay for a clamped transition profile
     for kk, ss, slope_target in ((1, 0.5, -1.0), (0, 0.75, -0.5)):
         tpp = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                                omega=1, T=2.0, n_cells=384,
+                                T=2.0, n_cells=384,
                                 well=WELL0, k=kk, s=ss)
         r = transition_energy(tpp, opts)
         gb = make_grid(-64.0, 64.0, 4096)
@@ -510,7 +512,7 @@ def test_criterion_10_decay_probes():
 
 def test_criterion_11_lambda_continuity():
     """CosSum(2.5,1), lam = 1 +- 5 percent: m-hat spread <= 5 percent."""
-    tp = TransitionProblem(kernel=COSSUM, mode="lambda", lam=1.0, omega=1,
+    tp = TransitionProblem(kernel=COSSUM, mode="lambda", lam=1.0,
                            T=4.0, n_cells=768, well=WELL0, k=0, s=0.75)
     opts = MinimizeOptions(grad_tol=1e-6)
     a, b, c = [transition_energy(replace(tp, lam=lam), opts).energy for lam in (1.0, 0.95, 1.05)]

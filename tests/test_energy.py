@@ -214,7 +214,7 @@ def test_inadmissible_exponents_rejected_at_construction(k, s):
         DiscreteEnergy(make_grid(-4.0, 4.0, 64), EnergyParams(k, s, 1.0, 1.0), DoubleWell(0.0),
                        UNIT)
     with pytest.raises(ValueError, match="excluded|must"):
-        TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1, T=2.0,
+        TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous", T=2.0,
                           n_cells=96, well=DoubleWell(0.0), k=k, s=s)
 
 
@@ -695,7 +695,7 @@ def test_recoveries_of_one_process_build_one_pair_table_per_grid(tmp_path, monke
 _THREAD_SCRIPT = """
 import json
 from fraclab import DoubleWell, KernelSpec, MinimizeOptions, TransitionProblem, transition_energy
-tp = TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=1.0, omega=1,
+tp = TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=1.0,
                        T=4.0, n_cells=384, well=DoubleWell(0.0), k=0, s=0.75)
 res = transition_energy(tp, MinimizeOptions(grad_tol=1e-6))
 print(json.dumps([res.converged, res.energy]))

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +18,13 @@ from fraclab import (
     regime_sweep,
     transition_energy,
 )
-from probes import cross_term_probe, kth_difference, tail_decay_probe
+from fraclab.profiles import _start
+from probes import cross_term_probe, descending_energy, kth_difference, tail_decay_probe
 
 WELL = DoubleWell(0.0)
 OPTS = MinimizeOptions(grad_tol=1e-5)
 HOMOGENEOUS_TP = TransitionProblem(kernel=KernelSpec.constant(1.0), mode="homogeneous",
-                                   omega=1, T=2.0, n_cells=240, well=WELL,
+                                   T=2.0, n_cells=240, well=WELL,
                                    k=0, s=0.75)
 
 
@@ -119,15 +119,20 @@ def test_build_recovery_lambda_mode_scale(homogeneous_profile):
 
 
 def test_build_recovery_descending_jump_pastes_reflection(homogeneous_profile):
-    # the reflected ascending profile stands in for a descending solve
+    # the reflected ascending profile stands in for a descending solve: it is
+    # a stationary point of the descending energy, tails (+1, -1)
     target = make_bv_target([(0.5, -1)])
     grid = make_grid(0.0, 1.0, 512)
     eps = 0.02
     rec = build_recovery(target, homogeneous_profile, eps, eps, "lambda", grid, 2.0)
-    down = transition_energy(replace(HOMOGENEOUS_TP, omega=-1), OPTS).profile
+    down = homogeneous_profile.values[::-1]
+    nodes = homogeneous_profile.grid.nodes()
+    free = _start(HOMOGENEOUS_TP, homogeneous_profile.grid)[1]
+    gradient = descending_energy(HOMOGENEOUS_TP).gradient(down)
+    assert np.max(np.abs(gradient[free])) <= OPTS.grad_tol + 1e-12
     x = grid.nodes()
     t_shift = eps * np.floor(0.5 / eps)
-    expect = np.interp((x - t_shift) / eps, down.grid.nodes(), down.values)
+    expect = np.interp((x - t_shift) / eps, nodes, down)
     np.testing.assert_allclose(rec.values, expect, rtol=0, atol=1e-12)
     assert rec.values[0] == 1.0 and rec.values[-1] == -1.0
 

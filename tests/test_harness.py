@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from collections import namedtuple
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,10 @@ from fraclab.harness import (
     load_config,
     run_experiment,
 )
-from fraclab.optimize import NumericalFailure
+from fraclab.optimize import NumericalFailure, minimize
+from fraclab.profiles import _start, _window_solve
 from fraclab.selftest import selftest
+from probes import descending_energy
 
 
 CliResult = namedtuple("CliResult", "exit_code output")
@@ -165,6 +166,34 @@ def test_run_profile_experiment_writes_csv(tmp_path):
     cells = lines[1].split(",")
     m_hat = float(cells[5])
     assert m_hat > 0
+
+
+@pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5)])
+@pytest.mark.parametrize("chi", [0.0, 0.4])
+def test_profile_omega_labels_the_row_only(tmp_path, chi, k, s):
+    # every solve ascends, so omega -1 writes the ascending row under its own
+    # label; at chi = 0.4 a descending solve's row differs in its last digits
+    rows = []
+    for omega in (1, -1):
+        raw = dict(PROFILE_CFG, kernel={"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
+                   mode="lambda", chi=chi, k=k, s=s, omega=omega, grad_tol=1e-6)
+        out = tmp_path / f"omega{omega}.csv"
+        run_experiment(load_config(write_config(tmp_path, f"omega{omega}.json", raw)), out)
+        header, row = out.read_text().splitlines()
+        rows.append(dict(zip(header.split(","), row.split(","))))
+    assert (rows[0].pop("omega"), rows[1].pop("omega")) == ("1", "-1")
+    assert rows[0] == rows[1]
+
+
+def test_curve_ignores_omega(tmp_path):
+    outs = []
+    for omega in (1, -1):
+        raw = dict(CURVE_CFG, kernel={"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
+                   mode="lambda", chi=0.4, omega=omega)
+        out = tmp_path / f"omega{omega}.csv"
+        run_experiment(load_config(write_config(tmp_path, f"omega{omega}.json", raw)), out)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_run_sweep_experiment_schema(tmp_path):
@@ -423,6 +452,9 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
     dict(PROFILE_CFG, n_cells=10 ** 400),
     # h = 6e199 at T = 1e200: its square overflows in the set-up
     dict(CURVE_CFG, T=1e200, T_list=[1e199, 1e200]),
+    dict(PROFILE_CFG, omega=0),
+    dict(PROFILE_CFG, omega=2),
+    dict(CURVE_CFG, omega=-3),
 ], ids=["eps-negative", "eps-infinite", "delta-zero", "eps_list-negative", "omega-fraction",
         "n_cells-fraction", "k-boolean", "reference_n_cells-fraction", "max_iters-fraction",
         "jump-sign-fraction", "profile-one-cell",
@@ -431,7 +463,8 @@ def test_cli_geometry_errors_exit_config(tmp_path, raw):
         "sweep-one-window-empty", "grad_tol-string", "grad_tol-negative", "grad_tol-nan",
         "max_iters-negative", "recovery-no-jump", "kernel-constant-extra-key",
         "kernel-cos_sum-extra-key", "sweep-T_profile-below-1", "T-overflow",
-        "n_cells-overflow", "curve-huge-spacing"])
+        "n_cells-overflow", "curve-huge-spacing", "omega-zero", "omega-two",
+        "curve-omega-minus-three"])
 def test_cli_bad_numbers_exit_config_before_solving(tmp_path, monkeypatch, raw):
     def unused(tp, opts):
         raise AssertionError("a bad config must be rejected before any solve")
@@ -600,6 +633,9 @@ def test_recovery_bad_lam_is_listed_once(tmp_path):
     (dict(SWEEP_MIN, eps_list=["0.03125"]), "eps_list: must be a number, got '0.03125'"),
     (dict(SWEEP_MIN, jumps=[["0.5", 1]]), "jumps: must be a number, got '0.5'"),
     (dict(PROFILE_CFG, omega=True), "omega: must be an integer, got True"),
+    (dict(PROFILE_CFG, omega=0), "omega must be +1 or -1, got 0"),
+    (dict(PROFILE_CFG, omega=2), "omega must be +1 or -1, got 2"),
+    (dict(CURVE_CFG, omega=-3), "omega must be +1 or -1, got -3"),
     (dict(PROFILE_CFG, mode=True), "profile mode must be one of"),
     (dict(SWEEP_MIN, rule=False), "sweep rule must be one of"),
     (dict(SWEEP_MIN, jumps=[[0.5, True]]), "jumps: must be an integer, got True"),
@@ -625,7 +661,8 @@ def test_recovery_bad_lam_is_listed_once(tmp_path):
     (dict(SWEEP_MIN, reference_n_cells=1e30),
      "reference problem (T = T_profile, n_cells = reference_n_cells): n_cells must be below"),
 ], ids=["T", "chi", "grad_tol", "s", "n_cells", "kernel-c0", "T_list-entry", "T_list-string",
-        "eps", "T_profile", "eps_list-entry", "jump-location", "omega-boolean", "mode-boolean",
+        "eps", "T_profile", "eps_list-entry", "jump-location", "omega-boolean", "omega-zero",
+        "omega-two", "curve-omega-minus-three", "mode-boolean",
         "rule-boolean", "jump-sign-boolean", "delta-boolean", "kernel-variant-boolean",
         "T_profile-negative", "T_list-nan", "T_list-one", "command", "non-object",
         "jump-triple", "jumps-string", "T_list-huge", "n_cells-huge", "reference_n_cells-huge"])
@@ -790,11 +827,14 @@ def small_recovery(tmp_path, **kw):
 def test_descending_reference_is_reflection(tmp_path, monkeypatch, kernel, mode, k, s, chi):
     # every kernel is even and the reference grid symmetric about 0, so the
     # reflection x -> -x maps the ascending solve onto the descending one,
-    # whatever the tilt of the well
+    # whatever the tilt of the well: here the window solve of the energy with
+    # the tails (+1, -1), started from the reflected ramp
     cfg = small_recovery(tmp_path, kernel=kernel, k=k, s=s, chi=chi, T_profile=4.0,
                          reference_n_cells=384, grad_tol=1e-6)
     tp = harness._reference_problem(cfg, mode)
-    real = harness.transition_energy(replace(tp, omega=-1), cfg.opt_options())
+    down = descending_energy(tp)
+    ramp, free = _start(tp, down.grid)
+    real = _window_solve(down, ramp[::-1], free[::-1], cfg.opt_options(), minimize)
     solved = count_solves(monkeypatch)
     up = harness._reference(cfg, mode)
     assert solved == [tp]
@@ -811,7 +851,7 @@ def test_even_well_recovery_solves_ascending_references_only(tmp_path, monkeypat
                                                              mode, modes_solved):
     solved = count_solves(monkeypatch)
     run_experiment(small_recovery(tmp_path, mode=mode), tmp_path / "r.csv")
-    assert [(p.mode, p.omega) for p in solved] == [(m, 1) for m in modes_solved]
+    assert [p.mode for p in solved] == modes_solved
 
 
 @pytest.mark.parametrize("mode, modes_solved", [("lambda", ["lambda"]),
@@ -819,11 +859,11 @@ def test_even_well_recovery_solves_ascending_references_only(tmp_path, monkeypat
                                                                    "homogeneous"])])
 def test_tilted_recovery_solves_one_reference_per_mode(tmp_path, monkeypatch, mode,
                                                        modes_solved):
-    # a tilted well and a descending jump once took a second, omega = -1 solve
+    # a tilted well and a descending jump once took a second, descending solve
     solved = count_solves(monkeypatch)
     cfg = small_recovery(tmp_path, mode=mode, chi=0.4, jumps=[[0.3, 1], [0.7, -1]])
     run_experiment(cfg, tmp_path / "r.csv")
-    assert [(p.mode, p.omega) for p in solved] == [(m, 1) for m in modes_solved]
+    assert [p.mode for p in solved] == modes_solved
 
 
 def test_unconverged_reference_solves_and_warns_once(tmp_path, monkeypatch):
@@ -831,7 +871,7 @@ def test_unconverged_reference_solves_and_warns_once(tmp_path, monkeypatch):
     solved = count_solves(monkeypatch)
     with pytest.warns(RuntimeWarning, match="stopped on max_iters") as record:
         reference = harness._reference(cfg, "lambda")
-    assert [p.omega for p in solved] == [1]
+    assert solved == [harness._reference_problem(cfg, "lambda")]
     assert len(record) == 1
     assert not reference.converged
 

@@ -19,12 +19,13 @@ from fraclab import (
 )
 from fraclab.grid import make_grid
 from fraclab.profiles import _assemble, _start
+from probes import descending_energy
 
 OPTS = MinimizeOptions(grad_tol=1e-5)
 
 
 def small_problem(**kw):
-    base = dict(kernel=KernelSpec.constant(1.0), mode="homogeneous", omega=1,
+    base = dict(kernel=KernelSpec.constant(1.0), mode="homogeneous",
                 T=2.0, n_cells=192, well=DoubleWell(0.0), k=0, s=0.75)
     base.update(kw)
     return TransitionProblem(**base)
@@ -57,19 +58,55 @@ def test_transition_problem_validation():
         small_problem(T=0.5)  # the grid (-3T, 3T) needs T >= 1
     with pytest.raises(ValueError):
         small_problem(mode="nonsense")
-    with pytest.raises(ValueError):
-        small_problem(omega=0)
+    with pytest.raises(TypeError):
+        small_problem(omega=1)  # every solve ascends: no direction to choose
     with pytest.raises(ValueError):
         small_problem(k=0, s=0.5)
     with pytest.raises(ValueError, match="lambda mode needs lam > 0"):
         small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=0.0)
 
 
+@pytest.mark.parametrize("lam", [0.25, 1.0])
+@pytest.mark.parametrize("chi", [0.0, 0.4])
+@pytest.mark.parametrize("kernel", [KernelSpec.constant(1.0), KernelSpec.cos_sum(2.5, 1.0),
+                                    KernelSpec.cos_prod(2.0, 0.7)], ids=lambda k: k.kind)
+@pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.3)])
+def test_descending_energy_of_the_reflection_is_the_ascending_energy(k, s, kernel, chi, lam):
+    # every kernel is even and the (-3T, 3T) grid symmetric about 0, so the
+    # descending energy at u(-x) is the ascending one at u, whatever the tilt,
+    # and its gradient the reflected one: a descending solve is the ascending
+    # one reflected, which is why every transition solve ascends.  Measured:
+    # 4.9e-14 in energy and 3.4e-14 of max |gradient| at the perturbed ramp
+    tp = small_problem(kernel=kernel, mode="lambda", lam=lam, well=DoubleWell(chi), k=k, s=s)
+    up = _assemble(tp)
+    ramp, free = _start(tp, up.grid)
+    u = ramp + np.where(free, 0.1 * np.random.default_rng(k).standard_normal(ramp.size), 0.0)
+    down = descending_energy(tp)
+    assert down.energy(u[::-1]) == pytest.approx(up.energy(u), rel=2e-13, abs=0.0)
+    gradient = up.gradient(u)
+    reflected = down.gradient(u[::-1])[::-1]
+    assert np.max(np.abs(reflected - gradient)) <= 1e-13 * np.max(np.abs(gradient))
+
+
 def test_jump_direction_symmetry_even_well_even_kernel():
+    # m- is the descending energy at the reflected ascending minimizer
     tp = small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=1.0)
-    up = transition_energy(tp, OPTS).energy
-    down = transition_energy(replace(tp, omega=-1), OPTS).energy
-    assert abs(up - down) / up <= 1e-3
+    up = transition_energy(tp, OPTS)
+    down = descending_energy(tp).energy(up.profile.values[::-1])
+    assert down == pytest.approx(up.energy, rel=1e-12, abs=0.0)
+
+
+def test_omega_swap_negates_and_reflects_minimizer():
+    # even well, even kernel: the negated ascending minimizer is a descending
+    # one too, and it coincides with the reflected one since the ascending
+    # minimizer is odd
+    tp = small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=1.0)
+    res = transition_energy(tp, OPTS)
+    up, down = res.profile.values, descending_energy(tp)
+    free = _start(tp, res.profile.grid)[1]
+    assert down.energy(-up) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(down.gradient(-up)[free])) <= OPTS.grad_tol + 1e-12
+    np.testing.assert_allclose(up, -up[::-1], atol=5e-4)
 
 
 def test_constant_kernel_scaling_law_small():
@@ -171,16 +208,6 @@ def test_transition_energy_cos_prod_kernel():
     assert min(kern.alpha_a, 1.0) * m1 - 1e-6 <= res.energy <= max(kern.beta_a, 1.0) * m1 + 1e-6
 
 
-def test_omega_swap_negates_and_reflects_minimizer():
-    # even well, even kernel: the down minimizer is the negated up minimizer,
-    # which coincides with its reflection since the up minimizer is odd
-    tp = small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=1.0)
-    up = transition_energy(tp, OPTS).profile.values
-    down = transition_energy(replace(tp, omega=-1), OPTS).profile.values
-    np.testing.assert_allclose(down, -up, atol=5e-4)
-    np.testing.assert_allclose(up, -up[::-1], atol=5e-4)
-
-
 @pytest.mark.parametrize("kernel", [KernelSpec.constant(1.0), KernelSpec.cos_sum(2.5, 1.0),
                                     KernelSpec.cos_prod(2.0, 0.7)], ids=lambda k: k.kind)
 @pytest.mark.parametrize("k", [0, 1])
@@ -225,7 +252,7 @@ def test_windowed_transition_matches_the_full_grid_solve(k, mode):
 def _workload_problem(k, lam=1.0, s=0.5):
     """The cos_sum profile at N = 769, as the profile benchmark runs it."""
     return TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=lam,
-                             omega=1, T=4.0, n_cells=768, well=DoubleWell(0.0),
+                             T=4.0, n_cells=768, well=DoubleWell(0.0),
                              k=k, s=s)
 
 
@@ -263,7 +290,7 @@ LAMBDA_4_TRANSITION = (24.80945125421514, 10)
 
 def test_lambda_4_transition_keeps_its_energy_in_half_the_iterations():
     tp = TransitionProblem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda", lam=4.0,
-                           omega=1, T=8.0, n_cells=1536, well=DoubleWell(0.0),
+                           T=8.0, n_cells=1536, well=DoubleWell(0.0),
                            k=0, s=0.75)
     energy, iterations = LAMBDA_4_TRANSITION
     res = transition_energy(tp, MinimizeOptions(grad_tol=1e-6))
