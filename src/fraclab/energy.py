@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ import numpy.fft  # noqa: F401  numpy >= 2 would load it lazily, inside the firs
 
 from .grid import (_REACH, SUPPORTED_ORDERS, GridProfile, UniformGrid, _stencil_adjoint,
                    _stencil_apply, make_grid)
+from .optimize import _warn_unconverged
 
 __all__ = [
     "DoubleWell",
@@ -535,6 +536,25 @@ class DiscreteEnergy:
         c0 = (self.energy(values) - out.energy(values[lo:hi])) / self.nonlocal_coef
         out._exterior = (R, B, c0)
         return out
+
+    def solve_window(self, init: np.ndarray, free: np.ndarray, opts, solve, what: str):
+        """Minimize from ``init`` over the nodes of the boolean mask ``free``,
+        the others pinned to ``init``, on one block a:b: the free nodes' span
+        plus ``_REACH[k]`` pinned nodes per side (one for k = 0, which keeps
+        the block a grid).  ``free[a:b]`` is the mask of both ``solve``, the
+        caller's ``minimize`` run with ``opts``, and the block's
+        preconditioner; the pinned rest is the block's exterior term, so the
+        energy is the full one.  The result's profile is the full grid's; a
+        solve short of ``grad_tol`` warns, naming ``what``."""
+        idx, margin = np.flatnonzero(free), _REACH.get(self.k, 1)
+        a, b = max(idx[0] - margin, 0), min(idx[-1] + 1 + margin, free.size)
+        block = self.block(a, b, init)
+        res = solve(block.energy, block.gradient, GridProfile(block.grid, init[a:b]), free[a:b],
+                    opts, precondition=block.preconditioner(free[a:b]))
+        values = np.r_[init[:a], res.profile.values, init[b:]]
+        res = replace(res, profile=GridProfile(self.grid, values))
+        _warn_unconverged(res, what)
+        return res
 
     def preconditioner(self, free_mask: np.ndarray):
         """P^-1 as a callable g -> P^-1 g, zero wherever ``free_mask`` is false.

@@ -16,8 +16,7 @@ import numpy as np
 
 from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec
 from .grid import BVTarget, GridProfile, UniformGrid, make_grid
-from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
-from .profiles import _window_solve
+from .optimize import MinimizeOptions, MinimizeResult, minimize
 
 __all__ = [
     "regime_sweep",
@@ -167,9 +166,8 @@ def regime_sweep(kernel: KernelSpec, target: BVTarget, rule: str, eps_list,
             init[sel], free[sel] = s_j * (2.0 * q - 1.0), True
 
         model = DiscreteEnergy(grid, EnergyParams(k, s, eps, delta), well, kernel)
-        res = _window_solve(model, init, free, opts, minimize)
-        _warn_unconverged(res, f"{rule} sweep solve at eps={eps:g}")
-        results.append(res)
+        results.append(model.solve_window(init, free, opts, minimize,
+                                          f"{rule} sweep solve at eps={eps:g}"))
     return results
 
 

@@ -7,16 +7,15 @@ numeric field holds a number (not a string such as "2").  Each runner
 returns one record per CSV row, whose columns ``CSV_SCHEMAS`` orders.
 Each mode gets one ascending reference solve behind ``predicted`` and the
 pasted recovery profiles; a descending jump uses its reflection x -> -x.
-A converged reference solve is kept in a bounded table for every later
-config of the process, such as the other configs of one ``fraclab``
-invocation; an unconverged one is not kept.
-Results are written atomically (temp file + rename).  Failures map to exit
-codes: 2 config, 3 numerical, 4 I/O.
+A converged reference solve is kept in a bounded dict (``_REFERENCES``) for
+every later config of the process, such as the other configs of one
+``fraclab`` invocation; an unconverged one is not kept.  Results are written
+atomically (temp file + rename), with the mode a plain ``open()`` would give
+them.  Failures map to exit codes: 2 config, 3 numerical, 4 I/O.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -272,30 +271,22 @@ def _reference_problem(cfg: ExperimentConfig, mode: str) -> TransitionProblem:
                                n_cells=cfg.raw["reference_n_cells"])
 
 
-class _Unconverged(Exception):
-    """Carries an unconverged reference solve past the table, which keeps none."""
-
-    def __init__(self, result: MinimizeResult):
-        self.result = result
-
-
-@functools.lru_cache(maxsize=16)
-def _converged_reference(problem: TransitionProblem, opts: MinimizeOptions) -> MinimizeResult:
-    res = transition_energy(problem, opts)
-    if not res.converged:
-        raise _Unconverged(res)
-    return res
+_REFERENCES: dict = {}  # (problem, opts) -> converged reference solve, oldest first
+_REFERENCE_CAP = 16  # main thread only: a curve's pool threads ask for no reference
 
 
 def _reference(cfg: ExperimentConfig, mode: str) -> MinimizeResult:
     """The ascending reference solve of ``mode``; a descending jump is its
     reflection.  A converged solve is kept for every later config of the
-    process (the least recently used of 16 dropped); an unconverged one is
-    solved again, and warns, each time."""
-    try:
-        return _converged_reference(_reference_problem(cfg, mode), cfg.opt_options())
-    except _Unconverged as exc:
-        return exc.result
+    process (the least recently used of ``_REFERENCE_CAP`` dropped); an
+    unconverged one is solved again, and warns, each time."""
+    key = (_reference_problem(cfg, mode), cfg.opt_options())
+    res = _REFERENCES.pop(key, None) or transition_energy(*key)
+    if res.converged:
+        _REFERENCES[key] = res
+        if len(_REFERENCES) > _REFERENCE_CAP:
+            del _REFERENCES[next(iter(_REFERENCES))]
+    return res
 
 
 def _predicted(cfg: ExperimentConfig, target: BVTarget, mode: str,
@@ -349,6 +340,9 @@ def emit_csv(rows, schema, path) -> None:
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)
+            # mkstemp makes the file 0600: give it the mode a plain open() would
+            os.umask(umask := os.umask(0))
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -221,7 +221,7 @@ def _warn_unconverged(result: MinimizeResult, what: str) -> None:
         warnings.warn(
             f"{what} stopped on {result.stop_reason} with gradient norm"
             f" {result.final_grad_norm:.3g} after {result.iterations} iterations",
-            RuntimeWarning, stacklevel=3,
+            RuntimeWarning, stacklevel=4,  # the caller of transition_energy or regime_sweep
         )
 
 

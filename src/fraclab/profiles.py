@@ -6,7 +6,7 @@ tail correction standing in for the interactions beyond the grid.  Every solve
 ascends; a descending transition is its reflection x -> -x (``DoubleWell``).
 Only |x| < T is free, so each solve runs on that window and a few clamped
 nodes per side, the clamped rest of the grid and the tail entering as the
-window's exterior term (``_window_solve``, which the regime sweep shares).
+window's exterior term (``DiscreteEnergy.solve_window``, as for the sweep).
 The kernel enters in one of four modes:
 
 * ``lambda``        -- a(x/lam, y/lam), the critical-scaling profile problem;
@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec, _check_nodes
-from .grid import _REACH, GridProfile, make_grid
-from .optimize import MinimizeOptions, MinimizeResult, minimize, _warn_unconverged
+from .grid import make_grid
+from .optimize import MinimizeOptions, MinimizeResult, minimize
 
 __all__ = [
     "TransitionProblem",
@@ -109,24 +109,6 @@ def _start(tp: TransitionProblem, grid) -> tuple[np.ndarray, np.ndarray]:
     return np.where(free, x / tp.T, np.sign(x)), free
 
 
-def _window_solve(model: DiscreteEnergy, init: np.ndarray, free: np.ndarray,
-                  opts: MinimizeOptions, solve) -> MinimizeResult:
-    """Minimize ``model`` from ``init`` over the nodes of the boolean mask
-    ``free``, the others pinned to ``init``, on one block a:b: the free
-    nodes' span plus ``_REACH[k]`` pinned nodes per side (one for k = 0, which
-    keeps the block a grid).  ``free[a:b]`` is the mask of both ``solve``, the
-    caller's ``minimize``, and the block's preconditioner; the pinned rest is
-    the block's exterior term (``DiscreteEnergy.block``), so the energy is
-    the full one.  The returned profile is the full grid's."""
-    idx, margin = np.flatnonzero(free), _REACH.get(model.k, 1)
-    a, b = max(idx[0] - margin, 0), min(idx[-1] + 1 + margin, free.size)
-    block = model.block(a, b, init)
-    res = solve(block.energy, block.gradient, GridProfile(block.grid, init[a:b]), free[a:b],
-                opts, precondition=block.preconditioner(free[a:b]))
-    values = np.r_[init[:a], res.profile.values, init[b:]]
-    return replace(res, profile=GridProfile(model.grid, values))
-
-
 def transition_energy(tp: TransitionProblem,
                       opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Estimate the transition energy m for the problem's kernel mode.
@@ -142,9 +124,8 @@ def transition_energy(tp: TransitionProblem,
     reason and final gradient norm.
     """
     model = _assemble(tp)
-    res = _window_solve(model, *_start(tp, model.grid), opts, minimize)
-    _warn_unconverged(res, f"transition solve ({tp.mode}, k={tp.k}, N={model.grid.n_nodes})")
-    return res
+    return model.solve_window(*_start(tp, model.grid), opts, minimize,
+                              f"transition solve ({tp.mode}, k={tp.k}, N={model.grid.n_nodes})")
 
 
 def _at_length(tp: TransitionProblem, T: float) -> TransitionProblem:

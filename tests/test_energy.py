@@ -25,7 +25,7 @@ from fraclab import (
     minimize,
     resample_scaled,
 )
-from fraclab.energy import _PairForm, _cross_tail_constant, _pair_table
+from fraclab.energy import _PairForm, _cross_tail_constant, _pair_table, _sine_solve
 from fraclab.grid import _REACH
 from probes import kth_difference
 
@@ -677,9 +677,7 @@ def test_recoveries_of_one_process_build_one_pair_table_per_grid(tmp_path, monke
     # solve shares the tables of its (n, h, s), whatever its kernel scale
     builds = []
     fresh_pair_tables(monkeypatch, builds)
-    table = harness._converged_reference
-    monkeypatch.setattr(harness, "_converged_reference",
-                        functools.lru_cache(**table.cache_parameters())(table.__wrapped__))
+    monkeypatch.setattr(harness, "_REFERENCES", {})
     raw = {"command": "recovery", "kernel": {"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
            "jumps": [[0.5, 1]], "T_profile": 2.0, "n_cells": 512, "reference_n_cells": 192,
            "grad_tol": 1e-4}
@@ -864,6 +862,20 @@ def test_preconditioner_transform_count(k, kspec, transforms, monkeypatch):
                             lambda *args, fft=fft: calls.append(fft) or fft(*args))
     apply(np.random.default_rng(k).standard_normal(free.size))
     assert len(calls) == transforms
+
+
+@pytest.mark.parametrize("kspec", [KernelSpec.cos_sum(2.5, 1.0), KernelSpec.constant(1.5)],
+                         ids=lambda k: k.kind)
+def test_k2_preconditioner_of_the_whole_grid_is_the_mean_kernel_solve(kspec):
+    # a free block spanning the grid leaves no row outside it to couple to
+    # the block, so P^-1 takes no boundary-row update
+    grid = make_grid(-2.0, 2.0, 40)
+    model = DiscreteEnergy(grid, EnergyParams(2, 0.5, 1.0, 1.3), DoubleWell(0.0), kspec)
+    n = grid.n_nodes
+    got = _as_matrix(model.preconditioner(np.ones(n, dtype=bool)), n)
+    lam = model._symbol(n)[0]
+    expect = _as_matrix(_sine_solve(np.ones((1, n)), 1.0 / lam[None]), n)
+    assert np.abs(got - expect).max() == 0.0
 
 
 @pytest.mark.parametrize("case, k", PRECONDITIONER_CASES)

@@ -306,12 +306,13 @@ def test_subcritical_point_at_2_to_the_minus_13_under_5_seconds():
 def test_unconverged_sweep_solve_warns():
     target = make_bv_target([(0.5, +1)])
     with pytest.warns(RuntimeWarning, match=r"critical sweep solve at eps=0.03125 stopped on"
-                                            r" max_iters with gradient norm"):
+                                            r" max_iters with gradient norm") as record:
         results = regime_sweep(KernelSpec.cos_sum(2.5, 1.0), target, "critical", [2.0 ** -5],
                                k=0, s=0.75, well=WELL, n_cells=512, T_profile=1.0,
                                window_factor=4.0,
                                opts=MinimizeOptions(grad_tol=1e-7, max_iters=3))
     assert results[0].stop_reason == "max_iters"
+    assert record[0].filename == __file__  # the warning names the caller
 
 
 def test_regime_sweep_rejects_an_unknown_rule():

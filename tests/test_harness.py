@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import os
@@ -29,7 +28,7 @@ from fraclab.harness import (
     run_experiment,
 )
 from fraclab.optimize import NumericalFailure, minimize
-from fraclab.profiles import _start, _window_solve
+from fraclab.profiles import _start
 from fraclab.selftest import selftest
 from probes import descending_energy
 
@@ -146,6 +145,17 @@ def test_emit_csv_refuses_non_finite(tmp_path):
     with pytest.raises(NumericalFailure):
         emit_csv([[float("nan")]], ["x"], tmp_path / "nan.csv")
     assert not (tmp_path / "nan.csv").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_emit_csv_gives_the_mode_a_plain_open_would(tmp_path, umask, mode):
+    # not the temp file's 0600 whatever the umask
+    old = os.umask(umask)
+    try:
+        emit_csv([[1.0]], ["x"], tmp_path / "out.csv")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == mode
 
 
 def test_emit_csv_atomic_no_partial_file(tmp_path):
@@ -795,9 +805,7 @@ RECOVERY_SMALL = dict(RECOVERY_MIN, T_profile=2.0, n_cells=512, reference_n_cell
 
 def empty_reference_table(monkeypatch):
     """Give the test a table of kept reference solves of its own, empty."""
-    table = harness._converged_reference
-    monkeypatch.setattr(harness, "_converged_reference",
-                        functools.lru_cache(**table.cache_parameters())(table.__wrapped__))
+    monkeypatch.setattr(harness, "_REFERENCES", {})
 
 
 def count_solves(monkeypatch) -> list:
@@ -834,7 +842,7 @@ def test_descending_reference_is_reflection(tmp_path, monkeypatch, kernel, mode,
     tp = harness._reference_problem(cfg, mode)
     down = descending_energy(tp)
     ramp, free = _start(tp, down.grid)
-    real = _window_solve(down, ramp[::-1], free[::-1], cfg.opt_options(), minimize)
+    real = down.solve_window(ramp[::-1], free[::-1], cfg.opt_options(), minimize, "descending")
     solved = count_solves(monkeypatch)
     up = harness._reference(cfg, mode)
     assert solved == [tp]
@@ -941,11 +949,11 @@ def test_unconverged_reference_is_not_kept(tmp_path, monkeypatch):
             run_experiment(cfg, tmp_path / f"r{i}.csv")
     assert [p.mode for p in solved] == ["lambda", "lambda"]
     assert len(record) == 2
-    assert harness._converged_reference.cache_info().currsize == 0
+    assert harness._REFERENCES == {}
 
 
 def test_reference_table_keeps_the_newest_up_to_its_cap(tmp_path, monkeypatch):
-    cap = harness._converged_reference.cache_info().maxsize
+    cap = harness._REFERENCE_CAP
     empty_reference_table(monkeypatch)
     converged = harness.MinimizeResult(None, 1.0, 0, 0.0, True, "grad_tol", 1, 1, 0)
     solved = []
@@ -959,5 +967,5 @@ def test_reference_table_keeps_the_newest_up_to_its_cap(tmp_path, monkeypatch):
     configs = [small_recovery(tmp_path, reference_n_cells=n) for n in sizes]
     for cfg in configs + configs[3:]:  # the newest cap are asked again
         assert harness._reference(cfg, "lambda") is converged
-    assert harness._converged_reference.cache_info().currsize == cap
+    assert len(harness._REFERENCES) == cap
     assert solved == sizes

@@ -152,6 +152,27 @@ def test_minimize_raises_numerical_failure_on_nan_gradient():
     assert err.value.last_energy == energy(last.values)
 
 
+def test_minimize_raises_numerical_failure_on_drifting_energy():
+    # the energy rises by 1e-9 per call, so the final evaluation disagrees
+    # with the value the iteration accepted
+    g = make_grid(0.0, 1.0, 4)
+    quadratic, grad = quadratic_target(1.0)
+    returned = []
+
+    def energy(u):
+        returned.append(quadratic(u) + 1e-9 * len(returned))
+        return returned[-1]
+
+    init = GridProfile(g, np.zeros(5))
+    with pytest.raises(NumericalFailure, match="energy bookkeeping drifted") as err:
+        minimize(energy, grad, init, np.ones(5, dtype=bool), precondition=identity)
+    last = err.value.last_profile
+    assert last.grid == g
+    np.testing.assert_allclose(last.values, 1.0, atol=1e-6)
+    assert err.value.last_energy in returned[:-1]
+    assert err.value.last_energy < returned[-1]
+
+
 def test_minimize_rejects_a_bad_free_mask():
     g = make_grid(0.0, 1.0, 4)
     energy, grad = quadratic_target(0.0)

@@ -316,9 +316,11 @@ def test_two_scale_preconditioner_solves_the_critical_profile_in_few_iterations(
 
 def test_unconverged_transition_solve_warns():
     tp = small_problem(kernel=KernelSpec.cos_sum(2.5, 1.0), mode="lambda")
-    with pytest.warns(RuntimeWarning, match=r"stopped on max_iters with gradient norm \S+ after 3"):
+    with pytest.warns(RuntimeWarning,
+                      match=r"stopped on max_iters with gradient norm \S+ after 3") as record:
         res = transition_energy(tp, MinimizeOptions(grad_tol=1e-7, max_iters=3))
     assert not res.converged
+    assert record[0].filename == __file__  # the warning names the caller
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert transition_energy(tp, MinimizeOptions(grad_tol=1e-7)).converged
