@@ -95,17 +95,18 @@ class DoubleWell:
             + q * q * self.chi * 0.5 * np.pi * np.cos(0.5 * np.pi * z)
 
 
-_KERNEL_KINDS = ("constant", "cos_sum", "cos_prod")
+# kind -> the terms (p, q), p and q 0 or 1, of a = c0 + c1 sum cos(2 pi x)^p cos(2 pi y)^q
+_KERNEL_TERMS = {"constant": (), "cos_sum": ((1, 0), (0, 1)), "cos_prod": ((1, 1),)}
+_KERNEL_KINDS = tuple(_KERNEL_TERMS)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Symmetric, 1-periodic interaction coefficient a(x, y).
+    """Symmetric, 1-periodic a(x, y) = c0 + c1 sum cos(2 pi x)^p cos(2 pi y)^q over ``terms``:
 
-    Variants:
-      constant  -- a = c0
-      cos_sum   -- a = c0 + c1 * (cos 2 pi x + cos 2 pi y)
-      cos_prod  -- a = c0 + c1 * cos 2 pi x * cos 2 pi y
+      constant  -- no term: a = c0
+      cos_sum   -- (1, 0), (0, 1): a = c0 + c1 * (cos 2 pi x + cos 2 pi y)
+      cos_prod  -- (1, 1): a = c0 + c1 * cos 2 pi x * cos 2 pi y
 
     Construction rejects parameters whose essential infimum is <= 0.
     """
@@ -115,7 +116,7 @@ class KernelSpec:
     c1: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KERNEL_KINDS:
+        if self.kind not in _KERNEL_TERMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {_KERNEL_KINDS}")
         if not (np.isfinite(self.c0) and np.isfinite(self.c1)):
             raise ValueError("kernel coefficients must be finite")
@@ -137,44 +138,41 @@ class KernelSpec:
         return cls("cos_prod", float(c0), float(c1))
 
     @property
-    def _swing(self) -> float:  # max |a - c0| over the unit square
-        return {"constant": 0.0, "cos_sum": 2.0 * abs(self.c1), "cos_prod": abs(self.c1)}[self.kind]
+    def terms(self) -> tuple:
+        return _KERNEL_TERMS[self.kind]
 
     @property
-    def alpha_a(self) -> float:
-        return self.c0 - self._swing
+    def alpha_a(self) -> float:  # the terms, each in [-1, 1], reach 1 together and -1 together
+        return self.c0 - abs(self.c1) * len(self.terms)
 
     @property
     def beta_a(self) -> float:
-        return self.c0 + self._swing
+        return self.c0 + abs(self.c1) * len(self.terms)
 
     @property
     def a_bar(self) -> float:
         """Mean over the unit square (the cosine means vanish)."""
         return self.c0
 
+    def _diag_min(self) -> tuple[float, float]:
+        """(a_inf, r): the least a(r, r) at r = 0, 1/2, 1/4, where cos 2 pi r =
+        1, -1, 0 bound every kind's diagonal, linear in cos 2 pi r or its square."""
+        return min((self.c0 + self.c1 * sum(c ** (p + q) for p, q in self.terms), r)
+                   for c, r in ((1, 0.0), (-1, 0.5), (0, 0.25)))
+
     @property
     def a_inf(self) -> float:
         """Infimum of the diagonal t -> a(t, t)."""
-        return self.c0 + min(0.0, self.c1) if self.kind == "cos_prod" else self.alpha_a
+        return self._diag_min()[0]
 
     def diag_argmin(self) -> float:
-        """A point r in [0, 1) with a(r, r) = a_inf (closed form per variant)."""
-        if self.kind == "cos_sum" and self.c1 > 0:
-            return 0.5
-        if self.kind == "cos_prod" and self.c1 > 0:
-            return 0.25
-        return 0.0
+        """A point r in [0, 1) with a(r, r) = a_inf, the least such of 0, 1/4, 1/2."""
+        return self._diag_min()[1]
 
     def eval(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "constant":
-            out = np.broadcast_to(self.c0, np.broadcast_shapes(x.shape, y.shape)).copy()
-        elif self.kind == "cos_sum":
-            out = self.c0 + self.c1 * (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y))
-        else:
-            out = self.c0 + self.c1 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        cx, cy = (np.cos(2 * np.pi * np.asarray(v, dtype=float)) for v in (x, y))
+        terms = (self.c1 * (cx if p else 1.0) * (cy if q else 1.0) for p, q in self.terms)
+        out = self.c0 + sum(terms, np.zeros(np.broadcast_shapes(cx.shape, cy.shape)))
         return out if out.ndim else float(out)
 
 
@@ -255,6 +253,15 @@ def _pair_table(n: int, h: float, s: float) -> _PairTable:
     return table._replace(ones=ones)
 
 
+def _phase(x: np.ndarray, scale: float, name: str = "delta") -> np.ndarray:
+    """2 pi x / scale at the ascending nodes x, finite at the farther end or a ValueError."""
+    far = max(-float(x[0]), float(x[-1]))  # the same rounding as the array's, with no warning
+    if not np.isfinite(2 * np.pi * far / float(scale)):
+        raise ValueError(f"{name} = {scale:.6g} is too small: the kernel phase 2 pi x / {name}"
+                         f" overflows at the node x = {far:.6g}")
+    return 2 * np.pi * np.asarray(x) / scale
+
+
 class _PairForm:
     """Quadratic form  g -> sum_{i != j} A_ij (g_i - g_j)^2  with
     A_ij = W_|i-j| a(x_i / scale, x_j / scale), applied without forming A.
@@ -262,39 +269,39 @@ class _PairForm:
     W g is the ``_PairTable``'s product, which the form shares with every
     other form of its (n, h, s); the form adds only its kernel part, the one
     place where the kernel meets the nodes: t = cos(2 pi x / scale), sampled
-    once (None for the constant kernel; ``block`` slices it), and from t the
-    row A 1 and, where they are read, ``diag`` a(x_i/scale, x_i/scale) and
-    the exterior tail's ``period_mean`` of y -> a(x_i/scale, y/scale).
-    Constant: A g = c0 W g;  cos_sum: c0 W g + c1 (t o W g + W (t o g));
-    cos_prod: c0 W g + c1 t o W (t o g), with one batched FFT over
-    [g, t o g].  So its row A 1 costs cos_sum and cos_prod one product W t
-    and the constant kernel none.  With g' = g - mean(g), the value is
-    2 g' . (diag(row) - A) g' and its gradient 4 (row o g' - A g'), both
-    exactly zero wherever g' is, as on every pure +-1 phase.
+    once (None for the constant kernel; ``block`` slices it).  The kernel's
+    ``terms`` (p, q) are separable, A g = c0 W g + c1 sum t^p o W(t^q o g),
+    so t gives the row A 1 and, where read, ``diag`` a(x_i/scale, x_i/scale)
+    and the exterior tail's ``period_mean`` of y -> a(x_i/scale, y/scale).
+    The value reads W g, and W (t o g) in the same batched FFT if a term has
+    a cosine on both sides (cos_prod); W is symmetric, so a term with one
+    reads W g, and cos_sum's gradient adds the product W (t o g).  With
+    g' = g - mean(g), the value is 2 g' . (diag(row) - A) g' and its gradient
+    4 (row o g' - A g'), both exactly zero wherever g' is, as on every pure
+    +-1 phase.
     """
 
     def __init__(self, table: _PairTable, kspec: KernelSpec, x: np.ndarray, scale: float):
-        self._kspec = kspec
-        self._on(table, None if kspec.kind == "constant" else np.cos(2 * np.pi * x / scale))
+        self._kspec, self._terms, self._both = kspec, kspec.terms, (1, 1) in kspec.terms
+        self._reads = [(q, (1 + (p > q)) * kspec.c1) for p, q in kspec.terms if p >= q]
+        self._on(table, np.cos(_phase(x, scale)) if kspec.terms else None)
 
     def _on(self, table: _PairTable, t: np.ndarray | None) -> None:
-        """Take the ``table`` and samples ``t`` of the nodes; derive the row."""
-        c0, c1, w1 = self._kspec.c0, self._kspec.c1, table.ones
-        self._table, self.t, self.row = table, t, c0 * w1
-        if self._kspec.kind == "cos_sum":
-            self.row = self.row + c1 * (t * w1 + table.product(t))
-        elif t is not None:
-            self.row = self.row + c1 * (t * table.product(t))
+        """Take the ``table`` and samples ``t`` of the nodes; the row A 1 from W 1 and W t."""
+        self._table, self.t = table, t  # apply reads g = 1 only through these products
+        self.row = self.apply(None, (table.ones, None if t is None else table.product(t)))
+
+    def _nodal(self, powers) -> np.ndarray:  # c0 + c1 sum t^n over the powers n, 1 or 2
+        terms = [self.t * self.t if n == 2 else self.t for n in powers] or [np.zeros(self.row.size)]
+        return self._kspec.c0 + self._kspec.c1 * functools.reduce(np.add, terms)
 
     def diag(self) -> np.ndarray:
         """a(x_i/scale, x_i/scale) on the nodes, from the samples."""
-        t = np.zeros(self.row.size) if self.t is None else self.t
-        return self._kspec.c0 + self._kspec.c1 * (t + t if self._kspec.kind == "cos_sum" else t * t)
+        return self._nodal([p + q for p, q in self._terms])
 
     def period_mean(self) -> np.ndarray:
-        """The one-period mean of y -> a(x_i/scale, y/scale) on the nodes."""
-        t = self.t if self._kspec.kind == "cos_sum" else np.zeros(self.row.size)
-        return self._kspec.c0 + self._kspec.c1 * t
+        """The one-period mean of y -> a(x_i/scale, y/scale): the terms with q = 0."""
+        return self._nodal([p for p, q in self._terms if not q])
 
     def block(self, lo: int, hi: int, table: _PairTable) -> "_PairForm":
         """The form on the nodes lo..hi-1, on their ``table`` and a slice of the samples."""
@@ -302,36 +309,33 @@ class _PairForm:
         out._on(table, None if self.t is None else self.t[lo:hi])
         return out
 
-    def product(self, g: np.ndarray) -> np.ndarray:
-        """The value's FFT product: W g for cos_sum, A g otherwise."""
-        c0, c1 = self._kspec.c0, self._kspec.c1
-        if self._kspec.kind == "cos_sum":
-            return self._table.product(g)
-        if self._kspec.kind == "constant":
-            return c0 * self._table.product(g)
-        wg, wtg = self._table.product(np.stack([g, self.t * g]))
-        return c0 * wg + c1 * (self.t * wtg)
+    def product(self, g: np.ndarray) -> tuple:
+        """The value's FFT product (W g, W (t o g)), the second None unless a
+        term has a cosine on both sides."""
+        if self._both:
+            return tuple(self._table.product(np.stack([g, self.t * g])))
+        return self._table.product(g), None
 
-    def apply(self, g: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, g: np.ndarray, prod: tuple | None = None) -> np.ndarray:
         """A @ g; ``prod`` is ``product(g)`` if the caller has it (cos_sum
-        then needs one more transform, the other kernels none)."""
-        if prod is None:
-            prod = self.product(g)
-        if self._kspec.kind != "cos_sum":
-            return prod
-        t = self.t
-        return self._kspec.c0 * prod + self._kspec.c1 * (t * prod + self._table.product(t * g))
+        then needs one more transform, W (t o g), the other kernels none)."""
+        wg, wtg = self.product(g) if prod is None else prod
+        if wtg is None and self.t is not None:  # a is symmetric: some term has q = 1
+            wtg = self._table.product(self.t * g)
+        out, terms = self._kspec.c0 * wg, None
+        for p, q in self._terms:
+            term = self.t * (wtg if q else wg) if p else (wtg if q else wg)
+            terms = term if terms is None else terms + term
+        return out if terms is None else out + self._kspec.c1 * terms
 
     def value(self, g: np.ndarray) -> float:
         gc = g - g.mean()
         return self.centred_value(gc, self.product(gc))
 
-    def centred_value(self, gc: np.ndarray, prod: np.ndarray) -> float:
-        # cos_sum needs one transform, not two: W symmetric, g . W(t g) = (t g) . W g
-        if self._kspec.kind == "cos_sum":
-            quad = self._kspec.c0 * (gc @ prod) + 2.0 * self._kspec.c1 * ((self.t * gc) @ prod)
-        else:
-            quad = gc @ prod
+    def centred_value(self, gc: np.ndarray, prod: tuple) -> float:
+        quad = self._kspec.c0 * (gc @ prod[0])
+        for q, coef in self._reads:  # (t o g) . W(t^q o g); W symmetric: (q, p) adds as (p, q)
+            quad += coef * ((self.t * gc) @ prod[q])
         return max(2.0 * float(self.row @ (gc * gc) - quad), 0.0)
 
 
@@ -650,7 +654,8 @@ class DiscreteEnergy:
         m, k = b - a, self.k
         L = 2 * (m + 1)
         theta = np.arange(1, m + 1) * (np.pi / (m + 1))
-        phi = 1.0 / (1.0 + (theta * self.params.delta / (4.0 * np.pi * self._h)) ** 2)
+        with np.errstate(over="ignore"):  # phi -> 0, its limit, past delta/h ~ 1e153
+            phi = 1.0 / (1.0 + (theta * self.params.delta / (4.0 * np.pi * self._h)) ** 2)
         # a neighbour off the grid (a block at its end) takes the end node's diag
         S = (self._form.diag().take(np.arange(a - k, b + k), mode="clip") / self.kspec.a_bar) ** -0.5
         if not k:

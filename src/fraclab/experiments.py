@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec
+from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec, _phase
 from .grid import BVTarget, GridProfile, UniformGrid, make_grid
 from .optimize import MinimizeOptions, MinimizeResult, minimize
 
@@ -178,8 +178,9 @@ def _jump_shift(t_j: float, delta: float, mode: str, diag_shift: float) -> float
 
 
 def _check_recovery_geometry(target: BVTarget, eps: float, delta: float, T_profile: float):
-    """Raises ValueError unless eps * T_profile + delta stays below tau, so
-    the pasted profiles' transition layers keep apart."""
+    """Raises ValueError unless eps * T_profile + delta stays below tau, so the pasted
+    profiles' transition layers keep apart, and the kernel phase is finite on (0, 1)."""
+    _phase([0.0, 1.0], delta)
     tau = jump_half_separation(target)
     tau_eps = eps * T_profile + delta
     if tau_eps >= tau:

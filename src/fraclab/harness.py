@@ -23,7 +23,8 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .energy import _KERNEL_KINDS, DoubleWell, EnergyParams, KernelSpec, _check_nodes, eval_F
+from .energy import (_KERNEL_KINDS, DoubleWell, EnergyParams, KernelSpec, _check_nodes, _phase,
+                     eval_F)
 from .experiments import (_check_recovery_geometry, _check_sweep_eps, _check_sweep_geometry,
                           build_recovery, delta_rule, regime_sweep)
 from .grid import BVTarget, make_bv_target, make_grid
@@ -237,6 +238,9 @@ def _validate(raw: dict) -> ExperimentConfig:
         _check(violations, "grad_tol, max_iters", cfg.opt_options)
         if command in ("sweep", "recovery"):
             _check(violations, "n_cells", lambda: _check_nodes(grid, cfg.k))
+        if command == "sweep":  # each eps's kernel scale on (0, 1)
+            _check(violations, "eps_list", lambda: [_phase([0.0, 1.0], delta_rule(
+                raw["rule"], eps, raw["lam"])) for eps in raw["eps_list"]])
         label = ("transition problem" if command in ("profile", "curve")
                  else "reference problem (T = T_profile, n_cells = reference_n_cells)")
         _check(violations, label, {

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec, _check_nodes
+from .energy import DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec, _check_nodes, _phase
 from .grid import make_grid
 from .optimize import MinimizeOptions, MinimizeResult, minimize
 
@@ -67,6 +67,8 @@ class TransitionProblem:
         self.effective_kernel()
         grid = make_grid(-self.T_out, self.T_out, self.n_cells)
         _check_nodes(grid, self.k)
+        if self.mode == "lambda":  # the kernel at x / lam, out to the end nodes
+            _phase([grid.x_lo, grid.x_lo + grid.h * grid.n_cells], self.lam, "lam")
         # a node of (-3T, 3T) lies within 3T/n_cells of 0, inside |x| < T for
         # n_cells >= 4 (``_start``); at n_cells = 3 the nodes are +-3T and +-T
         if grid.n_cells == 3:

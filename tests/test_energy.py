@@ -471,6 +471,23 @@ def test_gradient_reuse_matches_fresh_instance(chi, k, kspec, tail, monkeypatch)
     assert len(calls) == 1  # the gradient reused the energy's point
 
 
+@pytest.mark.parametrize("kspec, transforms, rows", [
+    (KernelSpec.constant(2.0), [1, 0], 1), (KernelSpec.cos_sum(2.5, 1.0), [1, 1], 1),
+    (KernelSpec.cos_prod(2.0, 0.7), [1, 0], 2)], ids=REUSE_IDS[1:])
+def test_energy_and_gradient_transform_count(kspec, transforms, rows, monkeypatch):
+    # rffts per call: the value takes one product, cos_prod's two rows in one
+    # batched transform, and the gradient at its point reuses it; cos_sum's
+    # gradient adds the single-row W (t o g)
+    make, u = _reuse_case(1, kspec)
+    model, calls, rfft = make(), [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(np.ndim(args[0])) or rfft(*args))
+    model.energy(u)
+    counts = [len(calls)]
+    model.gradient(u)
+    assert counts + [len(calls) - counts[0]] == transforms
+    assert calls == [rows] * len(calls)
+
+
 def test_gradient_reuse_follows_the_content(monkeypatch):
     make, u = _reuse_case(1, KernelSpec.cos_sum(2.5, 1.0), (-1, 1))
     model = make()
@@ -585,6 +602,32 @@ def test_pair_operator_matches_explicit_dense_product(n_nodes, kspec):
     np.testing.assert_array_equal(form.row, form.apply(np.ones(n_nodes)))
     pairs = float(np.sum(dense * (g[:, None] - g[None, :]) ** 2))
     assert form.value(g) == pytest.approx(pairs, rel=1e-13)
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+def test_diag_and_period_mean_match_the_kernel(kspec):
+    # on a form and on a block of it: diag is a(x/scale, x/scale), and
+    # period_mean the mean of a(x/scale, y) over y = j/64, j < 64, a rule
+    # exact for these trigonometric polynomials
+    grid, scale, s, (lo, hi) = make_grid(-1.0, 2.0, 300), 0.37, 0.75, (40, 161)
+    x = grid.nodes()
+    form = _PairForm(_pair_table(grid.n_nodes, grid.h, s), kspec, x, scale)
+    block = form.block(lo, hi, _pair_table(hi - lo, grid.h, s))
+    y = np.arange(64) / 64.0
+    for f, nodes in ((form, x), (block, x[lo:hi])):
+        r = nodes / scale
+        np.testing.assert_allclose(f.diag(), kspec.eval(r, r), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(f.period_mean(), kspec.eval(r[:, None], y).mean(axis=1),
+                                   rtol=0, atol=1e-13)
+
+
+def test_kernel_sampled_where_its_phase_overflows_raises():
+    # 2 pi x / delta is not finite at x = 1: the samples would be NaN
+    grid, params = make_grid(0.0, 1.0, 64), EnergyParams(0, 0.75, 1.0, 1e-310)
+    with pytest.raises(ValueError, match="delta = 1e-310 is too small"):
+        DiscreteEnergy(grid, params, DoubleWell(0.0), KernelSpec.cos_sum(2.5, 1.0))
+    # a kernel without terms samples nothing
+    DiscreteEnergy(grid, params, DoubleWell(0.0), KernelSpec.constant(2.0))
 
 
 # the kernel-free pair table: one per (n, h, s), shared by every energy on it
@@ -896,6 +939,17 @@ def test_two_scale_rule_on_blocks_at_the_grid_ends(kspec):
     pinv = _as_matrix(model.preconditioner(free), grid.n_nodes)[np.ix_(free, free)]
     np.testing.assert_allclose(pinv, pinv.T, rtol=0, atol=1e-13 * np.abs(pinv).max())
     assert np.linalg.eigvalsh(0.5 * (pinv + pinv.T)).min() > 0.0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_two_scale_rule_at_a_kernel_period_far_beyond_the_grid(k):
+    # at delta = 1e300, (theta delta / (4 pi h))^2 overflows: phi takes its
+    # limit 0 without a warning, so P^-1 is the one at delta = 1e100, where
+    # phi is below 1e-199 and the kernel samples are 1 as well
+    got, expect = (_as_matrix(model.preconditioner(free), model.grid.n_nodes)
+                   for model, _, _, free in (_transition_case(k, delta=d) for d in (1e300, 1e100)))
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("case, k", PRECONDITIONER_CASES)

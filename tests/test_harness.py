@@ -396,6 +396,38 @@ RECOVERY_MIN = {"command": "recovery", "kernel": {"variant": "cos_sum", "c0": 2.
 CURVE_CFG = dict(PROFILE_CFG, command="curve", T_list=[2.0, 4.0], n_cells=96, grad_tol=1e-4)
 
 
+COS_SUM = {"variant": "cos_sum", "c0": 2.5, "c1": 1.0}
+
+
+@pytest.mark.parametrize("raw, named", [
+    (dict(RECOVERY_MIN, delta=1e-310), "eps: delta = 1e-310 is too small"),
+    (dict(PROFILE_CFG, kernel=COS_SUM, mode="lambda", lam=1e-307),
+     "transition problem: lam = 1e-307 is too small"),
+    (dict(RECOVERY_MIN, lam=1e-308), "eps: delta = 3.125e-310 is too small"),
+    (dict(SWEEP_MIN, kernel=COS_SUM, lam=1e-308),
+     "reference problem (T = T_profile, n_cells = reference_n_cells): lam = 1e-308 is too small"),
+    # the reference problem's phase, 2 pi 12 / lam, stays finite; the sweep point's does not
+    (dict(SWEEP_MIN, kernel=COS_SUM, lam=1e-305, eps_list=[1e-4]),
+     "eps_list: delta = 1e-309 is too small"),
+], ids=["recovery-delta", "profile-lam", "recovery-lam", "sweep-lam", "sweep-point-lam"])
+def test_cli_kernel_scale_too_small_for_the_grid_exits_config(tmp_path, monkeypatch, raw, named):
+    # the kernel phase 2 pi x / delta overflows at the run's farthest node
+    # (3T for a transition or reference problem, 1 on (0, 1)); these ran to
+    # an OverflowError in the recovery's jump shift, or to a non-finite
+    # energy at the first solve
+    def unused(*args, **kwargs):
+        raise AssertionError("a kernel scale too small must be rejected before any solve")
+
+    monkeypatch.setattr(harness, "transition_energy", unused)
+    monkeypatch.setattr(harness, "regime_sweep", unused)
+    cfg = write_config(tmp_path, "bad.json", raw)
+    out = tmp_path / "x.csv"
+    res = run_cli([raw["command"], str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert named in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("minimal, written_out", [
     (SWEEP_MIN, {"chi": 0.0, "k": 0, "s": 0.75, "grad_tol": 1e-6, "max_iters": 50000,
                  "n_cells": 2048, "T_profile": 4.0, "window_factor": 2.0,
