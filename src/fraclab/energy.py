@@ -697,10 +697,73 @@ class DiscreteEnergy:
         return coef * (sym * dk2) + 8.0 * h * self.well_coef, coef * sym
 
 
+def _end_runs(u: np.ndarray, k: int) -> tuple[int, int]:
+    """The span [a, b) of ``eval_F``: u[:a] and u[b:] lie in the longest runs
+    of u[0] and of u[-1] (a pure phase: of u[0] only) where that end is
+    exactly +-1, less ``_REACH[k]`` nodes (one for k = 0), so D_k of the span
+    reads u[0] or u[-1] on its edge rows; at least the 2k + 3 nodes an
+    order-k energy needs."""
+    n, margin, need = u.size, _REACH.get(k, 1), 2 * k + 3
+    left, right = (int(np.argmax(v != v[0])) or n if abs(v[0]) == 1.0 else 0 for v in (u, u[::-1]))
+    a = max(min(left - margin, n - need), 0)
+    return a, min(max(n - (right if left < n else 0) + margin, a + need), n)
+
+
+def _end_run_pairs(grid: UniformGrid, kspec: KernelSpec, s: float, delta: float,
+                   a: int, b: int, g: np.ndarray, g_l: float, g_r: float) -> float:
+    """The ordered pairs of ``eval_F`` with a node in an end run, before
+    ``nonlocal_coef``: 2 sum_i [L_i (g_i - g_L)^2 + R_i (g_i - g_R)^2] +
+    2 (g_L - g_R)^2 X over the span's nodes i and g, with L_i and R_i the
+    sums of row i of A over the runs [0, a) and [b, n), and X the sum of R_i
+    over the left run.  A_ij = w_|i-j| (c0 + c1 sum t_i^p t_j^q) with t =
+    cos theta, theta_j = theta_i + phi (j - i) and phi = 2 pi h / delta, so a
+    run's part of a row is a difference of two lag tails, sum_{d >= e} w_d
+    and sum_{d >= e} w_d e^{i phi d}, each summed from the far end, the least
+    weights first; e^{i phi d} comes by angle addition from two tables of
+    about sqrt(n) phases."""
+    w = _pair_table(grid.n_nodes, grid.h, s).weights
+    n, tails, z = w.size, [w], None
+    if kspec.terms:
+        r, step = int(n ** 0.5) + 1, 2 * np.pi * grid.h / delta
+        turns = np.outer(np.exp(1j * (step * r) * np.arange(-(-n // r))),
+                         np.exp(1j * step * np.arange(r))).ravel()[:n]
+        tails.append(w * turns)
+        z = np.exp(1j * _phase(np.array([grid.x_lo, grid.x_hi]), delta)[0]) * turns[:b]
+    tails = [np.append(np.cumsum(t[::-1])[::-1], 0.0) for t in tails]
+
+    def rows(near, far, zi, conj):  # sum_j A_ij over a run, its lags near..far-1 per row
+        s0 = tails[0][near] - tails[0][far]
+        if zi is None:
+            return kspec.c0 * s0
+        s1 = tails[1][near] - tails[1][far]
+        s1 = (zi * (s1.conj() if conj else s1)).real  # sum_j w_|i-j| t_j
+        return kspec.c0 * s0 + kspec.c1 * sum((zi.real if p else 1.0) * (s1 if q else s0)
+                                              for p, q in kspec.terms)
+
+    # rows i < b reach the right run at lags b - i .. n - i - 1, rows
+    # a <= i < b the left one at lags i - a + 1 .. i
+    right = rows(slice(b, 0, -1), slice(n, n - b, -1), z, False)
+    left = rows(slice(1, b - a + 1), slice(a + 1, b + 1), None if z is None else z[a:], True)
+    pairs = float(left @ ((g - g_l) ** 2) + right[a:] @ ((g - g_r) ** 2))
+    return 2.0 * (pairs + (g_l - g_r) ** 2 * float(right[:a].sum()))
+
+
 def eval_F(p: GridProfile, params: EnergyParams, well: DoubleWell,
            kspec: KernelSpec) -> float:
     """One-shot value of the eps/delta functional on the profile's interval
-    (no exterior tail).  The grid's pair table is kept for the process, so
-    a repeated call on one grid pays only for its kernel part and one
-    energy evaluation."""
-    return DiscreteEnergy(p.grid, params, well, kspec).energy(p.values)
+    (no exterior tail): a ``DiscreteEnergy`` on the span between the +-1 end
+    runs (``_end_runs``), whose well term is the whole one (W(+-1) = 0), plus
+    the pairs with a node in an end run in closed form (``_end_run_pairs``;
+    g = D_k u is u[0] or u[-1] there for k = 0, 0 for k >= 1).  Only a
+    profile without a +-1 end run takes an FFT product of the grid's length."""
+    grid, u, k = p.grid, p.values, params.k
+    a, b = _end_runs(u, k)
+    if (a, b) == (0, u.size):
+        return DiscreteEnergy(grid, params, well, kspec).energy(u)
+    x_lo, h = grid.x_lo, grid.h  # the span's nodes as DiscreteEnergy.block builds a block's
+    span = DiscreteEnergy(make_grid(x_lo + h * a, x_lo + h * (b - 1), b - a - 1),
+                          params, well, kspec)
+    total = span.energy(u[a:b])
+    g_l, g_r = (0.0, 0.0) if k else (float(u[0]), float(u[-1]))
+    return total + span.nonlocal_coef * _end_run_pairs(grid, kspec, params.s, params.delta,
+                                                       a, b, span._last[2], g_l, g_r)

@@ -192,11 +192,18 @@ def _check_recovery_geometry(target: BVTarget, eps: float, delta: float, T_profi
         )
 
 
-def _jump_intervals(target: BVTarget, x: np.ndarray) -> np.ndarray:
-    """Index j of the interval I_j holding each node, (0, 1) split at jump midpoints."""
+def _jump_blocks(target: BVTarget, x: np.ndarray) -> list[tuple[int, int]]:
+    """Per jump j, the range lo:hi of the ascending nodes x in the interval
+    I_j, (0, 1) split at the jump midpoints (a node on a midpoint joins the
+    right one)."""
     locs = target.jump_locations
-    bounds = [0.0] + [0.5 * (a + b) for a, b in zip(locs, locs[1:])] + [1.0]
-    return np.clip(np.searchsorted(np.array(bounds), x, side="right") - 1, 0, len(locs) - 1)
+    cuts = np.searchsorted(x, [0.5 * (a + b) for a, b in zip(locs, locs[1:])]).tolist()
+    return list(zip([0, *cuts], [*cuts, x.size]))
+
+
+def _paste_scale(mode: str, eps: float, delta: float, lam: float) -> float:
+    """xi per unit x of ``build_recovery``'s paste: lam/delta in lambda mode, else 1/eps."""
+    return lam / delta if mode == "lambda" else 1.0 / eps
 
 
 def build_recovery(target: BVTarget, profile: GridProfile, eps: float, delta: float,
@@ -210,19 +217,25 @@ def build_recovery(target: BVTarget, profile: GridProfile, eps: float, delta: fl
     with t^d = delta * floor(t/delta); the supercritical mode uses the same
     shift with the 1/eps scaling; the subcritical mode shifts onto the
     kernel's diagonal minimum, t^d = delta * (floor(t/delta - r) + r), with
-    r = ``diag_shift``.
+    r = ``diag_shift``.  Where the reference is clamped, on its end runs of
+    v[0] and v[-1], the paste writes those values; it interpolates only in
+    between, which gives ``np.interp``'s values bit for bit (a run's slope
+    is exactly 0).
     """
     if mode not in ("lambda", "supercritical", "subcritical"):
         raise ValueError(f"mode must be lambda/supercritical/subcritical, got {mode!r}")
     _check_recovery_geometry(target, eps, delta, T_profile)
-    scale = lam / delta if mode == "lambda" else 1.0 / eps
-    x, nodes = grid.nodes(), profile.grid.nodes()
-    idx = _jump_intervals(target, x)
+    scale = _paste_scale(mode, eps, delta, lam)
+    x, nodes, v = grid.nodes(), profile.grid.nodes(), profile.values
+    # the reference's last node of its v[0] run and first of its v[-1] run
+    lo = nodes[(int(np.argmax(v != v[0])) or v.size) - 1]
+    hi = nodes[v.size - (int(np.argmax(v[::-1] != v[-1])) or v.size)]
     values = np.empty_like(x)
-    for j, (t_j, s_j) in enumerate(zip(target.jump_locations, target.jump_signs)):
-        sel = idx == j
-        xi = (x[sel] - _jump_shift(t_j, delta, mode, diag_shift)) * scale
-        values[sel] = np.interp(s_j * xi, nodes, profile.values)
+    for (a, b), t_j, s_j in zip(_jump_blocks(target, x), target.jump_locations, target.jump_signs):
+        xi = s_j * ((x[a:b] - _jump_shift(t_j, delta, mode, diag_shift)) * scale)
+        inner = (xi > lo) & (xi < hi)
+        values[a:b] = np.where(xi <= lo, v[0], v[-1])
+        values[a:b][inner] = np.interp(xi[inner], nodes, v)
     return GridProfile(grid, values)
 
 

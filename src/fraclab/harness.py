@@ -19,14 +19,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .energy import (_KERNEL_KINDS, DoubleWell, EnergyParams, KernelSpec, _check_nodes, _phase,
                      eval_F)
 from .experiments import (_check_recovery_geometry, _check_sweep_eps, _check_sweep_geometry,
-                          build_recovery, delta_rule, regime_sweep)
+                          _paste_scale, build_recovery, delta_rule, regime_sweep)
 from .grid import BVTarget, make_bv_target, make_grid
 from .optimize import MinimizeOptions, MinimizeResult, NumericalFailure
 from .profiles import (
@@ -249,6 +249,8 @@ def _validate(raw: dict) -> ExperimentConfig:
             "sweep": lambda: _reference_problem(cfg, _RULE_MODE[raw["rule"]]),
             "recovery": lambda: _reference_problem(cfg, raw["mode"]),
         }[command])
+        if command == "recovery" and not violations:
+            _check(violations, "reference_n_cells", lambda: _check_reference_spacing(raw))
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -259,6 +261,21 @@ def _delta(raw: dict) -> float:
     if "delta" in raw:
         return _positive(raw["delta"], "delta")
     return delta_rule(_MODE_RULE[raw["mode"]], raw["eps"], raw["lam"])
+
+
+def _check_reference_spacing(raw: dict) -> None:
+    """Raises ValueError if a k >= 1 recovery pastes its reference, on
+    (-3 T_profile, 3 T_profile), at a finer spacing than the reference's
+    own: ``build_recovery`` interpolates linearly, and D_k u would measure
+    the slope kink at every reference node instead of the energy."""
+    T, n, ref = raw["T_profile"], raw["n_cells"], raw["reference_n_cells"]
+    scale = _paste_scale(raw["mode"], raw["eps"], _delta(raw), raw["lam"])
+    if raw["k"] >= 1 and 6.0 * T / ref > scale / n:
+        raise ValueError(
+            f"the reference spacing 6 T_profile / reference_n_cells = {6.0 * T / ref:.6g} exceeds"
+            f" the pasted spacing {scale / n:.6g} (lam/delta in lambda mode, else 1/eps, over"
+            f" n_cells), so a k = {raw['k']} energy would measure the paste's kinks:"
+            f" reference_n_cells must be at least {math.ceil(6.0 * T * n / scale)}")
 
 
 def _transition_problem(cfg: ExperimentConfig, **overrides) -> TransitionProblem:
@@ -339,14 +356,19 @@ def emit_csv(rows, schema, path) -> None:
         lines.append(",".join(_fmt(v) for v in row))
     payload = "\n".join(lines) + "\n"
     path = Path(path)
+    # named by process and thread, so a clash is a stale file of a dead
+    # process; created with O_EXCL and mode 0666, so the umask applies
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileExistsError:
+            os.unlink(tmp)
+            fd = os.open(tmp, flags, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)
-            # mkstemp makes the file 0600: give it the mode a plain open() would
-            os.umask(umask := os.umask(0))
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -19,7 +19,7 @@ import numpy as np
 
 from fraclab.energy import (DiscreteEnergy, DoubleWell, EnergyParams, KernelSpec, _PairForm,
                             _pair_table)
-from fraclab.experiments import _jump_intervals, build_recovery, fit_loglog_slope
+from fraclab.experiments import _jump_blocks, build_recovery, fit_loglog_slope
 from fraclab.grid import SUPPORTED_ORDERS, BVTarget, GridProfile, _stencil_apply, make_grid
 from fraclab.profiles import TransitionProblem
 
@@ -67,9 +67,7 @@ def cross_term_probe(target: BVTarget, profile: GridProfile, eps_list, *, k: int
     n_jumps = len(target.jump_locations)
     if n_jumps < 2:
         return [0.0] * len(eps_list), math.nan
-    idx = _jump_intervals(target, x)
-    blocks = [(int(np.searchsorted(idx, j, side="left")),
-               int(np.searchsorted(idx, j, side="right"))) for j in range(n_jumps)]
+    blocks = _jump_blocks(target, x)
 
     table = _pair_table(grid.n_nodes, grid.h, s)
     values = []

@@ -34,6 +34,8 @@ from probes import kth_difference
 # by direct double sums under h-halving with leading-order (2-2s) Richardson.
 F_TANH_REFERENCE = 31.470057189929
 UNIT = KernelSpec.constant(1.0)  # the homogeneous problem's kernel
+OPERATOR_KERNELS = [KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
+                    KernelSpec.cos_prod(2.0, 0.7)]
 
 
 class _NoWell:
@@ -272,6 +274,102 @@ def test_eval_F_pure_phase_and_constant_zero():
     assert eval_F(ones, params, well, kern) == 0.0
     zeros = GridProfile(g, np.zeros(g.n_nodes))
     assert eval_F(zeros, params, well, kern) == pytest.approx(10.0, rel=1e-12)
+    # a pure phase is one end run: exactly zero for every order and kernel
+    for kspec in (kern, KernelSpec.cos_sum(2.5, 1.0), KernelSpec.cos_prod(2.0, 0.7)):
+        for k, s in ((0, 0.75), (1, 0.5), (2, 0.5)):
+            for sign in (1.0, -1.0):
+                phase = GridProfile(g, np.full(g.n_nodes, sign))
+                assert eval_F(phase, EnergyParams(k, s, 0.1, 0.25), DoubleWell(0.3), kspec) == 0.0
+
+
+def _dense_F(p, params, well, kspec, rows=128):
+    """The eps/delta energy of ``p`` as a dense double sum in long double over
+    every ordered pair, on g from the library's stencil."""
+    ld, n, k = np.longdouble, p.grid.n_nodes, params.k
+    h = ld(p.grid.h)
+    x = ld(p.grid.x_lo) + h * np.arange(n)
+    g = (p.values if k == 0 else kth_difference(p, k).values).astype(ld)
+    t = np.cos(2 * np.pi * x / ld(params.delta))
+    lags = np.arange(n, dtype=ld)
+    lags[0] = 1
+    w = h * h * (lags * h) ** -(1 + 2 * ld(params.s))
+    w[0] = 0
+    pairs = ld(0)
+    for lo in range(0, n, rows):
+        i = np.arange(lo, min(lo + rows, n))[:, None]
+        a = ld(kspec.c0) + sum((ld(kspec.c1) * t[i] ** p * t[None, :] ** q
+                                for p, q in kspec.terms), ld(0))
+        pairs += (w[np.abs(i - np.arange(n))] * a * (g[i] - g[None, :]) ** 2).sum()
+    u = p.values.astype(ld)
+    well_sum = ((1 - u * u) ** 2 * (1 + ld(well.chi) * np.sin(np.pi * u / 2)))
+    trap = np.full(n, h / ld(params.eps))
+    trap[[0, -1]] /= 2
+    return (trap * well_sum).sum() + ld(params.nonlocal_coef) * pairs
+
+
+def _end_run_profiles(x):
+    """+-1-ended profiles on (0, 1): one ascending jump, one descending, and
+    two jumps between +1 ends."""
+    ramp = lambda c, w: np.clip(1.5 * np.tanh((x - c) / w), -1.0, 1.0)  # noqa: E731
+    return {"up": ramp(0.5, 0.03), "down": -ramp(0.41, 0.05),
+            "two": np.maximum(-ramp(0.3, 0.04), ramp(0.7, 0.04))}
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.5)])
+def test_eval_F_of_end_run_profiles_matches_a_long_double_pair_sum(k, s, kspec):
+    # the span's pairs from its FFT product, the end runs' in closed form; a
+    # spacing that is no power of two, and a kernel phase off zero at x_lo
+    grid = make_grid(-0.3, 0.7, 1000)
+    params, well = EnergyParams(k, s, 2.0 ** -5, 0.05), DoubleWell(0.3)
+    for name, u in _end_run_profiles(grid.nodes() + 0.3).items():
+        p = GridProfile(grid, u)
+        assert abs(u[0]) == 1.0 and abs(u[-1]) == 1.0
+        exact = _dense_F(p, params, well, kspec)
+        assert abs(float((eval_F(p, params, well, kspec) - exact) / exact)) < 1e-13, name
+
+
+@pytest.mark.parametrize("kspec", OPERATOR_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("k, s", [(0, 0.75), (1, 0.5), (2, 0.5)])
+def test_eval_F_of_a_step_between_adjacent_nodes(k, s, kspec):
+    # no node between the runs: the span is the 2k + 3 nodes an energy needs
+    grid = make_grid(0.0, 1.0, 256)
+    p = GridProfile(grid, np.where(np.arange(grid.n_nodes) < 100, -1.0, 1.0))
+    params, well = EnergyParams(k, s, 2.0 ** -4, 0.07), DoubleWell(0.0)
+    exact = _dense_F(p, params, well, kspec)
+    assert float((eval_F(p, params, well, kspec) - exact) / exact) == pytest.approx(0.0, abs=1e-13)
+
+
+def test_eval_F_on_too_few_nodes_for_k_names_the_node_count():
+    # a +-1-ended profile on fewer than 2k + 3 nodes has no span: the whole
+    # grid's evaluator rejects it, as it does any profile
+    p = GridProfile(make_grid(0.0, 1.0, 2), np.array([-1.0, 0.0, 1.0]))
+    for k in (1, 2):
+        with pytest.raises(ValueError, match=f"k={k} needs at least {2 * k + 3}"):
+            eval_F(p, EnergyParams(k, 0.75, 0.1, 0.25), DoubleWell(0.0), UNIT)
+
+
+def test_eval_F_of_a_recovery_takes_no_product_of_the_grid_length(monkeypatch):
+    # once the grid's pair table exists, only the span between the end runs
+    # is transformed
+    from fraclab import build_recovery, make_bv_target
+
+    ref = make_grid(-6.0, 6.0, 240)
+    v = GridProfile(ref, np.clip(1.5 * np.tanh(ref.nodes()), -1.0, 1.0))
+    grid, eps = make_grid(0.0, 1.0, 2048), 2.0 ** -5
+    rec = build_recovery(make_bv_target([(0.5, 1)]), v, eps, eps, "lambda", grid, 2.0)
+    params = EnergyParams(0, 0.75, eps, eps)
+    kspec = KernelSpec.cos_sum(2.5, 1.0)
+    first = eval_F(rec, params, DoubleWell(0.0), kspec)
+    lengths, product = [], energy_module._PairTable.product
+
+    def counting(table, g):
+        lengths.append(g.shape[-1])
+        return product(table, g)
+
+    monkeypatch.setattr(energy_module._PairTable, "product", counting)
+    assert eval_F(rec, params, DoubleWell(0.0), kspec) == first
+    assert lengths and max(lengths) < grid.n_nodes // 2
 
 
 def test_eval_F_tanh_against_dense_reference():
@@ -576,10 +674,6 @@ def test_gradient_fd_across_exponent_table(k, s):
                            KernelSpec.cos_prod(2.0, 0.7))
     p = GridProfile(g, np.tanh(3 * g.nodes()) + 0.15 * rng.standard_normal(g.n_nodes))
     assert check_gradient(model.energy, model.gradient, p) <= 1e-6
-
-
-OPERATOR_KERNELS = [KernelSpec.constant(2.0), KernelSpec.cos_sum(2.5, 1.0),
-                    KernelSpec.cos_prod(2.0, 0.7)]
 
 
 # 3, 5, 7 = 2k + 3 for k = 0, 1, 2; 1025 has 2N - 2 = 2048, a power of two

@@ -137,6 +137,31 @@ def test_build_recovery_descending_jump_pastes_reflection(homogeneous_profile):
     assert rec.values[0] == 1.0 and rec.values[-1] == -1.0
 
 
+@pytest.mark.parametrize("mode", ["lambda", "supercritical", "subcritical"])
+@pytest.mark.parametrize("jumps", [[(0.5, +1)], [(0.43, -1)], [(0.25, -1), (0.75, +1)]],
+                         ids=["up", "down", "two"])
+def test_build_recovery_pastes_as_np_interp_at_every_node(homogeneous_profile, mode, jumps):
+    # the paste writes the reference's end values where it is clamped and
+    # interpolates only in between: np.interp's value at every node, bit for
+    # bit; the midpoint 0.5 of the two jumps is a node, and joins the right one
+    from fraclab.experiments import _jump_shift
+
+    target, grid = make_bv_target(jumps), make_grid(0.0, 1.0, 1024)
+    v = homogeneous_profile
+    x, lam, r = grid.nodes(), 1.3, 0.25
+    for eps, delta in ((0.02, 0.02), (0.013, 0.0071)):
+        rec = build_recovery(target, v, eps, delta, mode, grid, 2.0, lam=lam, diag_shift=r)
+        scale = lam / delta if mode == "lambda" else 1.0 / eps
+        locs = target.jump_locations
+        bounds = np.array([0.0, *[0.5 * (a + b) for a, b in zip(locs, locs[1:])], 1.0])
+        j = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, len(locs) - 1)
+        expect = np.empty_like(x)
+        for i, (t_j, s_j) in enumerate(zip(locs, target.jump_signs)):
+            xi = (x[j == i] - _jump_shift(t_j, delta, mode, r)) * scale
+            expect[j == i] = np.interp(s_j * xi, v.grid.nodes(), v.values)
+        assert np.array_equal(rec.values, expect)
+
+
 def test_cross_term_probe_single_jump_is_zero(homogeneous_profile):
     target = make_bv_target([(0.5, +1)])
     values, slope = cross_term_probe(

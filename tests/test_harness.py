@@ -158,6 +158,23 @@ def test_emit_csv_gives_the_mode_a_plain_open_would(tmp_path, umask, mode):
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == mode
 
 
+def test_emit_csv_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it, even briefly, would give files
+    # that other threads create meanwhile the wrong mode
+    def refuse(mask):
+        raise AssertionError("emit_csv must not set the process umask")
+
+    old = os.umask(0o022)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", refuse)
+            emit_csv([[1.0]], ["x"], tmp_path / "out.csv")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_emit_csv_atomic_no_partial_file(tmp_path):
     # failure before rename leaves no target file and no temp litter
     path = tmp_path / "out.csv"
@@ -386,6 +403,37 @@ def test_cli_recovery_runs(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "lambda"
     assert float(cells[4]) > 0
+
+
+K2_RECOVERY = {"command": "recovery", "kernel": {"variant": "cos_sum", "c0": 2.5, "c1": 1.0},
+               "k": 2, "s": 0.5, "jumps": [[0.5, 1]], "mode": "lambda", "eps": 0.015625,
+               "n_cells": 4096}
+
+
+def test_cli_k2_recovery_finer_than_its_reference_exits_config(tmp_path, monkeypatch):
+    # pasted at spacing lam/delta / n_cells = 1/64 from a reference at
+    # 6 T_profile / 384 = 1/16, D_2 u read the paste's kinks: energy 463
+    # against a predicted 3.93
+    def unused(*args, **kwargs):
+        raise AssertionError("a reference coarser than the paste must be rejected before any solve")
+
+    cfg = write_config(tmp_path, "coarse.json", dict(K2_RECOVERY, reference_n_cells=384))
+    out = tmp_path / "coarse.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "transition_energy", unused)
+        res = run_cli(["recovery", str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "reference_n_cells" in res.output and "at least 1536" in res.output
+    assert not out.exists()
+    # k = 0 reads no slope: the same spacing is valid
+    load_config(write_config(tmp_path, "k0.json", dict(K2_RECOVERY, k=0, s=0.75,
+                                                       reference_n_cells=384)))
+    # the least valid reference spacing equals the pasted one
+    cfg = write_config(tmp_path, "matched.json", dict(K2_RECOVERY, reference_n_cells=1536))
+    res = run_cli(["recovery", str(cfg), "--out", str(out), "--quiet"])
+    assert res.exit_code == 0, res.output
+    rel_gap = float(out.read_text().splitlines()[1].split(",")[-1])
+    assert abs(rel_gap) < 0.05
 
 
 # the required keys only: every other key takes its default
